@@ -184,9 +184,8 @@ impl System {
         }
     }
 
-    fn next_socket_id(&mut self) -> u64 {
-        let id = self.sockets.keys().max().copied().unwrap_or(0) + 1;
-        id
+    fn next_socket_id(&self) -> u64 {
+        self.sockets.last_key_value().map_or(0, |(&id, _)| id) + 1
     }
 
     pub(crate) fn sys_bind(&mut self, pid: Pid, fd: u64, port: u16) -> i64 {
@@ -276,19 +275,7 @@ impl System {
                 data: chunk.to_vec(),
             });
         }
-        // If a remote responder is registered (the harness's model of the
-        // peer machine), hand it what just left the wire and inject its
-        // reply.
-        if let Some(mut responder) = self.remote_responder.take() {
-            let sent = self.wire_recv(flow);
-            if !sent.is_empty() {
-                let reply = responder(&sent);
-                if !reply.is_empty() {
-                    self.wire_send(flow, &reply);
-                }
-            }
-            self.remote_responder = Some(responder);
-        }
+        self.run_remote_responder(flow);
         data.len() as i64
     }
 
@@ -383,60 +370,55 @@ impl System {
         }
     }
 
-    /// Ring-mode transmit: stages `data` into DMA frames one MTU chunk per
-    /// descriptor (segmentation identical to [`System::sock_send`]), rings
+    /// Ring-mode transmit: stages `data` (see [`System::stage_tx`]), rings
     /// the doorbell once per batch, and recycles the staging frames on
     /// retire. Returns bytes queued, or -1 on a dead socket.
     fn sock_send_ring(&mut self, sock: u64, data: &[u8]) -> i64 {
         let Some(flow) = self.sockets.get(&sock).and_then(|s| s.flow) else {
             return -1;
         };
-        let mut batched = false;
-        for chunk in data.chunks(MTU) {
-            let Some(frame) = self.machine.alloc_frame_checked() else {
-                // Out of staging memory: flush what we have and finish on
-                // the per-call path.
-                if batched {
-                    self.flush_tx_ring();
-                }
-                return self.sock_send(sock, chunk);
-            };
-            self.machine.phys.write_bytes(frame, 0, chunk);
-            if self
-                .net
-                .tx_ring
-                .post(RingDesc {
-                    pfn: frame,
-                    off: 0,
-                    len: chunk.len() as u32,
-                    flow,
-                })
-                .is_none()
-            {
-                // Ring full mid-batch: flush (an extra doorbell) and repost.
-                self.flush_tx_ring();
-                self.net
-                    .tx_ring
-                    .post(RingDesc {
-                        pfn: frame,
-                        off: 0,
-                        len: chunk.len() as u32,
-                        flow,
-                    })
-                    .expect("empty ring accepts a descriptor");
-            }
-            costs::RING_PER_DESC.charge(&mut self.machine);
-            batched = true;
-        }
-        if batched {
-            self.flush_tx_ring();
-        }
+        self.stage_tx(sock, flow, data);
+        self.flush_tx_ring();
         self.run_remote_responder(flow);
         data.len() as i64
     }
 
-    /// Rings the TX doorbell and recycles every retired staging frame.
+    /// Posts `data` to the TX ring as DMA frames, one MTU chunk per
+    /// descriptor (segmentation identical to [`System::sock_send`]). A full
+    /// ring is flushed (an extra doorbell) and the chunk reposted. A chunk
+    /// with no staging frame flushes the batch, goes out on the per-call
+    /// path, and staging continues with the next chunk: no byte is dropped.
+    fn stage_tx(&mut self, sock: u64, flow: u64, data: &[u8]) {
+        for chunk in data.chunks(MTU) {
+            let Some(frame) = self.machine.alloc_frame_checked() else {
+                self.flush_tx_ring();
+                self.sock_send(sock, chunk);
+                continue;
+            };
+            self.machine.phys.write_bytes(frame, 0, chunk);
+            let desc = RingDesc {
+                pfn: frame,
+                off: 0,
+                len: chunk.len() as u32,
+                flow,
+            };
+            if self.net.tx_ring.post(desc).is_none() {
+                self.flush_tx_ring();
+                self.net
+                    .tx_ring
+                    .post(desc)
+                    .expect("empty ring accepts a descriptor");
+            }
+            costs::RING_PER_DESC.charge(&mut self.machine);
+        }
+    }
+
+    /// Rings the TX doorbell for any staged descriptors and recycles every
+    /// retired staging frame. Free when nothing is staged.
     fn flush_tx_ring(&mut self) {
+        if self.net.tx_ring.avail_len() == 0 {
+            return;
+        }
         costs::RING_DOORBELL.charge(&mut self.machine);
         self.vm
             .sva_ring_doorbell(&mut self.machine, &mut self.net.tx_ring);
@@ -622,48 +604,14 @@ impl System {
                     return -1;
                 };
                 let mut total = 0i64;
-                let mut batched = false;
                 for (base, len) in iovs {
                     let Some(data) = self.copyin(pid, base, len) else {
                         return -1;
                     };
-                    for chunk in data.chunks(MTU) {
-                        let Some(frame) = self.machine.alloc_frame_checked() else {
-                            // Out of staging memory: flush and finish this
-                            // chunk on the per-call path.
-                            if batched {
-                                self.flush_tx_ring();
-                                batched = false;
-                            }
-                            let r = self.sock_send(id, chunk);
-                            if r < 0 {
-                                return r;
-                            }
-                            total += r;
-                            continue;
-                        };
-                        self.machine.phys.write_bytes(frame, 0, chunk);
-                        let desc = RingDesc {
-                            pfn: frame,
-                            off: 0,
-                            len: chunk.len() as u32,
-                            flow,
-                        };
-                        if self.net.tx_ring.post(desc).is_none() {
-                            self.flush_tx_ring();
-                            self.net
-                                .tx_ring
-                                .post(desc)
-                                .expect("empty ring accepts a descriptor");
-                        }
-                        costs::RING_PER_DESC.charge(&mut self.machine);
-                        batched = true;
-                        total += chunk.len() as i64;
-                    }
+                    self.stage_tx(id, flow, &data);
+                    total += data.len() as i64;
                 }
-                if batched {
-                    self.flush_tx_ring();
-                }
+                self.flush_tx_ring();
                 self.run_remote_responder(flow);
                 total
             }
@@ -693,22 +641,10 @@ impl System {
         }
     }
 
-    /// Collects everything the host transmitted on `flow`.
+    /// Collects everything the host transmitted on `flow`, leaving other
+    /// flows' traffic queued.
     pub fn wire_recv(&mut self, flow: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut keep = Vec::new();
-        for p in self.machine.nic.wire_drain() {
-            if p.flow == flow {
-                out.extend(p.data);
-            } else {
-                keep.push(p);
-            }
-        }
-        for p in keep {
-            // Preserve other flows' traffic.
-            self.machine.nic.wire_requeue(p);
-        }
-        out
+        self.machine.nic.wire_take(flow)
     }
 
     /// Marks `flow` closed from the wire side.
@@ -826,6 +762,40 @@ mod tests {
         });
         let pid = sys.spawn("poll");
         assert_eq!(sys.run_until_exit(pid), 0);
+    }
+
+    /// Regression: a ring-mode `send` whose second staging frame cannot be
+    /// allocated still puts every byte on the wire and returns the full
+    /// length (it used to send only the failed chunk and drop the rest).
+    #[test]
+    fn ring_send_survives_staging_frame_exhaustion_mid_batch() {
+        use vg_machine::{FaultClass, FaultPlan, Trigger};
+        const LEN: usize = 3 * MTU;
+        let mut sys = System::boot_virtual_ghost();
+        let flow = sys.wire_connect(5100).unwrap();
+        sys.install_app("tx", false, || {
+            Box::new(|env| {
+                let l = env.socket();
+                env.bind(l, 5100);
+                env.listen(l);
+                let c = env.accept(l);
+                let buf = env.mmap_anon(LEN);
+                let data: Vec<u8> = (0..LEN).map(|i| i as u8).collect();
+                env.write_mem(buf, &data);
+                env.sys
+                    .machine
+                    .faults
+                    .arm(FaultPlan::new(1).with(FaultClass::FrameExhaust, Trigger::Nth(2)));
+                assert_eq!(env.send(c, buf, LEN), LEN as i64);
+                env.sys.machine.faults.disarm();
+                assert_eq!(env.sys.machine.faults.injected(FaultClass::FrameExhaust), 1);
+                0
+            })
+        });
+        let pid = sys.spawn("tx");
+        assert_eq!(sys.run_until_exit(pid), 0);
+        let want: Vec<u8> = (0..LEN).map(|i| i as u8).collect();
+        assert_eq!(sys.wire_recv(flow), want);
     }
 
     /// The ring and reference data planes serve byte-identical traffic with

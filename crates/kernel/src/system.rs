@@ -19,7 +19,7 @@ use crate::mem::{copy_cost, kwork, AddressSpace, RegionKind, STACK_TOP};
 use crate::net::{NetStack, Socket};
 use crate::program::{AppMain, SigHandlerFn, UserEnv};
 use crate::syscall::ENOMEM;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use vg_core::{AppBinary, ProcId, Protections, SvaError, SvaVm, ThreadId};
 use vg_crypto::{Sha256, Tpm};
 use vg_ir::registry::USER_TEXT_BASE;
@@ -350,7 +350,7 @@ pub struct System {
     /// the per-call reference path is kept for differential testing).
     pub net_mode: crate::net::NetMode,
     /// Socket table.
-    pub sockets: HashMap<u64, Socket>,
+    pub sockets: BTreeMap<u64, Socket>,
     /// The system log (attack 1 exfiltrates here).
     pub log: Vec<String>,
     /// Kernel swap store for evicted (sealed) ghost pages.
@@ -442,7 +442,7 @@ impl System {
             user_api_tab: Vec::new(),
             net: NetStack::new(),
             net_mode: crate::net::NetMode::default(),
-            sockets: HashMap::new(),
+            sockets: BTreeMap::new(),
             log: Vec::new(),
             swap: crate::swapper::SwapStore::default(),
             pipes: HashMap::new(),

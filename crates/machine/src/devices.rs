@@ -8,7 +8,7 @@
 use crate::iommu::{DmaDirection, DmaFault, Iommu};
 use crate::layout::{Pfn, PAGE_SIZE};
 use crate::phys::PhysMem;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// A fixed-capacity block device (4 KiB blocks), SSD-like.
 #[derive(Debug)]
@@ -116,12 +116,19 @@ pub const MTU: usize = 1500;
 /// A network interface with host-side TX/RX queues.
 ///
 /// The far end of the wire is driven by the benchmark harness (the paper's
-/// client machines were separate hosts), which calls
-/// [`Nic::wire_inject`]/[`Nic::wire_drain`].
+/// client machines were separate hosts), which calls [`Nic::wire_inject`],
+/// [`Nic::wire_take`] and [`Nic::wire_drain`]. Transmitted packets wait in
+/// one queue per flow, each stamped with a global transmit sequence number,
+/// so reading back one flow costs O(that flow's packets) while a full drain
+/// still sees global transmit order.
 #[derive(Debug, Default)]
 pub struct Nic {
     rx: VecDeque<Packet>,
-    tx: VecDeque<Packet>,
+    /// Untaken transmitted payloads per flow, as `(sequence, data)` in
+    /// transmit order.
+    tx: HashMap<u64, Vec<(u64, Vec<u8>)>>,
+    /// Sequence number of the next transmitted packet.
+    tx_seq: u64,
     /// Bytes transmitted since boot.
     pub tx_bytes: u64,
     /// Bytes received since boot.
@@ -143,7 +150,11 @@ impl Nic {
     pub fn transmit(&mut self, packet: Packet) {
         assert!(packet.data.len() <= MTU, "packet exceeds MTU");
         self.tx_bytes += packet.data.len() as u64;
-        self.tx.push_back(packet);
+        self.tx
+            .entry(packet.flow)
+            .or_default()
+            .push((self.tx_seq, packet.data));
+        self.tx_seq += 1;
     }
 
     /// Host side: receive the next pending packet, if any.
@@ -165,16 +176,30 @@ impl Nic {
         self.rx.push_back(packet);
     }
 
-    /// Wire side: drain everything the host transmitted.
-    pub fn wire_drain(&mut self) -> Vec<Packet> {
-        self.tx.drain(..).collect()
+    /// Wire side: remove everything the host transmitted on `flow`, payloads
+    /// concatenated in transmit order. Other flows' packets are untouched.
+    pub fn wire_take(&mut self, flow: u64) -> Vec<u8> {
+        let packets = self.tx.remove(&flow).unwrap_or_default();
+        let mut out = Vec::with_capacity(packets.iter().map(|(_, d)| d.len()).sum());
+        for (_, data) in packets {
+            out.extend_from_slice(&data);
+        }
+        out
     }
 
-    /// Wire side: put a drained packet back on the TX queue (used when a
-    /// selective drain must preserve other flows' traffic). Does not
-    /// re-count statistics.
-    pub fn wire_requeue(&mut self, packet: Packet) {
-        self.tx.push_back(packet);
+    /// Wire side: drain everything the host transmitted, in global transmit
+    /// order.
+    pub fn wire_drain(&mut self) -> Vec<Packet> {
+        let mut all: Vec<(u64, Packet)> = self
+            .tx
+            .drain()
+            .flat_map(|(flow, q)| {
+                q.into_iter()
+                    .map(move |(seq, data)| (seq, Packet { flow, data }))
+            })
+            .collect();
+        all.sort_unstable_by_key(|&(seq, _)| seq);
+        all.into_iter().map(|(_, p)| p).collect()
     }
 }
 
@@ -275,6 +300,70 @@ mod tests {
         let out = nic.wire_drain();
         assert_eq!(out.len(), 1);
         assert_eq!(nic.tx_bytes, 100);
+    }
+
+    fn send(nic: &mut Nic, flow: u64, data: &[u8]) {
+        nic.transmit(Packet {
+            flow,
+            data: data.to_vec(),
+        });
+    }
+
+    #[test]
+    fn wire_take_returns_one_flow_in_transmit_order() {
+        let mut nic = Nic::new();
+        send(&mut nic, 1, b"ab");
+        send(&mut nic, 2, b"xy");
+        send(&mut nic, 1, b"cd");
+        assert_eq!(nic.wire_take(1), b"abcd");
+        assert!(nic.wire_take(1).is_empty(), "a take removes the packets");
+        assert_eq!(nic.wire_take(2), b"xy");
+    }
+
+    #[test]
+    fn wire_drain_keeps_global_order_after_partial_take() {
+        let mut nic = Nic::new();
+        for (flow, byte) in [(1, 1), (2, 2), (3, 3), (2, 4), (1, 5), (3, 6)] {
+            send(&mut nic, flow, &[byte]);
+        }
+        assert_eq!(nic.wire_take(2), [2, 4]);
+        send(&mut nic, 2, &[7]);
+        let order: Vec<(u64, u8)> = nic
+            .wire_drain()
+            .into_iter()
+            .map(|p| (p.flow, p.data[0]))
+            .collect();
+        assert_eq!(order, [(1, 1), (3, 3), (1, 5), (3, 6), (2, 7)]);
+        assert!(nic.wire_drain().is_empty());
+    }
+
+    #[test]
+    fn wire_take_leaves_tx_bytes_untouched() {
+        let mut nic = Nic::new();
+        send(&mut nic, 1, &[0; 40]);
+        send(&mut nic, 2, &[0; 60]);
+        assert_eq!(nic.wire_take(1).len(), 40);
+        assert_eq!(nic.tx_bytes, 100);
+        nic.wire_drain();
+        assert_eq!(nic.tx_bytes, 100);
+    }
+
+    #[test]
+    fn wire_take_of_unknown_or_empty_flow_leaves_others_intact() {
+        let mut nic = Nic::new();
+        assert!(nic.wire_take(9).is_empty());
+        send(&mut nic, 1, b"one");
+        send(&mut nic, 2, b"");
+        assert!(nic.wire_take(9).is_empty());
+        assert!(nic.wire_take(2).is_empty());
+        let rest = nic.wire_drain();
+        assert_eq!(
+            rest,
+            [Packet {
+                flow: 1,
+                data: b"one".to_vec()
+            }]
+        );
     }
 
     #[test]
