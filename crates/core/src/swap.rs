@@ -225,6 +225,26 @@ mod tests {
     }
 
     #[test]
+    fn debug_prints_no_swap_key() {
+        // FIPS 197 Appendix A.1 key; round key 0 is the key itself.
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let shown = format!("{:?}", SwapManager::new(key, [0x5c; 32]));
+        for word in key.chunks_exact(4) {
+            let w = u32::from_be_bytes(word.try_into().unwrap());
+            assert!(!shown.contains(&format!("{w:x}")), "{shown} shows {w:#x}");
+            assert!(!shown.contains(&w.to_string()), "{shown} shows {w}");
+        }
+        // Nothing but type names: no byte of the key or the MAC midstates.
+        assert_eq!(
+            shown,
+            "SwapManager { cipher: Aes128 { .. }, mac: HmacKey { .. } }"
+        );
+    }
+
+    #[test]
     fn swap_roundtrip_preserves_contents() {
         let (mut vm, mut machine, root, va) = setup_with_ghost_page();
         let pfn = vm.ghost.frame_at(P, va.vpn().0).unwrap();

@@ -10,17 +10,28 @@
 //!
 //! ## Data-plane layout
 //!
-//! The round function is the word-sliced (T-table) formulation: four const
-//! 256-entry `u32` tables fold SubBytes, ShiftRows, and MixColumns into one
-//! lookup + xor per state byte, with the decryption direction running the
-//! equivalent inverse cipher over InvMixColumns-transformed round keys
-//! ([`Aes128::new`] precomputes both schedules once; `decrypt_block` no
-//! longer rebuilds the inverse S-box per call). CTR keystream is generated
-//! four blocks (64 bytes) at a time. All tables are built by `const fn` at
-//! compile time from the S-box, so there is nothing to initialize at run
-//! time and outputs stay bit-identical to the textbook scalar
-//! implementation retained in [`crate::reference`] (proven by differential
-//! proptests in `tests/differential.rs`).
+//! CTR keystream comes from one private function, `xor_keystream`, which
+//! both [`Aes128::ctr_xor`] and [`Aes128Ctr::xor`] call. It picks one of two
+//! paths, fixed once per key by [`Aes128::new`]:
+//!
+//! * **Hardware.** On x86-64 CPUs that report the AES instructions
+//!   (`is_x86_feature_detected!("aes")`), AESENC/AESENCLAST encrypt eight
+//!   counter blocks per iteration. This is the only `unsafe` code in the
+//!   crate, confined to the private `aesni` module.
+//! * **Portable.** Everywhere else, the word-sliced (T-table) round
+//!   function encrypts one counter block at a time.
+//!
+//! The T-table round function also serves [`Aes128::encrypt_block`] and
+//! [`Aes128::decrypt_block`] on every CPU: four const 256-entry `u32`
+//! tables fold SubBytes, ShiftRows, and MixColumns into one lookup + xor
+//! per state byte, with the decryption direction running the equivalent
+//! inverse cipher over InvMixColumns-transformed round keys
+//! ([`Aes128::new`] precomputes both schedules once). All tables are built
+//! by `const fn` at compile time from the S-box. Outputs of both paths stay
+//! bit-identical to the textbook scalar implementation retained in
+//! [`crate::reference`] (proven by differential proptests in
+//! `tests/differential.rs`; unit tests below compare the hardware keystream
+//! with the T-table one directly).
 
 use crate::hmac::{HmacKey, HmacSha256};
 
@@ -137,7 +148,11 @@ fn inv_mix_word(w: u32) -> u32 {
 
 /// An expanded AES-128 key schedule: encryption round keys plus the
 /// InvMixColumns-transformed decryption schedule for the equivalent inverse
-/// cipher, both computed once at construction.
+/// cipher, both computed once at construction. On a CPU with AES
+/// instructions it also holds the round keys in the byte order those
+/// instructions take, and CTR keystream runs on them.
+///
+/// `Debug` prints no key material.
 ///
 /// # Examples
 ///
@@ -148,7 +163,7 @@ fn inv_mix_word(w: u32) -> u32 {
 /// let ct = aes.encrypt_block([0u8; 16]);
 /// assert_eq!(aes.decrypt_block(ct), [0u8; 16]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes128 {
     /// Encryption round keys, as big-endian column words: `ek[4r + c]` is
     /// column `c` of round `r`.
@@ -156,10 +171,20 @@ pub struct Aes128 {
     /// Decryption round keys for the equivalent inverse cipher: reversed
     /// rounds, InvMixColumns applied to rounds 1..=9.
     dk: [u32; 44],
+    /// FIPS byte-order round keys for the hardware keystream; `Some` exactly
+    /// when the CPU reports the AES instructions.
+    hw: Option<aesni::HwKeys>,
+}
+
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aes128").finish_non_exhaustive()
+    }
 }
 
 impl Aes128 {
-    /// Expands a 16-byte key into both round-key schedules.
+    /// Expands a 16-byte key into both round-key schedules, and into the
+    /// hardware schedule if the CPU has AES instructions.
     pub fn new(key: &[u8; 16]) -> Self {
         let mut ek = [0u32; 44];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
@@ -182,7 +207,8 @@ impl Aes128 {
                 dk[4 * r + c] = inv_mix_word(ek[4 * (10 - r) + c]);
             }
         }
-        Aes128 { ek, dk }
+        let hw = aesni::HwKeys::new(&ek);
+        Aes128 { ek, dk, hw }
     }
 
     /// Encrypts one 16-byte block.
@@ -237,42 +263,139 @@ impl Aes128 {
     /// expansion; loop-heavy callers (page sealing, SSH chunk transfer)
     /// should hoist the [`Aes128`] and call this.
     pub fn ctr_xor(&self, nonce: u64, data: &mut [u8]) {
-        let mut counter = 0u64;
-        let mut chunks = data.chunks_exact_mut(64);
-        for chunk in &mut chunks {
-            let ks = self.keystream4(nonce, counter);
-            counter = counter.wrapping_add(4);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+        self.xor_keystream(nonce, 0, data);
+    }
+
+    /// XORs `data` with the keystream blocks `E(nonce ‖ counter)`,
+    /// `E(nonce ‖ counter + 1)`, … and returns the counter of the first
+    /// block not used (a trailing partial block uses up its counter). The
+    /// counter wraps at 2^64 without carrying into the nonce. This is the
+    /// one place that picks the hardware or the portable keystream.
+    fn xor_keystream(&self, nonce: u64, counter: u64, data: &mut [u8]) -> u64 {
+        match &self.hw {
+            Some(hw) => hw.xor_keystream(nonce, counter, data),
+            None => self.xor_keystream_portable(nonce, counter, data),
+        }
+    }
+
+    /// The T-table keystream, one block at a time: the path for CPUs without
+    /// AES instructions, and the oracle the hardware path is tested against.
+    fn xor_keystream_portable(&self, nonce: u64, mut counter: u64, data: &mut [u8]) -> u64 {
+        for chunk in data.chunks_mut(16) {
+            let mut block = [0u8; 16];
+            block[..8].copy_from_slice(&nonce.to_be_bytes());
+            block[8..].copy_from_slice(&counter.to_be_bytes());
+            for (b, k) in chunk.iter_mut().zip(self.encrypt_block(block)) {
                 *b ^= k;
             }
-        }
-        for chunk in chunks.into_remainder().chunks_mut(16) {
-            let ks = self.keystream_block(nonce, counter);
             counter = counter.wrapping_add(1);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
+        }
+        counter
+    }
+}
+
+/// The AES-NI keystream: the only `unsafe` code in this crate. A
+/// [`HwKeys`](aesni::HwKeys) can only be built on a CPU that reports the
+/// AES instructions, so holding one is what makes the safe
+/// `xor_keystream` sound.
+#[cfg(target_arch = "x86_64")]
+mod aesni {
+    use core::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    /// Counter blocks encrypted per iteration. One AESENC takes several
+    /// cycles to finish but the unit accepts one or two per cycle, so eight
+    /// independent blocks keep it busy.
+    const LANES: usize = 8;
+
+    /// AES-128 round keys in FIPS byte order, one 16-byte array per round.
+    #[derive(Clone)]
+    pub(super) struct HwKeys([[u8; 16]; 11]);
+
+    impl HwKeys {
+        /// Converts an expanded key's big-endian column words, or returns
+        /// `None` if the CPU has no AES instructions.
+        pub(super) fn new(ek: &[u32; 44]) -> Option<Self> {
+            if !std::is_x86_feature_detected!("aes") {
+                return None;
             }
+            let mut rk = [[0u8; 16]; 11];
+            for (round, words) in rk.iter_mut().zip(ek.chunks_exact(4)) {
+                for (bytes, w) in round.chunks_exact_mut(4).zip(words) {
+                    bytes.copy_from_slice(&w.to_be_bytes());
+                }
+            }
+            Some(HwKeys(rk))
+        }
+
+        /// Same contract as `Aes128::xor_keystream`.
+        pub(super) fn xor_keystream(&self, nonce: u64, counter: u64, data: &mut [u8]) -> u64 {
+            // SAFETY: `new` returns a `HwKeys` only after the CPU reported
+            // the AES instructions, the one requirement of `xor_keystream`.
+            unsafe { xor_keystream(&self.0, nonce, counter, data) }
         }
     }
 
-    /// One keystream block: `E(nonce ‖ counter)`.
-    #[inline]
-    fn keystream_block(&self, nonce: u64, counter: u64) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..8].copy_from_slice(&nonce.to_be_bytes());
-        block[8..].copy_from_slice(&counter.to_be_bytes());
-        self.encrypt_block(block)
-    }
-
-    /// Four consecutive keystream blocks, batched into one 64-byte buffer.
-    #[inline]
-    fn keystream4(&self, nonce: u64, counter: u64) -> [u8; 64] {
-        let mut ks = [0u8; 64];
-        for i in 0..4 {
-            let block = self.keystream_block(nonce, counter.wrapping_add(i as u64));
-            ks[16 * i..16 * i + 16].copy_from_slice(&block);
+    /// # Safety
+    ///
+    /// The CPU must support the AES instructions.
+    #[target_feature(enable = "aes")]
+    unsafe fn xor_keystream(
+        rk: &[[u8; 16]; 11],
+        nonce: u64,
+        mut counter: u64,
+        data: &mut [u8],
+    ) -> u64 {
+        // SAFETY (every load and store below): each pointer comes from a
+        // 16-byte array or a 16-byte `chunks_exact_mut` slice, and the
+        // unaligned `loadu`/`storeu` forms have no alignment requirement.
+        let mut keys = [_mm_setzero_si128(); 11];
+        for (k, bytes) in keys.iter_mut().zip(rk) {
+            *k = _mm_loadu_si128(bytes.as_ptr().cast());
         }
-        ks
+        let mut ks = [0u8; 16 * LANES];
+        for chunk in data.chunks_mut(16 * LANES) {
+            let mut blocks: [__m128i; LANES] = [_mm_setzero_si128(); LANES];
+            for (i, b) in blocks.iter_mut().enumerate() {
+                // The block is `nonce ‖ counter`, both big-endian; lane 0
+                // holds bytes 0..8 little-endian, hence the byte swaps.
+                let c = counter.wrapping_add(i as u64).swap_bytes() as i64;
+                *b = _mm_xor_si128(_mm_set_epi64x(c, nonce.swap_bytes() as i64), keys[0]);
+            }
+            for k in &keys[1..10] {
+                for b in &mut blocks {
+                    *b = _mm_aesenc_si128(*b, *k);
+                }
+            }
+            for (b, out) in blocks.iter().zip(ks.chunks_exact_mut(16)) {
+                _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_aesenclast_si128(*b, keys[10]));
+            }
+            for (d, k) in chunk.iter_mut().zip(&ks) {
+                *d ^= k;
+            }
+            counter = counter.wrapping_add(chunk.len().div_ceil(16) as u64);
+        }
+        counter
+    }
+}
+
+/// Other architectures have no hardware keystream: `HwKeys` is uninhabited,
+/// so `Aes128::hw` is always `None`.
+#[cfg(not(target_arch = "x86_64"))]
+mod aesni {
+    #[derive(Clone)]
+    pub(super) enum HwKeys {}
+
+    impl HwKeys {
+        pub(super) fn new(_ek: &[u32; 44]) -> Option<Self> {
+            None
+        }
+
+        pub(super) fn xor_keystream(&self, _nonce: u64, _counter: u64, _data: &mut [u8]) -> u64 {
+            match *self {}
+        }
     }
 }
 
@@ -360,13 +483,21 @@ fn final_dec(a: u32, b: u32, c: u32, d: u32) -> u32 {
 /// ctr_xor(&[7u8; 16], 99, &mut oneshot);
 /// assert_eq!(streamed, oneshot);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `Debug` prints no key material.
+#[derive(Clone)]
 pub struct Aes128Ctr {
     aes: Aes128,
     nonce: u64,
     counter: u64,
     ks: [u8; 16],
     ks_off: usize,
+}
+
+impl std::fmt::Debug for Aes128Ctr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aes128Ctr").finish_non_exhaustive()
+    }
 }
 
 impl Aes128Ctr {
@@ -392,44 +523,27 @@ impl Aes128Ctr {
     }
 
     /// XORs the next `data.len()` keystream bytes into `data`, advancing the
-    /// stream position. Full blocks are generated four at a time.
+    /// stream position.
     pub fn xor(&mut self, data: &mut [u8]) {
-        let mut data = data;
         // Drain keystream left over from a previous partial block.
-        if self.ks_off < 16 {
-            let take = data.len().min(16 - self.ks_off);
-            let (head, rest) = data.split_at_mut(take);
-            for (b, k) in head.iter_mut().zip(&self.ks[self.ks_off..]) {
-                *b ^= k;
-            }
-            self.ks_off += take;
-            data = rest;
+        let take = data.len().min(16 - self.ks_off);
+        let (head, data) = data.split_at_mut(take);
+        for (b, k) in head.iter_mut().zip(&self.ks[self.ks_off..]) {
+            *b ^= k;
         }
-        let mut chunks = data.chunks_exact_mut(64);
-        for chunk in &mut chunks {
-            let ks = self.aes.keystream4(self.nonce, self.counter);
-            self.counter = self.counter.wrapping_add(4);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+        self.ks_off += take;
+        let (whole, tail) = data.split_at_mut(data.len() & !15);
+        self.counter = self.aes.xor_keystream(self.nonce, self.counter, whole);
+        if !tail.is_empty() {
+            // Keep the rest of the tail's keystream block for the next call.
+            self.ks = [0; 16];
+            self.counter = self
+                .aes
+                .xor_keystream(self.nonce, self.counter, &mut self.ks);
+            for (b, k) in tail.iter_mut().zip(&self.ks) {
                 *b ^= k;
             }
-        }
-        let tail = chunks.into_remainder();
-        let mut full = tail.chunks_exact_mut(16);
-        for chunk in &mut full {
-            let ks = self.aes.keystream_block(self.nonce, self.counter);
-            self.counter = self.counter.wrapping_add(1);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-        }
-        let rem = full.into_remainder();
-        if !rem.is_empty() {
-            self.ks = self.aes.keystream_block(self.nonce, self.counter);
-            self.counter = self.counter.wrapping_add(1);
-            for (b, k) in rem.iter_mut().zip(self.ks.iter()) {
-                *b ^= k;
-            }
-            self.ks_off = rem.len();
+            self.ks_off = tail.len();
         }
     }
 }
@@ -694,12 +808,89 @@ mod tests {
         let data: Vec<u8> = (0..257u16).map(|i| i as u8).collect();
         let mut oneshot = data.clone();
         ctr_xor(&key, 7, &mut oneshot);
-        for split in [0, 1, 15, 16, 17, 63, 64, 65, 100, 256, 257] {
-            let mut buf = data.clone();
-            let mut ctr = Aes128Ctr::new(&aes, 7);
-            ctr.xor(&mut buf[..split]);
-            ctr.xor(&mut buf[split..]);
-            assert_eq!(buf, oneshot, "split at {split}");
+        // Splits inside, at and across the hardware path's 128-byte batch;
+        // the second start counter wraps inside the first batch.
+        for start in [0, u64::MAX - 3] {
+            let mut expect = data.clone();
+            aes.xor_keystream_portable(7, start, &mut expect);
+            if start == 0 {
+                assert_eq!(expect, oneshot);
+            }
+            for split in [
+                0, 1, 15, 16, 17, 40, 63, 64, 65, 100, 127, 128, 129, 200, 256, 257,
+            ] {
+                let mut buf = data.clone();
+                let mut ctr = Aes128Ctr::with_counter(&aes, 7, start);
+                ctr.xor(&mut buf[..split]);
+                ctr.xor(&mut buf[split..]);
+                assert_eq!(buf, expect, "start {start}, split at {split}");
+            }
+        }
+    }
+
+    /// Runs the hardware and the T-table keystream over the same input and
+    /// checks they agree, output and returned counter. Does nothing on a CPU
+    /// without AES instructions; the dispatch guard below pins when that is.
+    fn assert_paths_agree(aes: &Aes128, start: u64, len: usize) {
+        let Some(hw) = &aes.hw else { return };
+        let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        let nonce = 0x0123_4567_89ab_cdef;
+        let mut fast = data.clone();
+        let mut slow = data;
+        let fast_next = hw.xor_keystream(nonce, start, &mut fast);
+        let slow_next = aes.xor_keystream_portable(nonce, start, &mut slow);
+        assert_eq!(fast, slow, "start {start}, len {len}");
+        assert_eq!(fast_next, slow_next, "start {start}, len {len}");
+        assert_eq!(slow_next, start.wrapping_add(len.div_ceil(16) as u64));
+    }
+
+    #[test]
+    fn hardware_keystream_matches_portable_for_every_length() {
+        let aes = Aes128::new(&[0x3cu8; 16]);
+        // 0..=300 covers 127/128/129, the edges of one 8-block batch.
+        for len in 0..=300 {
+            assert_paths_agree(&aes, 0, len);
+        }
+    }
+
+    #[test]
+    fn hardware_keystream_matches_portable_across_counter_wrap() {
+        let aes = Aes128::new(&[0xc3u8; 16]);
+        for start in u64::MAX - 9..=u64::MAX {
+            for len in [1, 16, 100, 128, 129, 160, 300] {
+                assert_paths_agree(&aes, start, len);
+            }
+        }
+    }
+
+    #[test]
+    fn hardware_keystream_selected_when_cpu_has_aes() {
+        #[cfg(target_arch = "x86_64")]
+        let cpu_has_aes = std::is_x86_feature_detected!("aes");
+        #[cfg(not(target_arch = "x86_64"))]
+        let cpu_has_aes = false;
+        assert_eq!(Aes128::new(&[0; 16]).hw.is_some(), cpu_has_aes);
+    }
+
+    #[test]
+    fn debug_prints_no_round_key() {
+        // FIPS 197 Appendix A.1 key: round key 0 is the key itself.
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let aes = Aes128::new(&key);
+        assert_eq!(aes.ek[0], 0x2b7e_1516);
+        let shown = [
+            format!("{aes:?}"),
+            format!("{:?}", Aes128Ctr::new(&aes, 1)),
+            format!("{:?}", SealedBox::sealer(&aes, &HmacKey::new(&[9; 32]), 1)),
+        ];
+        for s in &shown {
+            for w in aes.ek.iter().chain(&aes.dk) {
+                assert!(!s.contains(&format!("{w:x}")), "{s} shows {w:#x}");
+                assert!(!s.contains(&w.to_string()), "{s} shows {w}");
+            }
         }
     }
 

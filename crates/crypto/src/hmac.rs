@@ -25,10 +25,18 @@ const BLOCK: usize = 64;
 /// let key = HmacKey::new(b"key");
 /// assert_eq!(key.mac(b"msg"), HmacSha256::mac(b"key", b"msg"));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `Debug` prints no key material: either midstate lets anyone forge tags.
+#[derive(Clone)]
 pub struct HmacKey {
     inner0: Sha256,
     outer0: Sha256,
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
 }
 
 impl HmacKey {
@@ -89,10 +97,18 @@ impl HmacKey {
 /// assert!(HmacSha256::verify(b"key", b"the quick brown fox", &tag));
 /// assert!(!HmacSha256::verify(b"key", b"tampered", &tag));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `Debug` prints no key material (it holds the key's opad midstate).
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer0: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {

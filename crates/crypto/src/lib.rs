@@ -13,8 +13,10 @@
 //!   [`hmac`] — HMAC-SHA256 (RFC 2104) with precomputed per-key midstates
 //!   ([`hmac::HmacKey`]).
 //! * [`aes`] — AES-128 block cipher (FIPS 197, compile-time T-tables) with
-//!   batched CTR mode ([`aes::Aes128Ctr`]) and an encrypt-then-MAC
-//!   [`aes::SealedBox`] used for ghost page swapping.
+//!   CTR mode ([`aes::Aes128Ctr`]) and an encrypt-then-MAC
+//!   [`aes::SealedBox`] used for ghost page swapping. CTR keystream uses
+//!   the CPU's AES instructions, eight blocks at a time, when x86-64
+//!   reports them at run time, and the T-tables otherwise.
 //! * [`reference`] — the retained textbook scalar implementations; the
 //!   optimized data plane is proven bit-identical to them by differential
 //!   proptests (`tests/differential.rs`).

@@ -30,11 +30,19 @@ use crate::rng::ChaChaRng;
 /// let back = tpm.unseal(Tpm::VG_PRIVATE_KEY_CONTEXT, &blob).unwrap();
 /// assert_eq!(back, b"vg private key bytes");
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `Debug` prints no key material.
+#[derive(Clone)]
 pub struct Tpm {
     storage_cipher: Aes128,
     storage_mac: HmacKey,
     monotonic: u64,
+}
+
+impl std::fmt::Debug for Tpm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tpm").finish_non_exhaustive()
+    }
 }
 
 impl Tpm {
