@@ -411,49 +411,6 @@ fn bench_membus(c: &mut Criterion) {
     g.finish();
 }
 
-// ---- IR engine shapes (lowered vs. reference) ------------------------------
-
-/// The four hot shapes from the paper's workloads, each run under both IR
-/// engines. `lowered` is the default pre-decoded engine (inline caches,
-/// interned extern ids, frame arena); `reference` is the tree-walker.
-/// Results and simulated costs are identical by construction (see
-/// crates/ir/tests/engine_equivalence.rs); only host wall-time differs.
-/// Shape construction is shared with the `vg-bench` regression-gate binary
-/// (`vg_bench::shapes`), so the gate re-measures exactly these workloads.
-fn bench_engines(c: &mut Criterion) {
-    use vg_bench::shapes::{prepared_shapes, BenchHost};
-    use vg_ir::interp::Pair;
-    use vg_ir::Engine;
-
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(20);
-    for shape in prepared_shapes() {
-        for (label, engine) in [
-            ("fused", Engine::Fused),
-            ("lowered", Engine::Lowered),
-            ("reference", Engine::Reference),
-        ] {
-            g.bench_function(format!("{}_{label}", shape.name), |b| {
-                let mut interp = vg_ir::Interp::new(&shape.registry)
-                    .with_engine(engine)
-                    .with_fuel(u64::MAX);
-                let mut mem = vg_ir::interp::FlatMem::new(64);
-                let mut host = BenchHost::for_registry(&shape.registry);
-                b.iter(|| {
-                    let mut env = Pair {
-                        mem: &mut mem,
-                        host: &mut host,
-                    };
-                    interp
-                        .run(shape.entry, &[shape.leaf.0 as i64, shape.iters], &mut env)
-                        .unwrap()
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_crypto,
@@ -464,7 +421,6 @@ criterion_group!(
     bench_fs,
     bench_ghost_memory,
     bench_interpreter,
-    bench_membus,
-    bench_engines
+    bench_membus
 );
 criterion_main!(benches);

@@ -1,15 +1,16 @@
 //! Wall-clock regression gate for the simulator's own hot paths.
 //!
-//! Re-runs the `engine/` and `crypto_data_plane/` micro-benchmarks (the
-//! same shapes and workloads the Criterion benches measure, via
-//! `vg_bench::shapes`) and compares the optimized-vs-baseline wall-clock
-//! *ratios* against the `gate_ratios` sections of `BENCH_interp.json` and
-//! `BENCH_crypto.json` at the repository root. Ratios, not absolute times:
-//! a ratio is far less machine-dependent, so the gate works on any CI
-//! runner. The `gate_ratios` values were themselves recorded with this
-//! binary (min-over-rounds methodology below), so gate and baseline are
-//! methodology-consistent; the Criterion-recorded sections of the same
-//! files are the human-readable history and are not gated on.
+//! Times the interpreter-engine shapes of `vg_bench::shapes` (this binary is
+//! their only harness) and re-runs the `crypto_data_plane/` micro-benchmarks
+//! (the same workloads the Criterion benches measure), and compares the
+//! optimized-vs-baseline wall-clock *ratios* against the `gate_ratios`
+//! sections of `BENCH_interp.json` and `BENCH_crypto.json` at the
+//! repository root. Ratios, not absolute times: a ratio is far less
+//! machine-dependent, so the gate works on any CI runner. The `gate_ratios`
+//! values were themselves recorded with this binary (min-over-rounds
+//! methodology below), so gate and baseline are methodology-consistent;
+//! the Criterion-recorded sections of the same files are the human-readable
+//! history and are not gated on.
 //!
 //! A shape fails when its measured speedup drops below `recorded / 1.25`
 //! (a >25% regression of the optimization). On failure the full delta
@@ -87,7 +88,7 @@ fn measure_us(mut f: impl FnMut()) -> f64 {
 }
 
 /// Wall-clock for one engine shape, interpreter construction hoisted out of
-/// the timed loop exactly like the Criterion benches.
+/// the timed loop.
 fn time_shape(shape: &PreparedShape, engine: Engine) -> f64 {
     let mut interp = vg_ir::Interp::new(&shape.registry)
         .with_engine(engine)

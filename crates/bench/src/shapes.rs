@@ -1,10 +1,9 @@
 //! Criterion-free builders for the interpreter-engine benchmark shapes.
 //!
-//! Shared between the Criterion micro-benchmarks (`benches/microbench.rs`)
-//! and the `vg-bench` regression-gate binary, so both measure exactly the
-//! workloads the checked-in `BENCH_interp.json` baselines were recorded
-//! from. Everything here is deterministic module construction — timing
-//! policy stays with the callers.
+//! The `vg-bench` regression-gate binary times these shapes under both IR
+//! engines — exactly the workloads the checked-in `BENCH_interp.json`
+//! baselines were recorded from. Everything here is deterministic module
+//! construction — timing policy stays with the callers.
 
 use vg_ir::interp::{HostError, Pair};
 use vg_ir::{BinOp, Engine};
@@ -12,7 +11,7 @@ use vg_ir::{BinOp, Engine};
 /// A realistically sized callee: the hot path is add-and-return, and a cold
 /// error-handling block (never executed) gives the body the footprint real
 /// functions have. The reference engine re-derives the register count from
-/// the whole body on every activation; the lowered engine pre-computes it.
+/// the whole body on every activation; the fused engine pre-computes it.
 fn engine_leaf(m: &mut vg_ir::Module) {
     use vg_ir::{FunctionBuilder, Terminator};
     let mut leaf = FunctionBuilder::new("leaf", 2);
@@ -178,8 +177,8 @@ pub struct PreparedShape {
 impl PreparedShape {
     /// Runs the shape once under `engine` and returns the result value.
     /// Callers measuring wall-clock should hoist interpreter construction
-    /// out of their timing loop the way the Criterion benches do; this
-    /// convenience constructs everything per call.
+    /// out of their timing loop (as `vg-bench` does); this convenience
+    /// constructs everything per call.
     pub fn run_once(&self, engine: Engine) -> i64 {
         let mut interp = vg_ir::Interp::new(&self.registry)
             .with_engine(engine)
@@ -428,9 +427,7 @@ mod tests {
     fn all_engines_agree_on_every_shape() {
         for shape in prepared_shapes() {
             let fused = shape.run_once(Engine::Fused);
-            let lowered = shape.run_once(Engine::Lowered);
             let reference = shape.run_once(Engine::Reference);
-            assert_eq!(fused, lowered, "{}", shape.name);
             assert_eq!(fused, reference, "{}", shape.name);
         }
     }

@@ -1,11 +1,12 @@
-//! Superinstruction fusion: the code form behind the third execution tier.
+//! Superinstruction fusion: the code form the fused engine executes.
 //!
 //! The lowered form (see [`lower`](crate::lower)) already removes `Operand`
-//! matching and block-id chasing, but it still pays one dispatch — a fetch
-//! through `code[pc]`, a `pc` increment, a jump-table branch, and a fuel
-//! check — *per instruction*. On call/extern-heavy shapes that dispatch is
-//! noise next to frame pushes and host calls; on straight-line arithmetic it
-//! **is** the workload (BENCH_interp.json: `arith_loop` barely moved).
+//! matching and block-id chasing, but executed as is it pays one dispatch —
+//! a fetch through `code[pc]`, a `pc` increment, a jump-table branch, and a
+//! fuel check — *per instruction*. On call/extern-heavy shapes that dispatch
+//! is noise next to frame pushes and host calls; on straight-line arithmetic
+//! it **is** the workload (BENCH_interp.json: `arith_loop` barely moved
+//! under the since-deleted unfused executor).
 //!
 //! [`fuse_function`] runs once at module-registration time, after lowering,
 //! and rewrites each function's linear [`LInst`] stream into a [`FusedCode`]
@@ -29,16 +30,16 @@
 //!   degenerate `Jmp` cycles cannot hang fusion; they still hang at run
 //!   time in every tier, exactly like the reference engine).
 //!
-//! The load-bearing invariant (property-tested three ways in
+//! The load-bearing invariant (property-tested against the reference engine in
 //! `crates/ir/tests/engine_equivalence.rs`): fusion is **observationally
 //! free**. Fuel and [`InterpStats`](crate::interp::InterpStats) are charged
 //! per *original* instruction — a fused run that meets fuel exhaustion
 //! executes exactly as many micro-ops as the reference engine would have
 //! executed instructions, then faults with identical counters — and
-//! terminators stay free, exactly as in the other two tiers. Inline-cache
-//! site indices are preserved verbatim, so the registry-generation
-//! invalidation story (module reload, rootkit `register_at` injection) is
-//! shared with the lowered tier unchanged.
+//! terminators stay free, exactly as in the reference tier. Inline-cache
+//! site indices are preserved verbatim, so the fused code indexes the
+//! lowered function's site table and the registry-generation invalidation
+//! story (module reload, rootkit `register_at` injection) applies unchanged.
 
 use crate::inst::{BinOp, Width};
 use crate::lower::{ArgRange, LInst, NO_SLOT};
@@ -283,7 +284,7 @@ pub enum FInst {
         target: u32,
         /// Argument slots.
         args: ArgRange,
-        /// Inline-cache site index (shared with the lowered tier).
+        /// Inline-cache site index (preserved from the lowered form).
         site: u32,
     },
     /// Host call by interned extern id.
@@ -335,7 +336,7 @@ pub enum FInst {
         target: u32,
         /// Required label.
         expected_label: u32,
-        /// Inline-cache site index (shared with the lowered tier).
+        /// Inline-cache site index (preserved from the lowered form).
         site: u32,
     },
     /// Unconditional jump to fused pc `target`.
@@ -989,8 +990,9 @@ mod tests {
     use crate::lower::{lower_function, ExternInterner};
 
     fn fuse_of(f: &crate::inst::Function) -> FusedCode {
-        let lf = lower_function(f, &mut ExternInterner::default()).unwrap();
-        fuse_function(&lf.code, lf.nregs, &lf.frame_init, &lf.arg_pool)
+        lower_function(f, &mut ExternInterner::default())
+            .unwrap()
+            .fused
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!   address space that indirect calls resolve through).
 //! * [`lower`] — the load-time lowering pass: linear pre-decoded
 //!   instructions, pre-resolved branch pcs, pooled constants, interned
-//!   extern ids, and inline-cache sites for the fast engines.
+//!   extern ids, and inline-cache sites for the fused engine.
 //! * [`fuse`] — the superinstruction pass over the lowered form: ALU runs,
 //!   compare-and-branch pairs, and jump threading for the fused tier.
 //! * [`interp`] — the executor, with pluggable memory ([`interp::MemBus`])
-//!   and host-call ([`interp::ExternHost`]) interfaces. Three engines share
-//!   one observable semantics: the default fused engine, the lowered
-//!   engine, and the reference tree-walker ([`interp::Engine`]).
+//!   and host-call ([`interp::ExternHost`]) interfaces. Two engines share
+//!   one observable semantics: the default fused engine and the reference
+//!   tree-walker ([`interp::Engine`]).
 //!
 //! ## Example: compile a module and watch the instrumentation appear
 //!

@@ -1,11 +1,13 @@
-//! Lowering: the pre-decoded execution format behind the fast engine.
+//! Lowering: the pre-decoded execution format behind the fused engine.
 //!
 //! [`CodeRegistry::register_module`](crate::registry::CodeRegistry::register_module)
 //! runs every function through [`lower_module`] once, at load time, producing
-//! a [`LoweredModule`] the lowered engine executes instead of the block/enum
+//! a [`LoweredModule`] the fused engine executes instead of the block/enum
 //! tree:
 //!
-//! * Blocks are flattened into one linear [`LInst`] array per function;
+//! * Blocks are flattened into one linear [`LInst`] stream per function,
+//!   which [`fuse`](crate::fuse) rewrites into superinstructions and which is
+//!   then dropped — only the fused form is kept;
 //!   terminators become instructions whose branch targets are **pre-resolved
 //!   program counters**, so the hot loop never chases `BlockId`s.
 //! * Operands are **pre-split**: immediates are deduplicated into a
@@ -24,7 +26,7 @@
 //!   the generation and implicitly flushes every cache.
 //!
 //! Lowering is purely structural: it never changes which instructions
-//! execute, in what order, or what they charge. The lowered engine in
+//! execute, in what order, or what they charge. The fused engine in
 //! [`interp`](crate::interp) is property-tested to produce bit-identical
 //! results, faults, statistics and fuel consumption to the reference
 //! tree-walker.
@@ -289,21 +291,19 @@ pub struct LoweredFunction {
     /// Pre-built frame image: `nregs` zeros followed by `consts`. Pushing an
     /// activation is a single `extend_from_slice` of this template.
     pub frame_init: Vec<i64>,
-    /// Linear instruction stream; execution starts at pc 0.
-    pub code: Vec<LInst>,
     /// Flattened call/extern argument slot lists, indexed by [`ArgRange`].
     pub arg_pool: Vec<u32>,
     /// Inline caches, one per `CallIndirect`/`CfiCheck` site. `Cell` because
     /// caches warm while the registry (which owns the lowered code behind an
-    /// `Rc`) is only shared-borrowed by the engine. Shared by the lowered
-    /// *and* fused tiers (fusion preserves site indices verbatim), so the
-    /// generation-based invalidation story covers both.
+    /// `Rc`) is only shared-borrowed by the engine. Fusion preserves site
+    /// indices verbatim, so the fused code indexes this table directly.
     pub sites: Vec<Cell<SiteCache>>,
     /// Whether the function carries a CFI label (return sites then charge a
     /// label check, mirroring the reference engine).
     pub instrumented: bool,
-    /// The superinstruction tier's form of [`code`](Self::code), built by
-    /// [`fuse::fuse_function`] at lowering time (see `fuse.rs`).
+    /// The executable form: the linear [`LInst`] stream fused by
+    /// [`fuse::fuse_function`] at lowering time (see `fuse.rs`); execution
+    /// starts at pc 0.
     pub fused: FusedCode,
 }
 
@@ -390,6 +390,42 @@ pub fn lower_function(
     f: &Function,
     externs: &mut ExternInterner,
 ) -> Result<LoweredFunction, LowerError> {
+    let Linear {
+        nregs,
+        consts,
+        code,
+        arg_pool,
+        sites,
+    } = lower_linear(f, externs)?;
+    let mut frame_init = vec![0i64; nregs as usize];
+    frame_init.extend_from_slice(&consts);
+    let fused = fuse::fuse_function(&code, nregs, &frame_init, &arg_pool);
+    Ok(LoweredFunction {
+        params: f.params,
+        nregs,
+        consts,
+        frame_init,
+        arg_pool,
+        sites: (0..sites)
+            .map(|_| Cell::new(SiteCache::default()))
+            .collect(),
+        instrumented: f.cfi_label.is_some(),
+        fused,
+    })
+}
+
+/// One function's linear [`LInst`] stream and the tables its operands
+/// index, before fusion.
+struct Linear {
+    nregs: u32,
+    consts: Vec<i64>,
+    code: Vec<LInst>,
+    arg_pool: Vec<u32>,
+    /// Number of inline-cache sites allocated.
+    sites: u32,
+}
+
+fn lower_linear(f: &Function, externs: &mut ExternInterner) -> Result<Linear, LowerError> {
     let nregs = f.max_reg() + 1;
     let mut consts: Vec<i64> = Vec::new();
     let mut const_ids: HashMap<i64, u32> = HashMap::new();
@@ -535,21 +571,12 @@ pub fn lower_function(
         });
     }
 
-    let mut frame_init = vec![0i64; nregs as usize];
-    frame_init.extend_from_slice(&consts);
-    let fused = fuse::fuse_function(&code, nregs, &frame_init, &arg_pool);
-    Ok(LoweredFunction {
-        params: f.params,
+    Ok(Linear {
         nregs,
         consts,
-        frame_init,
         code,
         arg_pool,
-        sites: (0..sites)
-            .map(|_| Cell::new(SiteCache::default()))
-            .collect(),
-        instrumented: f.cfi_label.is_some(),
-        fused,
+        sites,
     })
 }
 
@@ -580,7 +607,7 @@ mod tests {
         let z = b.bin(BinOp::Sub, y.into(), 3.into());
         let f = b.ret(Some(z.into()));
         let mut ext = ExternInterner::default();
-        let lf = lower_function(&f, &mut ext).unwrap();
+        let lf = lower_linear(&f, &mut ext).unwrap();
         assert_eq!(lf.consts, vec![7, 3], "7 appears once, 3 once");
         assert_eq!(lf.nregs, f.max_reg() + 1);
         // The two uses of `7` resolve to the same slot, past the registers.
@@ -607,7 +634,7 @@ mod tests {
         b.switch_to(b2);
         b.terminate(Terminator::Ret(None));
         let f = b.finish();
-        let lf = lower_function(&f, &mut ExternInterner::default()).unwrap();
+        let lf = lower_linear(&f, &mut ExternInterner::default()).unwrap();
         // Layout: [0]=Jmp(B1=1), [1]=Mov, [2]=Jmp(B2=3), [3]=Ret.
         assert_eq!(lf.code[0], LInst::Jmp { target: 1 });
         assert_eq!(lf.code[2], LInst::Jmp { target: 3 });
@@ -622,7 +649,7 @@ mod tests {
         b.ext("a.one", &[1.into()]);
         let f = b.ret(None);
         let mut ext = ExternInterner::default();
-        let lf = lower_function(&f, &mut ext).unwrap();
+        let lf = lower_linear(&f, &mut ext).unwrap();
         assert_eq!(ext.len(), 2);
         assert_eq!(ext.lookup("a.one"), Some(0));
         assert_eq!(ext.lookup("a.two"), Some(1));
@@ -667,8 +694,11 @@ mod tests {
         assert_eq!(lf.sites.len(), 2);
         assert_eq!(lf.sites[0].get().gen, 0, "caches start empty");
         assert!(lf.instrumented);
-        assert!(matches!(lf.code[0], LInst::CfiCheck { site: 0, .. }));
-        assert!(matches!(lf.code[1], LInst::CallIndirect { site: 1, .. }));
+        let code = lower_linear(&f, &mut ExternInterner::default())
+            .unwrap()
+            .code;
+        assert!(matches!(code[0], LInst::CfiCheck { site: 0, .. }));
+        assert!(matches!(code[1], LInst::CallIndirect { site: 1, .. }));
     }
 
     #[test]
@@ -679,7 +709,7 @@ mod tests {
             blocks: vec![],
             cfi_label: None,
         };
-        let lf = lower_function(&f, &mut ExternInterner::default()).unwrap();
+        let lf = lower_linear(&f, &mut ExternInterner::default()).unwrap();
         assert!(lf.code.is_empty());
     }
 
@@ -689,7 +719,7 @@ mod tests {
         let v = b.bin(BinOp::Add, b.param(0).into(), 1000.into());
         b.mov_to(VReg(0), v.into());
         let f = b.ret(Some(VReg(0).into()));
-        let lf = lower_function(&f, &mut ExternInterner::default()).unwrap();
+        let lf = lower_linear(&f, &mut ExternInterner::default()).unwrap();
         for i in &lf.code {
             if let LInst::Bin { dst, .. } | LInst::Mov { dst, .. } = i {
                 assert!(*dst < lf.nregs);
@@ -736,7 +766,7 @@ mod tests {
         b.switch_to(b2);
         b.terminate(Terminator::Ret(None));
         let f = b.finish();
-        let lf = lower_function(&f, &mut ExternInterner::default()).unwrap();
+        let lf = lower_linear(&f, &mut ExternInterner::default()).unwrap();
         let targets: Vec<u32> = lf
             .code
             .iter()

@@ -187,8 +187,8 @@ impl CodeRegistry {
     }
 
     /// The registry's generation: bumped (to a process-wide fresh value) by
-    /// every code registration. Inline caches validate against it (the
-    /// lowered and fused tiers share one site table per function), so
+    /// every code registration. Inline caches validate against it (one
+    /// site table per lowered function), so
     /// registering code — including injection via
     /// [`register_at`](Self::register_at) — implicitly flushes every cache.
     pub fn generation(&self) -> u64 {

@@ -726,7 +726,7 @@ impl System {
     ) -> i64 {
         let registry = self.vm.code.clone();
         let cur_module = registry.resolve(handler).map(|e| e.module);
-        let mut interp = vg_ir::Interp::new(&registry).with_engine(self.interp_engine());
+        let mut interp = vg_ir::Interp::new(&registry);
         let argv: Vec<i64> = args.iter().map(|&a| a as i64).collect();
         let result = {
             let mut ctx = crate::module::KernelCtx {

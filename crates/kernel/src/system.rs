@@ -8,10 +8,18 @@
 //! effect goes through the same trap → dispatch → return path, charged
 //! under the active cost model, in both native and Virtual Ghost modes.
 //!
-//! Execution is synchronous run-to-completion: one process runs at a time,
-//! `fork` children are executed when the parent `wait`s, and signals are
-//! delivered at system-call boundaries of the current process. This is
-//! the single-core machine of the paper with a deterministic scheduler.
+//! The machine has one or more simulated cores
+//! ([`System::boot_with_cpus`]). Each process gets a home core, and each core
+//! has its own ready queue. [`System::run_queued`] drains the queues onto
+//! the least-loaded core, which steals from its siblings' queues in a fixed
+//! order when its own queue is empty. A chosen process runs to completion on
+//! that core: `fork` children are executed when the parent `wait`s, and
+//! signals are delivered at system-call boundaries of the current process.
+//! Every choice is a function of simulated state, so runs replay exactly.
+//! Each core's cycles are tracked separately, and at the end of a window
+//! the gap between a core's work and the busiest core's is recorded as
+//! [`Domain::Idle`] time. A one-core system is the single-core machine of
+//! the paper.
 
 use crate::costs;
 use crate::fs::{BlockDev, FsError, FsWork, Ino, VgFs, BLOCK_SIZE};
@@ -465,17 +473,6 @@ impl System {
     /// The mode's cost-model name ("native", "virtual-ghost", …).
     pub fn mode_name(&self) -> &'static str {
         self.mode_name
-    }
-
-    /// The IR engine module/user code runs under: the fused superinstruction
-    /// engine by default, or whichever tier
-    /// [`Machine::ir_engine`](vg_machine::Machine) selects.
-    pub fn interp_engine(&self) -> vg_ir::Engine {
-        match self.machine.ir_engine {
-            vg_machine::IrEngine::Fused => vg_ir::Engine::Fused,
-            vg_machine::IrEngine::Lowered => vg_ir::Engine::Lowered,
-            vg_machine::IrEngine::Reference => vg_ir::Engine::Reference,
-        }
     }
 
     /// Installs an application binary: computes the code digest, derives a
@@ -1457,7 +1454,7 @@ impl System {
         }
         if self.vm.code.resolve(vg_ir::CodeAddr(addr)).is_some() {
             let registry = self.vm.code.clone();
-            let mut interp = vg_ir::Interp::new(&registry).with_engine(self.interp_engine());
+            let mut interp = vg_ir::Interp::new(&registry);
             let mut ctx = crate::module::UserCtx { sys: self, pid };
             let result = interp.run(vg_ir::CodeAddr(addr), &[arg as i64], &mut ctx);
             let stats = interp.stats;

@@ -118,12 +118,6 @@ pub struct Machine {
     /// apart from TLB statistics); the flag exists so equivalence tests can
     /// run both. See DESIGN.md §6.
     pub byte_granular_bus: bool,
-    /// Which IR execution tier executors built on this machine run. All
-    /// tiers are observationally identical (same results, faults,
-    /// statistics and fuel consumption — property-tested in `vg-ir`); the
-    /// selector exists so equivalence and bisection runs can pick the
-    /// executable specification or the intermediate tier.
-    pub ir_engine: IrEngine,
     /// Index of the active core (the one `cpu`/`mmu` belong to).
     cur_cpu: usize,
     /// Per-core parked state, one slot per core; the active core's slot
@@ -138,20 +132,6 @@ pub struct Machine {
     ///
     /// [`clock`]: Self::clock
     cpu_clocks: Vec<u64>,
-}
-
-/// IR execution tier selector. This crate cannot name `vg_ir::Engine`
-/// (`vg-ir` depends on `vg-machine`), so the kernel maps this mirror enum
-/// onto it when building executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IrEngine {
-    /// The superinstruction tier (default, fastest).
-    #[default]
-    Fused,
-    /// The pre-decoded linear tier.
-    Lowered,
-    /// The tree-walking executable specification.
-    Reference,
 }
 
 /// Error from the checked disk-DMA helpers: either the fault layer injected
@@ -176,8 +156,6 @@ pub struct MachineConfig {
     pub costs: CostModel,
     /// Force byte-granular memory buses (reference mode; default off).
     pub byte_granular_bus: bool,
-    /// IR execution tier (default: the fused superinstruction engine).
-    pub ir_engine: IrEngine,
     /// Number of simulated cores (default 1). A `cpus: 1` machine is
     /// bit-identical to the historical single-core machine: the shootdown
     /// broadcast loop is empty, no core switches happen, and no IPI cycles
@@ -192,7 +170,6 @@ impl Default for MachineConfig {
             disk_blocks: 64 * 1024, // 256 MiB
             costs: CostModel::native(),
             byte_granular_bus: false,
-            ir_engine: IrEngine::default(),
             cpus: 1,
         }
     }
@@ -219,7 +196,6 @@ impl Machine {
             profiler: CycleProfiler::new(),
             faults: FaultState::disarmed(),
             byte_granular_bus: config.byte_granular_bus,
-            ir_engine: config.ir_engine,
             cur_cpu: 0,
             parked: (0..cpus).map(|_| (Cpu::new(), Mmu::new())).collect(),
             cpu_clocks: vec![0; cpus],

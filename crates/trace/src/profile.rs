@@ -54,9 +54,12 @@ pub enum Domain {
     Fault,
     /// Context-switch cost.
     Sched,
-    /// Halted/idle cycles. The simulator is run-to-completion, so this is
-    /// structurally zero today; the domain exists so reports keep a stable
-    /// shape when an idle loop appears (ROADMAP: SMP).
+    /// Cycles a core sat idle while a sibling core still had work. The SMP
+    /// scheduler (`System::run_queued` in `vg-kernel`) records, per core,
+    /// the gap between that core's work and the busiest core's at the end
+    /// of each scheduling window, via [`CycleProfiler::record_idle`]. Idle
+    /// is booked per core only; it is never work and never enters the
+    /// global clock. On a one-core machine it stays zero.
     Idle,
 }
 
