@@ -10,8 +10,23 @@
 //! The OS has raw access to the platter (the paper's threat model), so
 //! nothing here is confidential — applications encrypt file *contents*
 //! themselves (see `vg-runtime`).
+//!
+//! # Simulated contract vs host fast paths
+//!
+//! What the simulation observes is the [`FsWork`] each call returns plus the
+//! buffer-cache state (hits, misses, evictions, LRU ticks, dirty blocks).
+//! Those are the contract; how the host computes them is free to change:
+//!
+//! - Directories are scanned in place: lookup, create and unlink walk the
+//!   raw record image, append or cut one record, and write it back. Only
+//!   `readdir` builds owned entries ([`VgFs::readdir`]).
+//! - Inode allocation charges per inode but touches per block: one cache
+//!   access per inode-table block, then the remaining per-inode charges and
+//!   LRU ticks in bulk, exactly as one access per inode would have.
+//! - The buffer cache is one map; each block carries its own LRU tick.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use vg_machine::layout::PAGE_SIZE;
 
 /// Block size (= page size).
@@ -148,6 +163,9 @@ impl FsWork {
 struct CachedBlock {
     data: Vec<u8>,
     dirty: bool,
+    /// Clock value of the last access; unique across the cache, so the
+    /// least recently used block is the one with the smallest tick.
+    tick: u64,
 }
 
 /// Backing store abstraction so the filesystem can be unit-tested against a
@@ -217,7 +235,6 @@ pub struct VgFs {
     cache: HashMap<u32, CachedBlock>,
     cache_cap: usize,
     clock: u64, // LRU tick
-    lru: HashMap<u32, u64>,
 }
 
 impl VgFs {
@@ -234,7 +251,6 @@ impl VgFs {
             cache: HashMap::new(),
             cache_cap: 4096,
             clock: 0,
-            lru: HashMap::new(),
         };
         let mut w = FsWork::default();
         // mkfs runs at boot, before any fault plan can be armed, so the
@@ -270,7 +286,6 @@ impl VgFs {
             cache: HashMap::new(),
             cache_cap: 4096,
             clock: 0,
-            lru: HashMap::new(),
         }
     }
 
@@ -289,33 +304,46 @@ impl VgFs {
     ) -> Result<R, FsError> {
         self.clock += 1;
         let tick = self.clock;
-        if !self.cache.contains_key(&bno) {
-            if self.cache.len() >= self.cache_cap {
-                self.evict_one(dev, w)?;
-            }
-            w.disk_reads += 1;
-            let data = dev.read_block(bno)?;
-            self.cache.insert(bno, CachedBlock { data, dirty: false });
+        if let Some(blk) = self.cache.get_mut(&bno) {
+            blk.tick = tick;
+            w.acc(8);
+            return Ok(f(blk));
         }
-        self.lru.insert(bno, tick);
+        if self.cache.len() >= self.cache_cap {
+            self.evict_one(dev, w)?;
+        }
+        w.disk_reads += 1;
+        let data = dev.read_block(bno)?;
         w.acc(8);
-        Ok(f(self.cache.get_mut(&bno).expect("just inserted")))
+        let blk = self.cache.entry(bno).or_insert(CachedBlock {
+            data,
+            dirty: false,
+            tick,
+        });
+        Ok(f(blk))
+    }
+
+    /// Charges `n` further back-to-back accesses to the cached block `bno`:
+    /// what `n` more `with_block` hits on it would book, without the lookups.
+    fn touch_again(&mut self, bno: u32, n: u64, w: &mut FsWork) {
+        self.clock += n;
+        w.accesses += 8 * n;
+        w.branches += n; // `acc(8)` books one branch per access
+        self.cache.get_mut(&bno).expect("just accessed").tick = self.clock;
     }
 
     fn evict_one(&mut self, dev: &mut dyn BlockDev, w: &mut FsWork) -> Result<(), FsError> {
-        if let Some((&victim, _)) = self.lru.iter().min_by_key(|(_, &t)| t) {
-            if let Some(b) = self.cache.get(&victim) {
-                if b.dirty {
-                    w.disk_writes += 1;
-                    // On failure the victim stays cached (and dirty): no
-                    // data is lost, the cache just runs over capacity until
-                    // the device recovers.
-                    dev.write_block(victim, &b.data)?;
-                }
-            }
-            self.cache.remove(&victim);
-            self.lru.remove(&victim);
+        let Some((&victim, blk)) = self.cache.iter().min_by_key(|(_, b)| b.tick) else {
+            return Ok(());
+        };
+        if blk.dirty {
+            w.disk_writes += 1;
+            // On failure the victim stays cached (and dirty): no data is
+            // lost, the cache just runs over capacity until the device
+            // recovers.
+            dev.write_block(victim, &blk.data)?;
         }
+        self.cache.remove(&victim);
         Ok(())
     }
 
@@ -461,16 +489,30 @@ impl VgFs {
         })
     }
 
+    /// Allocates the lowest free inode. Each inode-table block is touched
+    /// once and scanned in place; every inode scanned is still charged (and
+    /// ticks the LRU clock) as its own `read_inode` access.
     fn alloc_inode(
         &mut self,
         dev: &mut dyn BlockDev,
         kind: InodeKind,
         w: &mut FsWork,
     ) -> Result<Ino, FsError> {
-        for i in 1..self.ninodes {
-            let ino = Ino(i);
-            let d = self.read_inode(dev, ino, w)?;
-            if d.kind == 0 {
+        let per_block = INODES_PER_BLOCK as u32;
+        let mut first = 1;
+        while first < self.ninodes {
+            let end = ((first / per_block + 1) * per_block).min(self.ninodes);
+            let (bno, off) = self.inode_block(Ino(first));
+            let slots = (end - first) as usize;
+            let free = self.with_block(dev, bno, w, |blk| {
+                blk.data[off..off + slots * INODE_SIZE]
+                    .chunks_exact(INODE_SIZE)
+                    .position(|inode| inode[..2] == [0, 0]) // kind == 0
+            })?;
+            let scanned = free.map_or(slots, |i| i + 1);
+            self.touch_again(bno, scanned as u64 - 1, w);
+            if let Some(i) = free {
+                let ino = Ino(first + i as u32);
                 let fresh = DiskInode {
                     kind: if kind == InodeKind::Dir { 2 } else { 1 },
                     nlink: 1,
@@ -479,6 +521,7 @@ impl VgFs {
                 self.write_inode(dev, ino, &fresh, w)?;
                 return Ok(ino);
             }
+            first = end;
         }
         Err(FsError::NoSpace)
     }
@@ -664,12 +707,14 @@ impl VgFs {
 
     // ---- directories & paths ----------------------------------------------
 
-    fn dir_entries(
+    /// Reads directory `dir`'s raw record image (see [`dir_records`]),
+    /// charging the record-by-record kernel walk over it.
+    fn dir_image(
         &mut self,
         dev: &mut dyn BlockDev,
         dir: Ino,
         w: &mut FsWork,
-    ) -> Result<Vec<(String, Ino)>, FsError> {
+    ) -> Result<Vec<u8>, FsError> {
         let (size, kind) = self.stat(dev, dir, w)?;
         if kind != InodeKind::Dir {
             return Err(FsError::WrongKind);
@@ -680,39 +725,19 @@ impl VgFs {
         // record's fields are individually loaded (and thus individually
         // instrumented under Virtual Ghost).
         w.acc(raw.len() as u64 / 4 + 8);
-        let mut entries = Vec::new();
-        let mut pos = 0;
-        while pos + 5 <= raw.len() {
-            let ino = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap());
-            let len = raw[pos + 4] as usize;
-            pos += 5;
-            if pos + len > raw.len() {
-                break;
-            }
-            let name = String::from_utf8_lossy(&raw[pos..pos + len]).into_owned();
-            pos += len;
-            if ino != 0 {
-                entries.push((name, Ino(ino)));
-            }
-        }
-        Ok(entries)
+        Ok(raw)
     }
 
-    fn write_dir_entries(
+    /// Replaces directory `dir`'s contents with `raw`.
+    fn write_dir_image(
         &mut self,
         dev: &mut dyn BlockDev,
         dir: Ino,
-        entries: &[(String, Ino)],
+        raw: &[u8],
         w: &mut FsWork,
     ) -> Result<(), FsError> {
-        let mut raw = Vec::new();
-        for (name, ino) in entries {
-            raw.extend_from_slice(&ino.0.to_le_bytes());
-            raw.push(name.len() as u8);
-            raw.extend_from_slice(name.as_bytes());
-        }
         self.truncate(dev, dir, w)?;
-        self.write(dev, dir, 0, &raw, w)?;
+        self.write(dev, dir, 0, raw, w)?;
         Ok(())
     }
 
@@ -724,10 +749,9 @@ impl VgFs {
         w: &mut FsWork,
     ) -> Result<Ino, FsError> {
         w.acc(24); // name comparison work
-        self.dir_entries(dev, dir, w)?
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, i)| i)
+        let raw = self.dir_image(dev, dir, w)?;
+        find_dirent(&raw, name)
+            .map(|(_, ino)| ino)
             .ok_or(FsError::NotFound)
     }
 
@@ -765,13 +789,14 @@ impl VgFs {
     ) -> Result<Ino, FsError> {
         let (parent_path, name) = Self::split_path(path)?;
         let parent = self.lookup(dev, parent_path, w)?;
-        let mut entries = self.dir_entries(dev, parent, w)?;
-        if entries.iter().any(|(n, _)| n == name) {
+        let mut raw = self.dir_image(dev, parent, w)?;
+        if find_dirent(&raw, name).is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_inode(dev, kind, w)?;
-        entries.push((name.to_string(), ino));
-        self.write_dir_entries(dev, parent, &entries, w)?;
+        compact_dir(&mut raw, None);
+        push_dirent(&mut raw, ino, name);
+        self.write_dir_image(dev, parent, &raw, w)?;
         Ok(ino)
     }
 
@@ -784,20 +809,18 @@ impl VgFs {
     ) -> Result<(), FsError> {
         let (parent_path, name) = Self::split_path(path)?;
         let parent = self.lookup(dev, parent_path, w)?;
-        let mut entries = self.dir_entries(dev, parent, w)?;
-        let idx = entries
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or(FsError::NotFound)?;
-        let ino = entries[idx].1;
+        let mut raw = self.dir_image(dev, parent, w)?;
+        let (rec, ino) = find_dirent(&raw, name).ok_or(FsError::NotFound)?;
         let (_, kind) = self.stat(dev, ino, w)?;
-        if kind == InodeKind::Dir && !self.dir_entries(dev, ino, w)?.is_empty() {
+        if kind == InodeKind::Dir
+            && dir_records(&self.dir_image(dev, ino, w)?).any(|(_, i, _)| i != 0)
+        {
             return Err(FsError::NotEmpty);
         }
         self.truncate(dev, ino, w)?;
         self.write_inode(dev, ino, &DiskInode::default(), w)?;
-        entries.remove(idx);
-        self.write_dir_entries(dev, parent, &entries, w)?;
+        compact_dir(&mut raw, Some(rec));
+        self.write_dir_image(dev, parent, &raw, w)?;
         Ok(())
     }
 
@@ -809,9 +832,104 @@ impl VgFs {
         w: &mut FsWork,
     ) -> Result<Vec<(String, Ino)>, FsError> {
         let dir = self.lookup(dev, path, w)?;
-        self.dir_entries(dev, dir, w)
+        Ok(parse_dir(&self.dir_image(dev, dir, w)?))
     }
 }
+
+// ---- directory record images ---------------------------------------------
+//
+// A directory's contents are a sequence of records `ino: u32 LE, len: u8,
+// name: [u8; len]`. Records with `ino == 0` are holes, and a record cut
+// short by the end of the image ends it. The functions below read and edit
+// such images without building per-entry values.
+
+/// Bytes in a record header (`ino` + `len`).
+const DIRENT_HEADER: usize = 5;
+
+/// Walks the complete records of a directory image, holes included:
+/// `(offset, ino, name bytes)` each, stopping at a truncated tail.
+fn dir_records(raw: &[u8]) -> impl Iterator<Item = (usize, u32, &[u8])> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let name_at = pos + DIRENT_HEADER;
+        let len = *raw.get(name_at - 1)? as usize;
+        let name = raw.get(name_at..name_at + len)?;
+        let ino = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap());
+        let at = pos;
+        pos = name_at + len;
+        Some((at, ino, name))
+    })
+}
+
+/// The live entries of a directory image, names decoded lossily.
+fn parse_dir(raw: &[u8]) -> Vec<(String, Ino)> {
+    dir_records(raw)
+        .filter(|&(_, ino, _)| ino != 0)
+        .map(|(_, ino, name)| (String::from_utf8_lossy(name).into_owned(), Ino(ino)))
+        .collect()
+}
+
+/// The first live record named `name`: its byte range and inode. Names are
+/// compared as `parse_dir` decodes them. Lossy decoding yields U+FFFD for
+/// every invalid sequence, so unless `name` holds one, a decoded match is
+/// exactly a byte match. The byte compare is worth its branch: with the
+/// lossy compare alone, Postmark `ops_per_host_s` fell 21% (`vg-perf
+/// compare`, 10 alternated 20 s pairs, 2-core Intel Xeon KVM guest, on a
+/// build that rebuilt every image in `compact_dir`: 31.2k to 24.6k, 0/10
+/// pairs faster).
+fn find_dirent(raw: &[u8], name: &str) -> Option<(Range<usize>, Ino)> {
+    let bytewise = !name.contains(char::REPLACEMENT_CHARACTER);
+    dir_records(raw)
+        .find(|&(_, ino, n)| {
+            ino != 0
+                && if bytewise {
+                    n == name.as_bytes()
+                } else {
+                    String::from_utf8_lossy(n) == name
+                }
+        })
+        .map(|(at, ino, n)| (at..at + DIRENT_HEADER + n.len(), Ino(ino)))
+}
+
+/// Appends one record. Names vgfs accepts fit the `u8` length
+/// (`MAX_NAME`); only a lossily re-encoded name from a malformed image can
+/// exceed it, and then its length wraps just as the serializer's did.
+fn push_dirent(raw: &mut Vec<u8>, ino: Ino, name: &str) {
+    raw.extend_from_slice(&ino.0.to_le_bytes());
+    raw.push(name.len() as u8);
+    raw.extend_from_slice(name.as_bytes());
+}
+
+/// Rewrites `raw` into the bytes that serializing `parse_dir(raw)` gives —
+/// holes and a truncated tail dropped, non-UTF-8 names re-encoded lossily —
+/// leaving out the record at `skip`. An image already in that form, the
+/// only kind vgfs itself writes, is edited in place: rebuilding it instead
+/// cost Postmark 11% of `ops_per_host_s` (measured as for `find_dirent`:
+/// 35.3k in place vs 31.5k rebuilt, 10/10 pairs).
+fn compact_dir(raw: &mut Vec<u8>, skip: Option<Range<usize>>) {
+    let mut end = 0;
+    let canonical = dir_records(raw).all(|(at, ino, name)| {
+        end = at + DIRENT_HEADER + name.len();
+        ino != 0 && std::str::from_utf8(name).is_ok()
+    }) && end == raw.len();
+    if canonical {
+        if let Some(rec) = skip {
+            raw.drain(rec);
+        }
+        return;
+    }
+    let skip_at = skip.map(|rec| rec.start);
+    let mut out = Vec::with_capacity(raw.len());
+    for (at, ino, name) in dir_records(raw) {
+        if ino != 0 && Some(at) != skip_at {
+            push_dirent(&mut out, Ino(ino), &String::from_utf8_lossy(name));
+        }
+    }
+    *raw = out;
+}
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

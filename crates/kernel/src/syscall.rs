@@ -8,7 +8,7 @@
 //! is exactly what decides what they can touch.
 
 use crate::costs;
-use crate::fs::{FsError, FsWork, InodeKind};
+use crate::fs::{FsError, FsWork, Ino, InodeKind};
 use crate::mem::RegionKind;
 use crate::system::{DmaDisk, Fd, Pid, System};
 use vg_machine::mmu::AccessKind;
@@ -259,12 +259,8 @@ impl System {
             let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
             let mut dev = DmaDisk { machine, vm };
             match fs.lookup(&mut dev, &path, &mut w) {
-                Ok(ino) => {
-                    if flags & O_TRUNC != 0 {
-                        let _ = fs.truncate(&mut dev, ino, &mut w);
-                    }
-                    Ok(ino)
-                }
+                Ok(ino) if flags & O_TRUNC != 0 => fs.truncate(&mut dev, ino, &mut w).map(|()| ino),
+                Ok(ino) => Ok(ino),
                 Err(FsError::NotFound) if flags & O_CREAT != 0 => {
                     fs.create(&mut dev, &path, InodeKind::File, &mut w)
                 }
@@ -278,17 +274,31 @@ impl System {
         match result {
             Ok(ino) => {
                 let off = if flags & O_APPEND != 0 {
-                    let mut w2 = FsWork::default();
-                    let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-                    let mut dev = DmaDisk { machine, vm };
-                    fs.stat(&mut dev, ino, &mut w2).map(|(s, _)| s).unwrap_or(0)
+                    self.file_size(ino)
                 } else {
-                    0
+                    Some(0)
                 };
-                self.alloc_fd(pid, Fd::File { ino, off })
+                match off {
+                    Some(off) => self.alloc_fd(pid, Fd::File { ino, off }),
+                    None => EIO,
+                }
             }
             Err(FsError::Io) => EIO,
             Err(_) => -1,
+        }
+    }
+
+    /// Size of file `ino` for an `O_APPEND` or `SEEK_END` offset: `None`
+    /// when the device failed, 0 for a freed inode (an unlinked file). Its
+    /// filesystem work is not charged; see ROADMAP item 1.
+    fn file_size(&mut self, ino: Ino) -> Option<u64> {
+        let mut w = FsWork::default();
+        let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
+        let mut dev = DmaDisk { machine, vm };
+        match fs.stat(&mut dev, ino, &mut w) {
+            Ok((size, _)) => Some(size),
+            Err(FsError::Io) => None,
+            Err(_) => Some(0),
         }
     }
 
@@ -553,12 +563,7 @@ impl System {
     fn sys_lseek(&mut self, pid: Pid, fd: u64, offset: i64, whence: u64) -> i64 {
         crate::mem::kwork(&mut self.machine, 40, 4);
         let size = match self.fd_of(pid, fd) {
-            Some(Fd::File { ino, .. }) => {
-                let mut w = FsWork::default();
-                let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-                let mut dev = DmaDisk { machine, vm };
-                fs.stat(&mut dev, ino, &mut w).map(|(s, _)| s).unwrap_or(0)
-            }
+            Some(Fd::File { ino, .. }) => self.file_size(ino),
             _ => return -1,
         };
         let Some(proc) = self.procs.get_mut(&pid) else {
@@ -568,7 +573,10 @@ impl System {
             let new = match whence {
                 0 => offset,               // SEEK_SET
                 1 => *off as i64 + offset, // SEEK_CUR
-                _ => size as i64 + offset, // SEEK_END
+                _ => match size {
+                    Some(size) => size as i64 + offset, // SEEK_END
+                    None => return EIO,
+                },
             };
             if new < 0 {
                 return -1;

@@ -5,8 +5,10 @@
 //! ones, and a fault-kill (exit 137 + `DenialKind::FaultKill` record,
 //! never a panic, never a plaintext exposure) for unrecoverable ones.
 
-use vg_kernel::syscall::{O_CREAT, SYS_BRK, SYS_PIPE};
-use vg_kernel::{Mode, System};
+use vg_kernel::fs::{FsWork, InodeKind, VgFs};
+use vg_kernel::syscall::{EIO, O_APPEND, O_CREAT, O_TRUNC, SYS_BRK, SYS_PIPE};
+use vg_kernel::system::DmaDisk;
+use vg_kernel::{Mode, System, UserEnv};
 use vg_machine::{DenialKind, FaultClass, FaultPlan, Trigger};
 
 /// Arms `sys` with a single-spec plan.
@@ -71,6 +73,85 @@ fn device_io_persistent_surfaces_as_eio() {
         "all retries consumed"
     );
     assert_eq!(m.counter("faults.recovered.device_io"), 0);
+}
+
+/// A system whose `/f` holds 100 bytes and whose device is dead. The
+/// buffer cache is cold except for the blocks a lookup of `/f` reads, so
+/// path resolution still succeeds, but `/f`'s inode (in the second
+/// inode-table block, behind 40 padding files) must come from the disk.
+fn dead_disk_cold_inode() -> System {
+    let mut sys = System::boot(Mode::VirtualGhost);
+    {
+        let (fs, machine, vm) = (&mut sys.fs, &mut sys.machine, &mut sys.vm);
+        let mut dev = DmaDisk { machine, vm };
+        let mut w = FsWork::default();
+        for i in 0..40 {
+            fs.create(&mut dev, &format!("/pad{i}"), InodeKind::File, &mut w)
+                .unwrap();
+        }
+        let ino = fs.create(&mut dev, "/f", InodeKind::File, &mut w).unwrap();
+        assert!(ino.0 >= 32, "inode {ino:?} sits in the second table block");
+        fs.write(&mut dev, ino, 0, &[7; 100], &mut w).unwrap();
+        fs.sync(&mut dev).unwrap();
+        // Remount with the boot geometry: an empty cache.
+        *fs = VgFs::mount(&mut dev, 4096);
+        fs.lookup(&mut dev, "/f", &mut w).unwrap();
+    }
+    arm(
+        &mut sys,
+        FaultClass::DeviceIo,
+        Trigger::Probability(u32::MAX),
+    );
+    sys
+}
+
+/// Runs `check` as an app on `sys`; it returns 0 when all is well.
+fn run_app(sys: &mut System, check: fn(&mut UserEnv) -> i32) -> i32 {
+    sys.install_app("app", false, move || Box::new(check));
+    let pid = sys.spawn("app");
+    sys.run_until_exit(pid)
+}
+
+/// Opens `/f` with `flags` on a dead device and expects `EIO` with no
+/// descriptor allocated: the next successful open gets the same fd a
+/// plain open got before.
+fn open_fails_with_eio(env: &mut UserEnv, flags: u64) -> i32 {
+    let lowest = env.open("/f", 0);
+    env.close(lowest);
+    let r = env.open("/f", flags);
+    let next = env.open("/f", 0);
+    (lowest < 0) as i32 | ((r != EIO) as i32) << 1 | ((next != lowest) as i32) << 2
+}
+
+#[test]
+fn device_io_o_append_size_read_fails_with_eio() {
+    // Offset 0 would make the next append overwrite the head of the file.
+    let mut sys = dead_disk_cold_inode();
+    let code = run_app(&mut sys, |env| open_fails_with_eio(env, O_APPEND));
+    assert_eq!(
+        code, 0,
+        "O_APPEND open on a dead device returned EIO, no fd"
+    );
+}
+
+#[test]
+fn device_io_o_trunc_failure_fails_with_eio() {
+    // The file was not truncated, so no descriptor may be handed out.
+    let mut sys = dead_disk_cold_inode();
+    let code = run_app(&mut sys, |env| open_fails_with_eio(env, O_TRUNC));
+    assert_eq!(code, 0, "O_TRUNC open on a dead device returned EIO, no fd");
+}
+
+#[test]
+fn device_io_seek_end_fails_with_eio() {
+    let mut sys = dead_disk_cold_inode();
+    let code = run_app(&mut sys, |env| {
+        let fd = env.open("/f", 0);
+        let end = env.lseek(fd, 0, 2); // SEEK_END needs the size
+        let set = env.lseek(fd, 5, 0); // SEEK_SET does not
+        (fd < 0) as i32 | ((end != EIO) as i32) << 1 | ((set != 5) as i32) << 2
+    });
+    assert_eq!(code, 0, "SEEK_END on a dead device returned EIO");
 }
 
 #[test]
