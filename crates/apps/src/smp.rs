@@ -84,6 +84,18 @@ pub fn c10k_sharded(
     reqs_per_conn: u32,
 ) -> SmpBench {
     let mut sys = System::boot_with_cpus(Mode::VirtualGhost, cpus);
+    c10k_sharded_on(&mut sys, shards, file_size, conns_per_shard, reqs_per_conn)
+}
+
+/// [`c10k_sharded`] on a system the caller booted (with
+/// [`System::boot_with_cpus`]), left behind for inspection.
+pub fn c10k_sharded_on(
+    sys: &mut System,
+    shards: usize,
+    file_size: usize,
+    conns_per_shard: u32,
+    reqs_per_conn: u32,
+) -> SmpBench {
     sys.net_mode = NetMode::Ring;
     let data: Vec<u8> = (0..file_size).map(|i| (i * 31 % 251) as u8).collect();
     sys.write_file("/index.dat", &data);
@@ -130,7 +142,7 @@ pub fn c10k_sharded(
         sys.sched_enqueue(pid);
     }
     let units = shards as u64 * conns_per_shard as u64 * reqs_per_conn as u64;
-    let bench = drain(&mut sys, shards, units);
+    let bench = drain(sys, shards, units);
     assert_eq!(served.get(), units, "every shard drained its backlog");
 
     // Spot-check one flow per shard: every response present and intact.
@@ -181,6 +193,18 @@ pub fn kv_sharded(
     pairs: u32,
 ) -> SmpBench {
     let mut sys = System::boot_with_cpus(Mode::VirtualGhost, cpus);
+    kv_sharded_on(&mut sys, shards, value_size, conns_per_shard, pairs)
+}
+
+/// [`kv_sharded`] on a system the caller booted (with
+/// [`System::boot_with_cpus`]), left behind for inspection.
+pub fn kv_sharded_on(
+    sys: &mut System,
+    shards: usize,
+    value_size: usize,
+    conns_per_shard: u32,
+    pairs: u32,
+) -> SmpBench {
     sys.net_mode = NetMode::Ring;
     let mut expected = Vec::new(); // (flow, bytes) across all shards
     for s in 0..shards {
@@ -220,7 +244,7 @@ pub fn kv_sharded(
         sys.sched_enqueue(pid);
     }
     let units = shards as u64 * conns_per_shard as u64 * pairs as u64 * 2;
-    let bench = drain(&mut sys, shards, units);
+    let bench = drain(sys, shards, units);
     assert_eq!(served.get(), units, "every pipelined command served");
     for (flow, expect) in expected {
         assert_eq!(sys.wire_recv(flow), expect, "flow {flow} response bytes");

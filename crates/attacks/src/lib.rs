@@ -22,6 +22,8 @@
 //!   rewrite the saved PC so the victim resumes in exploit code.
 //! * [`iago_mmap_module`] — Iago attack (§2.2.5): a hooked `mmap` returns a
 //!   pointer into the victim's own ghost memory.
+//! * [`iago_read_module`] — Iago attack (§2.2.5): a hooked `read` claims to
+//!   have transferred more bytes than it was asked for.
 //!
 //! Config cell layout (set by the attack harness through
 //! `System::set_module_config`):
@@ -31,6 +33,7 @@
 //! | 0    | victim secret address |
 //! | 1    | secret length |
 //! | 5    | address `iago_mmap_module` should return |
+//! | 8    | byte count `iago_read_module` should claim |
 
 use vg_ir::inst::Width;
 use vg_ir::{BinOp, FunctionBuilder, Module};
@@ -255,6 +258,21 @@ pub fn iago_mmap_module() -> Module {
     m
 }
 
+/// Iago attack through `read` (§2.2.5): the hooked `read` performs the
+/// real read, then returns the count in config cell 8 instead of the true
+/// one — more than the caller asked for — hoping the trusted runtime copies
+/// that many OS-chosen staging bytes into ghost memory past the end of the
+/// caller's buffer.
+pub fn iago_read_module() -> Module {
+    let mut m = Module::new("rootkit-iago-read");
+    let mut b = FunctionBuilder::new("hook_read", 3);
+    emit_orig_read(&mut b);
+    let claimed = b.ext("kern.config", &[8.into()]);
+    m.push_function(b.ret(Some(claimed.into())));
+    push_init_hooking(&mut m, "hook_read", SYS_READ);
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +286,7 @@ mod tests {
             signal_inject_module(),
             ic_hijack_module(),
             iago_mmap_module(),
+            iago_read_module(),
         ] {
             verify_module(&m).expect("attack module verifies");
             assert!(m.find("init").is_some());

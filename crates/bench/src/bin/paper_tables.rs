@@ -193,7 +193,7 @@ fn observability(scale: &Scale, trace_path: Option<&str>, metrics: bool) {
     }
     if metrics {
         println!("\n== metrics report (virtual-ghost capture workload) ==");
-        print!("{}", sys.machine.metrics.report());
+        print!("{}", sys.machine.metrics_report());
         // Empty string unless fault injection ran, so disabled-mode output
         // is byte-identical with or without this line.
         print!("{}", vg_trace::fault_summary(&sys.machine.metrics));

@@ -6,8 +6,7 @@
 //! map physical page frames used by ghost memory into any virtual address"
 //! (§4.3.2) requires knowing which frames those are.
 
-use std::collections::HashMap;
-use vg_machine::Pfn;
+use vg_machine::{IntMap, Pfn};
 
 /// The role a physical frame currently plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,8 +28,8 @@ pub enum FrameKind {
 /// Per-frame metadata: kind plus mapping reference count.
 #[derive(Debug, Default)]
 pub struct FrameTable {
-    kinds: HashMap<u64, FrameKind>,
-    map_counts: HashMap<u64, u32>,
+    kinds: IntMap<u64, FrameKind>,
+    map_counts: IntMap<u64, u32>,
 }
 
 impl FrameTable {

@@ -76,6 +76,9 @@ pub struct DescRing {
     /// Direction shared by every descriptor in this ring.
     pub dir: RingDir,
     table: Vec<Option<RingDesc>>,
+    /// Free-slot bitmap kept in step with `table`: bit `i % 64` of word
+    /// `i / 64` is set while slot `i` is empty.
+    free: Vec<u64>,
     avail: VecDeque<u16>,
     used: VecDeque<UsedElem>,
     /// Doorbell writes since creation (one per submitted batch).
@@ -87,9 +90,15 @@ pub struct DescRing {
 impl DescRing {
     /// An empty ring with `capacity` descriptor slots.
     pub fn new(dir: RingDir, capacity: usize) -> Self {
+        // Word `w` covers slots 64w.., of which `capacity - 64w` (at most
+        // 64) exist.
+        let free = (0..capacity.div_ceil(64))
+            .map(|w| u64::MAX >> (64 - (capacity - 64 * w).min(64)))
+            .collect();
         DescRing {
             dir,
-            table: (0..capacity).map(|_| None).collect(),
+            table: vec![None; capacity],
+            free,
             avail: VecDeque::new(),
             used: VecDeque::new(),
             doorbells: 0,
@@ -97,9 +106,9 @@ impl DescRing {
         }
     }
 
-    /// Posts a descriptor into a free slot of the available ring. Returns
-    /// the slot, or `None` when the table is full (the kernel must ring the
-    /// doorbell and retire completions first).
+    /// Posts a descriptor into the lowest free slot of the available ring.
+    /// Returns the slot, or `None` when the table is full (the kernel must
+    /// ring the doorbell and retire completions first).
     ///
     /// # Panics
     ///
@@ -107,10 +116,22 @@ impl DescRing {
     /// construction.
     pub fn post(&mut self, desc: RingDesc) -> Option<u16> {
         assert!(desc.len as usize <= MTU, "ring descriptor exceeds MTU");
-        let slot = self.table.iter().position(Option::is_none)? as u16;
+        let w = self.free.iter().position(|&word| word != 0)?;
+        let bit = self.free[w].trailing_zeros() as usize;
+        self.free[w] &= !(1u64 << bit);
+        let slot = (w * 64 + bit) as u16;
         self.table[slot as usize] = Some(desc);
         self.avail.push_back(slot);
         Some(slot)
+    }
+
+    /// Empties `slot` on retire, returning the descriptor it held.
+    fn retire_slot(&mut self, slot: u16) -> RingDesc {
+        let slot = slot as usize;
+        self.free[slot / 64] |= 1u64 << (slot % 64);
+        self.table[slot]
+            .take()
+            .expect("available slot holds a descriptor")
     }
 
     /// Number of descriptors waiting for a doorbell.
@@ -150,9 +171,7 @@ impl SvaVm {
 
         let mut retired = 0usize;
         while let Some(slot) = ring.avail.pop_front() {
-            let desc = ring.table[slot as usize]
-                .take()
-                .expect("available slot holds a descriptor");
+            let desc = ring.retire_slot(slot);
             machine.counters.ring_descs += 1;
             // One frame-kind check per descriptor — the amortized residue
             // of the classic map/unmap pair.
@@ -369,5 +388,57 @@ mod tests {
         assert!(ring.post(tx_desc(f, 1, 0)).is_some());
         assert!(ring.post(tx_desc(f, 1, 0)).is_none());
         assert_eq!(ring.avail_len(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The free-slot bitmap hands out exactly the slot the linear scan
+        /// for the lowest empty table entry would (`position(is_none)`), and
+        /// `None` exactly when the table is full, over random bursts of
+        /// posts, doorbells and used-ring pops. The capacities straddle the
+        /// 64-bit word boundaries of the bitmap.
+        #[test]
+        fn bitmap_slots_match_linear_scan(
+            cap_idx in 0usize..5,
+            ops in proptest::collection::vec((0u8..3, 0usize..300), 1..40),
+        ) {
+            let capacity = [1usize, 63, 64, 65, 256][cap_idx];
+            let mut vm = SvaVm::boot_with_key_bits(Protections::virtual_ghost(), &Tpm::new(1), 8, 64);
+            let mut machine = Machine::new(Default::default());
+            let frame = machine.phys.alloc_frame().unwrap();
+            let mut ring = DescRing::new(RingDir::ToDevice, capacity);
+            // Oracle: the table as it was, scanned linearly.
+            let mut table: Vec<Option<u16>> = vec![None; capacity];
+            let mut posted: VecDeque<u16> = VecDeque::new();
+            for (op, n) in ops {
+                match op {
+                    0 => {
+                        for _ in 0..n % (capacity + 3) {
+                            let want = table.iter().position(Option::is_none).map(|i| i as u16);
+                            let got = ring.post(tx_desc(frame, 8, 0));
+                            proptest::prop_assert_eq!(got, want);
+                            if let Some(slot) = got {
+                                table[slot as usize] = Some(slot);
+                                posted.push_back(slot);
+                            }
+                        }
+                    }
+                    1 => {
+                        let retired = vm.sva_ring_doorbell(&mut machine, &mut ring);
+                        proptest::prop_assert_eq!(retired, posted.len());
+                        for slot in posted.drain(..) {
+                            table[slot as usize] = None;
+                        }
+                    }
+                    _ => {
+                        for _ in 0..n % 8 {
+                            ring.pop_used();
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(ring.avail_len(), posted.len());
+            }
+        }
     }
 }

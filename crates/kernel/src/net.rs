@@ -13,6 +13,7 @@ use crate::system::{Fd, Pid, System};
 use std::collections::{HashMap, VecDeque};
 use vg_core::{DescRing, RingDesc, RingDir};
 use vg_machine::devices::{Packet, MTU};
+use vg_machine::IntMap;
 
 /// Wire occupancy charged per inbound connection: TCP handshake, client
 /// request processing and network latency as seen by a pipelined client
@@ -82,7 +83,7 @@ pub struct NetStack {
     /// Pending (un-accepted) connections per port.
     pub pending: HashMap<u16, VecDeque<u64>>,
     /// Active flows.
-    pub flows: HashMap<u64, FlowBuf>,
+    pub flows: IntMap<u64, FlowBuf>,
     next_flow: u64,
     /// Ports with listeners.
     pub listeners: HashMap<u16, u64>, // port -> socket id
@@ -96,7 +97,7 @@ impl Default for NetStack {
     fn default() -> Self {
         NetStack {
             pending: HashMap::new(),
-            flows: HashMap::new(),
+            flows: IntMap::default(),
             next_flow: 0,
             listeners: HashMap::new(),
             tx_ring: DescRing::new(RingDir::ToDevice, 1024),

@@ -271,8 +271,9 @@ pub struct Counters {
     pub mmu_rejections: u64,
     /// CFI violations detected.
     pub cfi_violations: u64,
-    /// TLB hits, per access kind (Read, Write, Execute) — mirrored from the
-    /// MMU by [`crate::Machine::sync_tlb_counters`]. Performance-model
+    /// TLB hits, per access kind (Read, Write, Execute), summed over every
+    /// core's MMU — the MMUs own the statistics and the machine mirrors the
+    /// total here on every charge and core switch. Performance-model
     /// statistics only: they never feed back into charged cycles.
     pub tlb_hits: [u64; 3],
     /// TLB misses (full walks), per access kind; mirrored like `tlb_hits`.

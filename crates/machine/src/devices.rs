@@ -5,10 +5,11 @@
 //! to read ghost frames hits an IOMMU fault — the paper's DMA attack vector
 //! (§2.2.1, third bullet) and its defense (§4.3.3).
 
+use crate::inthash::IntMap;
 use crate::iommu::{DmaDirection, DmaFault, Iommu};
 use crate::layout::{Pfn, PAGE_SIZE};
 use crate::phys::PhysMem;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A fixed-capacity block device (4 KiB blocks), SSD-like.
 #[derive(Debug)]
@@ -126,7 +127,7 @@ pub struct Nic {
     rx: VecDeque<Packet>,
     /// Untaken transmitted payloads per flow, as `(sequence, data)` in
     /// transmit order.
-    tx: HashMap<u64, Vec<(u64, Vec<u8>)>>,
+    tx: IntMap<u64, Vec<(u64, Vec<u8>)>>,
     /// Sequence number of the next transmitted packet.
     tx_seq: u64,
     /// Bytes transmitted since boot.

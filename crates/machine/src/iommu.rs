@@ -8,8 +8,8 @@
 //! added lives in `vg-core`; this module is the hardware: a table and a
 //! checker.
 
+use crate::inthash::IntSet;
 use crate::layout::Pfn;
-use std::collections::HashSet;
 
 /// Direction of a DMA transfer, from the device's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,14 +44,14 @@ impl std::error::Error for DmaFault {}
 /// The IOMMU: the set of frames DMA may touch.
 #[derive(Debug, Default)]
 pub struct Iommu {
-    allowed: HashSet<u64>,
+    allowed: IntSet<u64>,
 }
 
 impl Iommu {
     /// An IOMMU with an empty table (all DMA faults).
     pub fn new() -> Self {
         Iommu {
-            allowed: HashSet::new(),
+            allowed: IntSet::default(),
         }
     }
 

@@ -8,10 +8,13 @@
 //!   user space, the 512 GiB ghost partition at `0xffffff00_00000000`,
 //!   kernel space at `0xffffff80_00000000`, the SVA-internal region, and the
 //!   exact load/store masking rule the instrumentation inserts.
-//! * [`phys`] — sparse physical memory addressed by page frame number.
+//! * [`phys`] — physical memory: a dense frame table indexed by page frame
+//!   number.
 //! * [`pte`] — 64-bit page table entries with present/write/user/NX bits.
 //! * [`mmu`] — a 4-level page walker over page tables stored *in* simulated
 //!   physical memory, with a small TLB model.
+//! * [`inthash`] — the deterministic integer hasher behind every
+//!   frame-number/vpn/flow-keyed map on the per-operation paths.
 //! * [`cpu`] — general-purpose registers, privilege level, and the trap
 //!   mechanism with an Interrupt Stack Table (IST) — the hardware feature
 //!   Virtual Ghost uses to save interrupted state inside SVA memory (§5).
@@ -28,6 +31,7 @@
 pub mod cost;
 pub mod cpu;
 pub mod devices;
+pub mod inthash;
 pub mod iommu;
 pub mod layout;
 pub mod mmu;
@@ -38,6 +42,7 @@ pub mod pte;
 
 pub use cost::{Clock, CostModel, Counters};
 pub use cpu::{Cpu, IpiState, TrapFrame, TrapKind};
+pub use inthash::{IntHasher, IntMap, IntSet};
 pub use iommu::Iommu;
 pub use layout::{mask_kernel_pointer, PAddr, Pfn, Region, VAddr, Vpn, PAGE_SIZE};
 pub use mmu::{AccessKind, Mmu, TlbPolicy, TlbStats, TranslateError};
@@ -93,14 +98,19 @@ pub struct Machine {
     pub nic_time: Clock,
     /// Cost model in effect.
     pub costs: CostModel,
-    /// Event counters for reporting.
+    /// Event counters for reporting. The TLB fields mirror the sum of every
+    /// core's [`Mmu::stats`] as of the last [`charge`](Self::charge),
+    /// [`charge_on`](Self::charge_on) or [`switch_cpu`](Self::switch_cpu);
+    /// the MMUs themselves are the source of truth.
     pub counters: Counters,
     /// Structured event tracer (off by default) with the always-on
     /// security flight recorder. Emitting events never advances the clock
     /// or touches [`Counters`] — see `vg-trace`'s no-perturbation
     /// invariant.
     pub trace: Tracer,
-    /// Per-subsystem metrics registry (always on; deterministic).
+    /// Per-subsystem metrics registry (always on; deterministic). It holds
+    /// no TLB statistics: [`metrics_report`](Self::metrics_report) renders
+    /// those from the MMUs.
     pub metrics: MetricsRegistry,
     /// Exact cycle-attribution profiler (off by default). When enabled,
     /// every [`charge`](Self::charge) lands in the innermost attribution
@@ -123,6 +133,11 @@ pub struct Machine {
     /// Per-core parked state, one slot per core; the active core's slot
     /// holds a reset placeholder while its real state lives in `cpu`/`mmu`.
     parked: Vec<(Cpu, Mmu)>,
+    /// Σ [`Mmu::stats`] over the parked cores. Parked statistics only
+    /// change while a core is active, so this is recomputed in
+    /// [`switch_cpu`](Self::switch_cpu) alone and every charge mirrors the
+    /// machine-wide total into [`Counters`] in constant time.
+    parked_tlb: TlbStats,
     /// Cycles of work performed *on each core*. The global [`clock`]
     /// remains the single total-work timeline (Σ `cpu_clocks` == clock,
     /// every charge lands on exactly one core); SMP elapsed time for a
@@ -198,6 +213,7 @@ impl Machine {
             byte_granular_bus: config.byte_granular_bus,
             cur_cpu: 0,
             parked: (0..cpus).map(|_| (Cpu::new(), Mmu::new())).collect(),
+            parked_tlb: TlbStats::default(),
             cpu_clocks: vec![0; cpus],
         }
     }
@@ -242,9 +258,14 @@ impl Machine {
         std::mem::swap(&mut self.cpu, &mut self.parked[target].0);
         std::mem::swap(&mut self.mmu, &mut self.parked[target].1);
         self.cur_cpu = target;
-        // The TLB gauges are per-core; republish so the registry reflects
-        // the newly active core's statistics immediately.
-        self.sync_tlb_counters();
+        self.parked_tlb = self
+            .parked
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != target)
+            .map(|(_, (_, mmu))| mmu.stats())
+            .sum();
+        self.mirror_tlb();
     }
 
     /// Charges `cycles` to the active core. Together with
@@ -257,7 +278,7 @@ impl Machine {
         self.cpu_clocks[self.cur_cpu] += cycles;
         self.profiler
             .on_charge(self.trace.cur_proc, self.cur_cpu, cycles);
-        self.sync_tlb_counters();
+        self.mirror_tlb();
     }
 
     /// Charges `cycles` of work performed *on core `cpu`* (e.g. the
@@ -269,7 +290,7 @@ impl Machine {
         self.clock.advance(cycles);
         self.cpu_clocks[cpu] += cycles;
         self.profiler.on_charge(self.trace.cur_proc, cpu, cycles);
-        self.sync_tlb_counters();
+        self.mirror_tlb();
     }
 
     /// Invalidates the translation for `vpn` on *every* core: locally via
@@ -308,36 +329,51 @@ impl Machine {
         }
     }
 
-    /// Publishes each core's TLB statistics into the metrics registry under
-    /// a per-CPU label, refreshes the aggregate gauge as the *sum over all
-    /// cores*, and mirrors the aggregate into [`Counters`] as a
-    /// read-through view for existing consumers. Called on every `charge`;
-    /// also callable directly after uncharged translations (e.g. straight
-    /// `mmu.translate` probes).
+    /// Mirrors the machine-wide TLB statistics (parked cores plus the
+    /// active MMU) into [`Counters`]. Constant work: no parked MMU is read.
     #[inline]
-    pub fn sync_tlb_counters(&mut self) {
-        let n = self.parked.len();
-        let mut hits = [0u64; 3];
-        let mut misses = [0u64; 3];
-        let mut evictions = 0u64;
-        for i in 0..n {
-            let s = if i == self.cur_cpu {
-                self.mmu.stats()
-            } else {
-                self.parked[i].1.stats()
-            };
-            self.metrics.set_tlb_cpu(i, s.hits, s.misses, s.evictions);
-            for k in 0..3 {
-                hits[k] += s.hits[k];
-                misses[k] += s.misses[k];
-            }
-            evictions += s.evictions;
-        }
-        self.metrics.set_tlb(hits, misses, evictions);
-        let t = self.metrics.tlb();
+    fn mirror_tlb(&mut self) {
+        let t = self.parked_tlb + self.mmu.stats();
         self.counters.tlb_hits = t.hits;
         self.counters.tlb_misses = t.misses;
         self.counters.tlb_evictions = t.evictions;
+    }
+
+    /// Each core's TLB statistics, indexed by core id, read from the MMUs.
+    pub fn tlb_per_cpu(&self) -> Vec<TlbStats> {
+        (0..self.parked.len())
+            .map(|i| {
+                if i == self.cur_cpu {
+                    self.mmu.stats()
+                } else {
+                    self.parked[i].1.stats()
+                }
+            })
+            .collect()
+    }
+
+    /// Renders the plain-text metrics report: the registry's histogram and
+    /// counter sections, then the TLB section — the total over all cores
+    /// and, on a multi-core machine, one line per core — from the MMUs.
+    pub fn metrics_report(&self) -> String {
+        use std::fmt::Write as _;
+        fn line(out: &mut String, prefix: &str, t: &TlbStats) {
+            let _ = writeln!(
+                out,
+                "{prefix}hits r/w/x {}/{}/{}  misses r/w/x {}/{}/{}  evictions {}",
+                t.hits[0], t.hits[1], t.hits[2], t.misses[0], t.misses[1], t.misses[2], t.evictions
+            );
+        }
+        let mut out = self.metrics.report();
+        let per_cpu = self.tlb_per_cpu();
+        let _ = writeln!(out, "== metrics: tlb ==");
+        line(&mut out, "", &per_cpu.iter().copied().sum());
+        if per_cpu.len() > 1 {
+            for (i, t) in per_cpu.iter().enumerate() {
+                line(&mut out, &format!("cpu{i}: "), t);
+            }
+        }
+        out
     }
 
     /// Charges `cycles` of wire occupancy to the NIC timeline.

@@ -5,10 +5,10 @@
 //! hardware would. `vg-core` constrains *writes* to these tables (the SVA-OS
 //! MMU operations); the walker itself is policy-free.
 
+use crate::inthash::IntMap;
 use crate::layout::{PAddr, Pfn, VAddr, Vpn};
 use crate::phys::PhysMem;
 use crate::pte::{PageTableLevel, Pte, PteFlags};
-use std::collections::{BTreeMap, HashMap};
 
 /// Kind of memory access, for permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,20 +106,67 @@ impl TlbStats {
     }
 }
 
+impl std::ops::Add for TlbStats {
+    type Output = TlbStats;
+
+    #[inline]
+    fn add(self, o: TlbStats) -> TlbStats {
+        TlbStats {
+            hits: [
+                self.hits[0] + o.hits[0],
+                self.hits[1] + o.hits[1],
+                self.hits[2] + o.hits[2],
+            ],
+            misses: [
+                self.misses[0] + o.misses[0],
+                self.misses[1] + o.misses[1],
+                self.misses[2] + o.misses[2],
+            ],
+            evictions: self.evictions + o.evictions,
+        }
+    }
+}
+
+impl std::iter::Sum for TlbStats {
+    fn sum<I: Iterator<Item = TlbStats>>(iter: I) -> TlbStats {
+        iter.fold(TlbStats::default(), |a, b| a + b)
+    }
+}
+
+/// End-of-list marker for the TLB recency links.
+const NIL: u32 = u32::MAX;
+
+/// One resident TLB entry, linked into the recency list.
+#[derive(Debug, Clone, Copy)]
+struct TlbSlot {
+    vpn: Vpn,
+    entry: TlbEntry,
+    /// Next-older entry (towards the LRU head).
+    prev: u32,
+    /// Next-newer entry (towards the MRU tail).
+    next: u32,
+}
+
 /// MMU state: the active root table and a bounded TLB.
 ///
-/// The TLB keeps an LRU recency order as a tick-stamped side index; a
-/// translation hit refreshes the entry's stamp, and capacity eviction under
-/// [`TlbPolicy::Lru`] drops only the stalest entry. Statistics are counted
-/// per [`AccessKind`] and never affect charged cycles — the cost model
-/// charges translations identically whether they hit or miss.
+/// The TLB is a slab of entries threaded on an intrusive doubly linked
+/// recency list (head = least recently used, tail = most recently used)
+/// plus one `vpn → slot` index, so a hit, a fill and an LRU eviction are
+/// each O(1). A translation hit moves the entry to the tail, and capacity
+/// eviction under [`TlbPolicy::Lru`] drops the head. Statistics are
+/// counted per [`AccessKind`] and never affect charged cycles — the cost
+/// model charges translations identically whether they hit or miss. The
+/// MMU is the only place TLB statistics live; [`crate::Machine`] mirrors
+/// their sum over all cores into [`crate::Counters`].
 #[derive(Debug)]
 pub struct Mmu {
     root: Option<Pfn>,
-    tlb: HashMap<Vpn, (TlbEntry, u64)>,
-    /// Recency index: tick → vpn, oldest first. Ticks are unique.
-    order: BTreeMap<u64, Vpn>,
-    tick: u64,
+    index: IntMap<Vpn, u32>,
+    slots: Vec<TlbSlot>,
+    /// Slab slots vacated by `flush_page` or eviction, reused first.
+    vacant: Vec<u32>,
+    head: u32,
+    tail: u32,
     capacity: usize,
     policy: TlbPolicy,
     stats: TlbStats,
@@ -149,9 +196,11 @@ impl Mmu {
         assert!(capacity > 0, "TLB capacity must be non-zero");
         Mmu {
             root: None,
-            tlb: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            index: IntMap::default(),
+            slots: Vec::new(),
+            vacant: Vec::new(),
+            head: NIL,
+            tail: NIL,
             capacity,
             policy,
             stats: TlbStats::default(),
@@ -171,15 +220,19 @@ impl Mmu {
 
     /// Invalidates one page translation (like `invlpg`).
     pub fn flush_page(&mut self, vpn: Vpn) {
-        if let Some((_, tick)) = self.tlb.remove(&vpn) {
-            self.order.remove(&tick);
+        if let Some(slot) = self.index.remove(&vpn) {
+            self.unlink(slot);
+            self.vacant.push(slot);
         }
     }
 
     /// Invalidates the whole TLB.
     pub fn flush_all(&mut self) {
-        self.tlb.clear();
-        self.order.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.vacant.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Current TLB statistics.
@@ -197,9 +250,69 @@ impl Mmu {
         self.stats = TlbStats::default();
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// Detaches `slot` from the recency list.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let TlbSlot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends `slot` at the most-recently-used end of the recency list.
+    #[inline]
+    fn link_tail(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.prev = self.tail;
+        s.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.slots[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Fills the TLB with `entry` for `vpn` (absent), evicting first when
+    /// full.
+    fn fill(&mut self, vpn: Vpn, entry: TlbEntry) {
+        if self.index.len() >= self.capacity {
+            match self.policy {
+                TlbPolicy::ClearAll => {
+                    self.stats.evictions += self.index.len() as u64;
+                    self.flush_all();
+                }
+                TlbPolicy::Lru => {
+                    let oldest = self.head;
+                    self.unlink(oldest);
+                    self.index.remove(&self.slots[oldest as usize].vpn);
+                    self.vacant.push(oldest);
+                    self.stats.evictions += 1;
+                }
+            }
+        }
+        let s = TlbSlot {
+            vpn,
+            entry,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.vacant.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = s;
+                slot
+            }
+            None => {
+                self.slots.push(s);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.link_tail(slot);
+        self.index.insert(vpn, slot);
     }
 
     /// Translates `va` for `access` at the given privilege.
@@ -218,85 +331,91 @@ impl Mmu {
         user: bool,
     ) -> Result<PAddr, TranslateError> {
         let vpn = va.vpn();
-        let entry = if let Some(&(e, old_tick)) = self.tlb.get(&vpn) {
+        let entry = if let Some(&slot) = self.index.get(&vpn) {
             self.stats.hits[access.index()] += 1;
-            // Refresh recency.
-            self.order.remove(&old_tick);
-            let tick = self.next_tick();
-            self.order.insert(tick, vpn);
-            self.tlb.insert(vpn, (e, tick));
-            e
+            if slot != self.tail {
+                self.unlink(slot);
+                self.link_tail(slot);
+            }
+            self.slots[slot as usize].entry
         } else {
             self.stats.misses[access.index()] += 1;
-            let e = self.walk(phys, va)?;
-            if self.tlb.len() >= self.capacity {
-                match self.policy {
-                    TlbPolicy::ClearAll => {
-                        self.stats.evictions += self.tlb.len() as u64;
-                        self.flush_all();
-                    }
-                    TlbPolicy::Lru => {
-                        if let Some((_, oldest)) = self.order.pop_first() {
-                            self.tlb.remove(&oldest);
-                            self.stats.evictions += 1;
-                        }
-                    }
-                }
-            }
-            let tick = self.next_tick();
-            self.order.insert(tick, vpn);
-            self.tlb.insert(vpn, (e, tick));
+            let e = walk(self.root, phys, va)?;
+            self.fill(vpn, e);
             e
         };
-        if user && !entry.user_path {
-            return Err(TranslateError::Protection { access });
-        }
-        match access {
-            AccessKind::Read => {}
-            AccessKind::Write => {
-                if !entry.leaf.writable() {
-                    return Err(TranslateError::Protection { access });
-                }
-            }
-            AccessKind::Execute => {
-                if entry.leaf.no_execute() {
-                    return Err(TranslateError::Protection { access });
-                }
-            }
-        }
-        Ok(PAddr(
-            entry.pfn.0 * crate::layout::PAGE_SIZE + va.page_offset(),
-        ))
+        permit(entry, va, access, user)
     }
 
     /// Performs a full walk without consulting or filling the TLB. Returns
     /// the leaf PTE — used by `vg-core` for inspection.
     pub fn walk_leaf(&self, phys: &PhysMem, va: VAddr) -> Result<Pte, TranslateError> {
-        self.walk(phys, va).map(|e| e.leaf)
+        walk(self.root, phys, va).map(|e| e.leaf)
     }
 
-    fn walk(&self, phys: &PhysMem, va: VAddr) -> Result<TlbEntry, TranslateError> {
-        let mut table = self.root.ok_or(TranslateError::NoRoot)?;
-        let mut user_path = true;
-        for level in PageTableLevel::WALK {
-            let idx = level.index(va.0);
-            let raw = phys.read_u64(table, idx * 8);
-            let pte = Pte(raw);
-            if !pte.present() {
-                return Err(TranslateError::NotMapped { level });
-            }
-            user_path &= pte.user();
-            if level == PageTableLevel::L1 {
-                return Ok(TlbEntry {
-                    pfn: pte.pfn(),
-                    leaf: pte,
-                    user_path,
-                });
-            }
-            table = pte.pfn();
+    /// Resident vpns, oldest first (differential tests compare these).
+    #[cfg(test)]
+    fn resident(&self) -> Vec<Vpn> {
+        let mut out = Vec::with_capacity(self.index.len());
+        let mut at = self.head;
+        while at != NIL {
+            out.push(self.slots[at as usize].vpn);
+            at = self.slots[at as usize].next;
         }
-        unreachable!("walk covers all levels")
+        out
     }
+}
+
+/// Applies the leaf's permissions to an access through `entry`.
+fn permit(
+    entry: TlbEntry,
+    va: VAddr,
+    access: AccessKind,
+    user: bool,
+) -> Result<PAddr, TranslateError> {
+    if user && !entry.user_path {
+        return Err(TranslateError::Protection { access });
+    }
+    match access {
+        AccessKind::Read => {}
+        AccessKind::Write => {
+            if !entry.leaf.writable() {
+                return Err(TranslateError::Protection { access });
+            }
+        }
+        AccessKind::Execute => {
+            if entry.leaf.no_execute() {
+                return Err(TranslateError::Protection { access });
+            }
+        }
+    }
+    Ok(PAddr(
+        entry.pfn.0 * crate::layout::PAGE_SIZE + va.page_offset(),
+    ))
+}
+
+/// The 4-level walk from `root`, without touching any TLB.
+fn walk(root: Option<Pfn>, phys: &PhysMem, va: VAddr) -> Result<TlbEntry, TranslateError> {
+    let mut table = root.ok_or(TranslateError::NoRoot)?;
+    let mut user_path = true;
+    for level in PageTableLevel::WALK {
+        let idx = level.index(va.0);
+        let raw = phys.read_u64(table, idx * 8);
+        let pte = Pte(raw);
+        if !pte.present() {
+            return Err(TranslateError::NotMapped { level });
+        }
+        user_path &= pte.user();
+        if level == PageTableLevel::L1 {
+            return Ok(TlbEntry {
+                pfn: pte.pfn(),
+                leaf: pte,
+                user_path,
+            });
+        }
+        table = pte.pfn();
+    }
+    unreachable!("walk covers all levels")
 }
 
 /// Helper used by tests and the kernel's page-table construction: writes a
@@ -659,5 +778,166 @@ mod tests {
         let leaf = mmu.walk_leaf(&phys, VAddr(0xa000)).unwrap();
         assert!(!leaf.no_execute());
         assert!(!leaf.writable());
+    }
+
+    /// The tick-stamped reference TLB the recency list replaced: a hash
+    /// map of entries plus a `BTreeMap` recency index (tick → vpn, oldest
+    /// first). Kept only as the differential oracle for [`Mmu`].
+    struct RefMmu {
+        root: Option<Pfn>,
+        tlb: std::collections::HashMap<Vpn, (TlbEntry, u64)>,
+        order: std::collections::BTreeMap<u64, Vpn>,
+        tick: u64,
+        capacity: usize,
+        policy: TlbPolicy,
+        stats: TlbStats,
+    }
+
+    impl RefMmu {
+        fn new(capacity: usize, policy: TlbPolicy) -> Self {
+            RefMmu {
+                root: None,
+                tlb: Default::default(),
+                order: Default::default(),
+                tick: 0,
+                capacity,
+                policy,
+                stats: TlbStats::default(),
+            }
+        }
+
+        fn flush_all(&mut self) {
+            self.tlb.clear();
+            self.order.clear();
+        }
+
+        fn flush_page(&mut self, vpn: Vpn) {
+            if let Some((_, tick)) = self.tlb.remove(&vpn) {
+                self.order.remove(&tick);
+            }
+        }
+
+        fn stamp(&mut self, vpn: Vpn, e: TlbEntry) {
+            self.tick += 1;
+            self.order.insert(self.tick, vpn);
+            self.tlb.insert(vpn, (e, self.tick));
+        }
+
+        fn translate(
+            &mut self,
+            phys: &PhysMem,
+            va: VAddr,
+            access: AccessKind,
+            user: bool,
+        ) -> Result<PAddr, TranslateError> {
+            let vpn = va.vpn();
+            let entry = if let Some(&(e, old_tick)) = self.tlb.get(&vpn) {
+                self.stats.hits[access.index()] += 1;
+                self.order.remove(&old_tick);
+                self.stamp(vpn, e);
+                e
+            } else {
+                self.stats.misses[access.index()] += 1;
+                let e = walk(self.root, phys, va)?;
+                if self.tlb.len() >= self.capacity {
+                    match self.policy {
+                        TlbPolicy::ClearAll => {
+                            self.stats.evictions += self.tlb.len() as u64;
+                            self.flush_all();
+                        }
+                        TlbPolicy::Lru => {
+                            if let Some((_, oldest)) = self.order.pop_first() {
+                                self.tlb.remove(&oldest);
+                                self.stats.evictions += 1;
+                            }
+                        }
+                    }
+                }
+                self.stamp(vpn, e);
+                e
+            };
+            permit(entry, va, access, user)
+        }
+
+        fn resident(&self) -> Vec<Vpn> {
+            self.order.values().copied().collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The recency-list TLB is observationally identical to the
+        /// tick/`BTreeMap` reference: same translation results, same
+        /// statistics and the same resident vpns in the same recency order
+        /// (hence the same LRU victims) after every step of a random mix of
+        /// translations (R/W/X, user/kernel, mapped/unmapped/read-only/
+        /// kernel-only/NX pages), page and full flushes, root switches and
+        /// statistics resets, at TLB capacities 1–8 under both policies.
+        #[test]
+        fn recency_list_tlb_matches_tick_reference(
+            capacity in 1usize..9,
+            lru in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0u8..16, 0u64..24, 0u64..4096), 1..160),
+        ) {
+            let policy = if lru { TlbPolicy::Lru } else { TlbPolicy::ClearAll };
+            let mut phys = PhysMem::new(512);
+            let roots = [phys.alloc_frame().unwrap(), phys.alloc_frame().unwrap()];
+            // Pages 0..20 mapped under both roots with mixed permissions
+            // (root 1 maps them to other frames); 20..24 stay unmapped.
+            for (r, &root) in roots.iter().enumerate() {
+                for page in 0..20u64 {
+                    let frame = phys.alloc_frame().unwrap();
+                    let flags = match (page + r as u64) % 4 {
+                        0 => PteFlags::user_rw(),
+                        1 => PteFlags::kernel_rw(),
+                        2 => PteFlags::user_code(),
+                        _ => PteFlags::user_rw(),
+                    };
+                    let mut pte = Pte::new(frame, flags);
+                    if page % 5 == 4 {
+                        pte = pte.read_only();
+                    }
+                    map_page_raw(&mut phys, root, VAddr(0x40_0000 + page * PAGE_SIZE), pte)
+                        .unwrap();
+                }
+            }
+            let mut fast = Mmu::with_tlb(capacity, policy);
+            let mut oracle = RefMmu::new(capacity, policy);
+            for (op, page, off) in ops {
+                let va = VAddr(0x40_0000 + page * PAGE_SIZE + off);
+                match op {
+                    0..=11 => {
+                        let access = [AccessKind::Read, AccessKind::Write, AccessKind::Execute]
+                            [op as usize % 3];
+                        let user = op >= 6;
+                        proptest::prop_assert_eq!(
+                            fast.translate(&phys, va, access, user),
+                            oracle.translate(&phys, va, access, user)
+                        );
+                    }
+                    12 => {
+                        fast.flush_page(va.vpn());
+                        oracle.flush_page(va.vpn());
+                    }
+                    13 => {
+                        fast.flush_all();
+                        oracle.flush_all();
+                    }
+                    14 => {
+                        let root = roots[page as usize % 2];
+                        fast.set_root(root);
+                        oracle.root = Some(root);
+                        oracle.flush_all();
+                    }
+                    _ => {
+                        fast.reset_stats();
+                        oracle.stats = TlbStats::default();
+                    }
+                }
+                proptest::prop_assert_eq!(fast.stats(), oracle.stats);
+                proptest::prop_assert_eq!(fast.resident(), oracle.resident());
+            }
+        }
     }
 }

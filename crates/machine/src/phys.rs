@@ -1,18 +1,24 @@
 //! Simulated physical memory.
 //!
-//! A fixed-size pool of 4 KiB frames with a free list. Frames are allocated
-//! lazily (backing storage appears on first touch) so large machines are
-//! cheap to construct. All kernel, user, ghost and page-table data lives
-//! here — page tables are real bytes in these frames, walked by the MMU.
+//! A fixed-size pool of 4 KiB frames with a free list. The frame table is
+//! dense — one slot per page frame number, so every access is an index, not
+//! a hash lookup — but backing storage appears only when a frame is
+//! allocated, so large machines are cheap to construct. Freed buffers are
+//! kept for reuse and zero-filled when handed out again. All kernel, user,
+//! ghost and page-table data lives here — page tables are real bytes in
+//! these frames, walked by the MMU.
 
 use crate::layout::{PAddr, Pfn, PAGE_SIZE};
-use std::collections::HashMap;
 
-/// Sparse physical memory.
+/// Physical memory: a dense frame table with lazily created backing.
 #[derive(Debug)]
 pub struct PhysMem {
-    frames: HashMap<u64, Box<[u8]>>,
+    /// Backing storage per pfn; `None` while the frame is free.
+    frames: Vec<Option<Box<[u8]>>>,
     free: Vec<u64>,
+    /// Buffers of freed frames, reused (zero-filled) by `alloc_frame`
+    /// instead of going back to the host allocator.
+    recycled: Vec<Box<[u8]>>,
     total_frames: usize,
 }
 
@@ -23,8 +29,9 @@ impl PhysMem {
         // descending numbers so allocation order is deterministic.
         let free = (0..total_frames as u64).rev().collect();
         PhysMem {
-            frames: HashMap::new(),
+            frames: vec![None; total_frames],
             free,
+            recycled: Vec::new(),
             total_frames,
         }
     }
@@ -42,8 +49,14 @@ impl PhysMem {
     /// Allocates a zeroed frame, or `None` if memory is exhausted.
     pub fn alloc_frame(&mut self) -> Option<Pfn> {
         let pfn = self.free.pop()?;
-        self.frames
-            .insert(pfn, vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        let buf = match self.recycled.pop() {
+            Some(mut buf) => {
+                buf.fill(0);
+                buf
+            }
+            None => vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+        };
+        self.frames[pfn as usize] = Some(buf);
         Some(Pfn(pfn))
     }
 
@@ -53,14 +66,15 @@ impl PhysMem {
     ///
     /// Panics if the frame was not allocated (double free).
     pub fn free_frame(&mut self, pfn: Pfn) {
-        let existed = self.frames.remove(&pfn.0).is_some();
-        assert!(existed, "double free of {pfn}");
+        let buf = self.frames.get_mut(pfn.0 as usize).and_then(Option::take);
+        let buf = buf.unwrap_or_else(|| panic!("double free of {pfn}"));
+        self.recycled.push(buf);
         self.free.push(pfn.0);
     }
 
     /// Whether `pfn` is currently allocated.
     pub fn is_allocated(&self, pfn: Pfn) -> bool {
-        self.frames.contains_key(&pfn.0)
+        self.frames.get(pfn.0 as usize).is_some_and(Option::is_some)
     }
 
     /// Fills an allocated frame with zeros (used by `allocgm`/`freegm`,
@@ -70,15 +84,19 @@ impl PhysMem {
         f.fill(0);
     }
 
+    #[inline]
     fn frame(&self, pfn: Pfn) -> &[u8] {
         self.frames
-            .get(&pfn.0)
+            .get(pfn.0 as usize)
+            .and_then(Option::as_deref)
             .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
     }
 
+    #[inline]
     fn frame_mut(&mut self, pfn: Pfn) -> &mut [u8] {
         self.frames
-            .get_mut(&pfn.0)
+            .get_mut(pfn.0 as usize)
+            .and_then(Option::as_deref_mut)
             .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
     }
 
@@ -184,6 +202,34 @@ mod tests {
         let a = m.alloc_frame().unwrap();
         m.free_frame(a);
         m.free_frame(a);
+    }
+
+    #[test]
+    fn recycled_frame_reads_all_zeros() {
+        let mut m = PhysMem::new(1);
+        let a = m.alloc_frame().unwrap();
+        let pattern: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8 + 1).collect();
+        m.write_frame(a, &pattern);
+        m.free_frame(a);
+        let b = m.alloc_frame().unwrap();
+        assert_eq!(a, b, "the only frame comes back");
+        assert!(m.read_frame(b).iter().all(|&x| x == 0), "no stale bytes");
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn access_after_free_panics() {
+        let mut m = PhysMem::new(2);
+        let a = m.alloc_frame().unwrap();
+        m.free_frame(a);
+        m.read_u64(a, 0);
+    }
+
+    #[test]
+    fn out_of_range_frame_is_not_allocated() {
+        let m = PhysMem::new(4);
+        assert!(!m.is_allocated(Pfn(m.total_frames() as u64)));
+        assert!(!m.is_allocated(Pfn(u64::MAX)));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! per-core cycle accounting, and the single-core bit-identity guarantee.
 
 use vg_machine::mmu::map_page_raw;
-use vg_machine::{AccessKind, Machine, MachineConfig, Pfn, Pte, PteFlags, VAddr};
+use vg_machine::{
+    AccessKind, Machine, MachineConfig, Mmu, Pfn, Pte, PteFlags, TlbPolicy, TlbStats, VAddr,
+    PAGE_SIZE,
+};
 
 fn machine_with_cpus(cpus: usize) -> Machine {
     Machine::new(MachineConfig {
@@ -127,21 +130,87 @@ fn tlb_counters_aggregate_across_cores() {
     m.mmu
         .translate(&m.phys, va, AccessKind::Read, true)
         .expect("core 1 hit");
-    m.sync_tlb_counters();
+    // Translations charge nothing; the next charge mirrors the MMUs.
+    m.charge(0);
     // Each core walked once (miss), core 1 also hit once: the mirrored
     // counters are the sum over both TLBs, not the active core alone.
     assert_eq!(m.counters.tlb_misses.iter().sum::<u64>(), 2);
     assert_eq!(m.counters.tlb_hits.iter().sum::<u64>(), 1);
-    let per_cpu = m.metrics.tlb_per_cpu();
+    let per_cpu = m.tlb_per_cpu();
     assert_eq!(per_cpu.len(), 2);
     assert_eq!(per_cpu[0].misses.iter().sum::<u64>(), 1);
     assert_eq!(per_cpu[1].misses.iter().sum::<u64>(), 1);
     assert_eq!(per_cpu[1].hits.iter().sum::<u64>(), 1);
-    let agg = m.metrics.tlb();
-    assert_eq!(
-        agg.hits.iter().sum::<u64>() + agg.misses.iter().sum::<u64>(),
-        3
-    );
+    let agg: TlbStats = per_cpu.iter().copied().sum();
+    assert_eq!(agg.hits_total() + agg.misses_total(), 3);
+}
+
+/// The `Counters` TLB mirror is exact after every charge: whatever mix of
+/// translations (hits, misses, faults, evictions), core switches and
+/// cross-core charges precedes it, `counters.tlb_*` equals the sum of the
+/// per-core statistics read straight from the MMUs.
+#[test]
+fn tlb_mirror_is_exact_after_every_charge_on_four_cores() {
+    let mut m = machine_with_cpus(4);
+    let root = m.phys.alloc_frame().expect("root");
+    // 12 user pages, one read-only; far more distinct pages than one
+    // 8-entry TLB can hold, so the mix includes LRU evictions.
+    let vas: Vec<VAddr> = (0..12u64)
+        .map(|i| {
+            let va = VAddr(0x4000_0000 + i * PAGE_SIZE);
+            let frame = m.phys.alloc_frame().expect("frame");
+            let mut pte = Pte::new(frame, PteFlags::user_rw());
+            if i == 3 {
+                pte = pte.read_only();
+            }
+            map_page_raw(&mut m.phys, root, va, pte).expect("map");
+            va
+        })
+        .collect();
+    for c in (0..4).rev() {
+        m.switch_cpu(c);
+        m.mmu = Mmu::with_tlb(8, TlbPolicy::Lru);
+        m.mmu.set_root(root);
+    }
+    let mut s = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rng = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let mut charges = 0;
+    for _ in 0..4000 {
+        let r = rng();
+        match r % 8 {
+            0..=3 => {
+                let va = VAddr(vas[(r >> 8) as usize % vas.len()].0 + (r >> 16) % PAGE_SIZE);
+                let access = [AccessKind::Read, AccessKind::Write, AccessKind::Execute]
+                    [(r >> 32) as usize % 3];
+                let _ = m.mmu.translate(&m.phys, va, access, (r >> 40) & 1 == 1);
+            }
+            4 => m.switch_cpu((r >> 8) as usize % 4),
+            5 => m.tlb_flush_page(vas[(r >> 8) as usize % vas.len()].vpn()),
+            6 => {
+                m.charge((r >> 8) % 100);
+                charges += 1;
+            }
+            _ => {
+                m.charge_on((r >> 8) as usize % 4, (r >> 16) % 100);
+                charges += 1;
+            }
+        }
+        if r % 8 >= 5 {
+            // tlb_flush_page charges IPIs on a multi-core machine.
+            let sum: TlbStats = m.tlb_per_cpu().iter().copied().sum();
+            assert_eq!(m.counters.tlb_hits, sum.hits);
+            assert_eq!(m.counters.tlb_misses, sum.misses);
+            assert_eq!(m.counters.tlb_evictions, sum.evictions);
+        }
+    }
+    assert!(charges > 500);
+    let sum: TlbStats = m.tlb_per_cpu().iter().copied().sum();
+    assert!(sum.evictions > 0 && sum.hits_total() > 0, "{sum:?}");
 }
 
 #[test]

@@ -11,6 +11,14 @@
 //! the paper's point that "applications can pass non-ghost memory to system
 //! calls without the performance overheads of data copying" (§1), and the
 //! optimization applied to stdout/stderr buffers in §6.
+//!
+//! The wrappers never trust a returned count beyond what they asked for. A
+//! hostile kernel that claims a `read` or `recv` moved more bytes than
+//! requested is making an Iago return (§2.2.5): copying that many staging
+//! bytes would write OS-chosen data past the end of the ghost buffer. Such a
+//! call fails with `-1` and writes nothing into ghost memory, and no wrapper
+//! counts more progress than it requested. The check is host-side only and
+//! charges no cycles, so honest runs are unchanged.
 
 use vg_kernel::UserEnv;
 use vg_machine::layout::Region;
@@ -18,6 +26,12 @@ use vg_machine::VAddr;
 
 /// Size of the traditional staging buffer.
 pub const STAGING_LEN: usize = 64 * 1024;
+
+/// Whether a kernel-returned count `n` claims more than the `asked` bytes:
+/// an Iago return the wrappers refuse.
+fn overclaims(n: i64, asked: usize) -> bool {
+    n > asked as i64
+}
 
 /// Wrapper-library state: one staging buffer in traditional memory.
 #[derive(Debug)]
@@ -55,6 +69,9 @@ impl Wrappers {
             let chunk = env.read_mem(buf + done as u64, take);
             env.write_mem(self.staging, &chunk);
             let n = env.write(fd, self.staging, take);
+            if overclaims(n, take) {
+                return -1;
+            }
             if n <= 0 {
                 return if done > 0 { done as i64 } else { n };
             }
@@ -75,6 +92,9 @@ impl Wrappers {
         while done < len {
             let take = (len - done).min(STAGING_LEN);
             let n = env.read(fd, self.staging, take);
+            if overclaims(n, take) {
+                return -1;
+            }
             if n <= 0 {
                 return if done > 0 { done as i64 } else { n };
             }
@@ -95,7 +115,12 @@ impl Wrappers {
         }
         let chunk = env.read_mem(buf, len);
         env.write_mem(self.staging, &chunk);
-        env.send(fd, self.staging, len.min(STAGING_LEN))
+        let take = len.min(STAGING_LEN);
+        let n = env.send(fd, self.staging, take);
+        if overclaims(n, take) {
+            return -1;
+        }
+        n
     }
 
     /// `recv` with ghost staging.
@@ -103,7 +128,11 @@ impl Wrappers {
         if !Self::is_ghost(buf) {
             return env.recv(fd, buf, len);
         }
-        let n = env.recv(fd, self.staging, len.min(STAGING_LEN));
+        let take = len.min(STAGING_LEN);
+        let n = env.recv(fd, self.staging, take);
+        if overclaims(n, take) {
+            return -1;
+        }
         if n > 0 {
             let chunk = env.read_mem(self.staging, n as usize);
             env.write_mem(buf, &chunk);
@@ -119,6 +148,9 @@ impl Wrappers {
             let take = (data.len() - done).min(STAGING_LEN);
             env.write_mem(self.staging, &data[done..done + take]);
             let n = env.write(fd, self.staging, take);
+            if overclaims(n, take) {
+                return -1;
+            }
             if n <= 0 {
                 return done as i64;
             }
@@ -134,7 +166,7 @@ impl Wrappers {
         while out.len() < len {
             let take = (len - out.len()).min(STAGING_LEN);
             let n = env.read(fd, self.staging, take);
-            if n <= 0 {
+            if n <= 0 || overclaims(n, take) {
                 break;
             }
             out.extend(env.read_mem(self.staging, n as usize));

@@ -99,28 +99,15 @@ impl Histogram {
     }
 }
 
-/// TLB statistics gauge, per access kind (read, write, execute).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbGauge {
-    /// Hits per access kind.
-    pub hits: [u64; 3],
-    /// Misses (full walks) per access kind.
-    pub misses: [u64; 3],
-    /// Entries discarded by capacity eviction.
-    pub evictions: u64,
-}
-
-/// The per-subsystem metrics registry: named histograms, named counters,
-/// and the TLB gauge (the single source of truth for TLB statistics).
+/// The per-subsystem metrics registry: named histograms and named
+/// counters. TLB statistics are not kept here: the machine's MMUs own
+/// them, and `Machine::metrics_report` appends them to [`report`].
+///
+/// [`report`]: MetricsRegistry::report
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     histograms: BTreeMap<&'static str, Histogram>,
     counters: BTreeMap<&'static str, u64>,
-    tlb: TlbGauge,
-    /// Per-core TLB gauges, indexed by core id. Slot `i` is created the
-    /// first time core `i` publishes; on a single-core machine only slot 0
-    /// exists and equals the aggregate gauge.
-    tlb_per_cpu: Vec<TlbGauge>,
 }
 
 impl MetricsRegistry {
@@ -156,42 +143,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Replaces the TLB gauge with a fresh snapshot (the MMU owns the
-    /// running totals; this registry is where reports read them from).
-    pub fn set_tlb(&mut self, hits: [u64; 3], misses: [u64; 3], evictions: u64) {
-        self.tlb = TlbGauge {
-            hits,
-            misses,
-            evictions,
-        };
-    }
-
-    /// The current TLB snapshot. The aggregate over all cores: the machine
-    /// publishes the *sum* of its per-CPU TLBs here, so `Counters` mirrors
-    /// stay a correct total under N TLBs.
-    pub fn tlb(&self) -> TlbGauge {
-        self.tlb
-    }
-
-    /// Replaces core `cpu`'s TLB gauge with a fresh snapshot, growing the
-    /// per-core table on first publish.
-    pub fn set_tlb_cpu(&mut self, cpu: usize, hits: [u64; 3], misses: [u64; 3], evictions: u64) {
-        if self.tlb_per_cpu.len() <= cpu {
-            self.tlb_per_cpu.resize(cpu + 1, TlbGauge::default());
-        }
-        self.tlb_per_cpu[cpu] = TlbGauge {
-            hits,
-            misses,
-            evictions,
-        };
-    }
-
-    /// Per-core TLB snapshots, indexed by core id (empty until a machine
-    /// publishes; length == number of cores that have published).
-    pub fn tlb_per_cpu(&self) -> &[TlbGauge] {
-        &self.tlb_per_cpu
-    }
-
     /// All histograms in deterministic (name) order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (*k, v))
@@ -202,8 +153,8 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Renders a plain-text report: histograms (count/mean/p50/p99/max),
-    /// counters, and the TLB gauge.
+    /// Renders a plain-text report: histograms (count/mean/p50/p99/max)
+    /// and counters.
     pub fn report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -228,30 +179,6 @@ impl MetricsRegistry {
         let _ = writeln!(out, "== metrics: counters ==");
         for (name, v) in self.counters() {
             let _ = writeln!(out, "{name:<32} {v:>12}");
-        }
-        let t = self.tlb;
-        let _ = writeln!(out, "== metrics: tlb ==");
-        let _ = writeln!(
-            out,
-            "hits r/w/x {}/{}/{}  misses r/w/x {}/{}/{}  evictions {}",
-            t.hits[0], t.hits[1], t.hits[2], t.misses[0], t.misses[1], t.misses[2], t.evictions
-        );
-        // Per-core breakdown, only once a second core exists: single-core
-        // reports stay byte-identical to the historical format.
-        if self.tlb_per_cpu.len() > 1 {
-            for (i, t) in self.tlb_per_cpu.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "cpu{i}: hits r/w/x {}/{}/{}  misses r/w/x {}/{}/{}  evictions {}",
-                    t.hits[0],
-                    t.hits[1],
-                    t.hits[2],
-                    t.misses[0],
-                    t.misses[1],
-                    t.misses[2],
-                    t.evictions
-                );
-            }
         }
         out
     }
@@ -316,7 +243,6 @@ mod tests {
         m.add("a.first", 41);
         m.inc("a.first");
         m.observe("lat", 300);
-        m.set_tlb([1, 2, 3], [4, 5, 6], 7);
         assert_eq!(m.counter("a.first"), 42);
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.histogram("lat").unwrap().count(), 1);
@@ -326,6 +252,6 @@ mod tests {
         let r2 = m.report();
         assert_eq!(r1, r2);
         assert!(r1.contains("a.first"));
-        assert!(r1.contains("evictions 7"));
+        assert!(!r1.contains("tlb"), "the machine renders TLB statistics");
     }
 }

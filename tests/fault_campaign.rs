@@ -147,7 +147,7 @@ fn run_campaign(seed: u64) -> Fingerprint {
     Fingerprint {
         cycles: sys.machine.clock.cycles(),
         counters: sys.machine.counters,
-        metrics: sys.machine.metrics.report(),
+        metrics: sys.machine.metrics_report(),
         denials: sys
             .machine
             .trace
@@ -204,7 +204,7 @@ fn quiet_plan_matches_fully_disarmed_run() {
         (
             sys.machine.clock.cycles(),
             sys.machine.counters,
-            sys.machine.metrics.report(),
+            sys.machine.metrics_report(),
         )
     };
     let run_idle_armed = || {
@@ -215,7 +215,7 @@ fn quiet_plan_matches_fully_disarmed_run() {
         (
             sys.machine.clock.cycles(),
             sys.machine.counters,
-            sys.machine.metrics.report(),
+            sys.machine.metrics_report(),
         )
     };
     assert_eq!(run_disarmed(), run_idle_armed());

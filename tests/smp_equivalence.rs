@@ -126,7 +126,7 @@ proptest! {
             prop_assert_eq!(sched.machine.counters.ipis, 0);
             prop_assert_eq!(sched.machine.counters.tlb_shootdowns, 0);
             prop_assert_eq!(sched.machine.counters.sched_steals, 0);
-            prop_assert_eq!(seq.machine.metrics.report(), sched.machine.metrics.report());
+            prop_assert_eq!(seq.machine.metrics_report(), sched.machine.metrics_report());
             prop_assert_eq!(sched.machine.cpu_clock(0), sched.machine.clock.cycles());
             let mut seq_sys = seq;
             prop_assert_eq!(
@@ -148,7 +148,7 @@ proptest! {
         prop_assert_eq!(a.machine.clock.cycles(), b.machine.clock.cycles());
         prop_assert_eq!(a.machine.cpu_clocks(), b.machine.cpu_clocks());
         prop_assert_eq!(a.machine.counters, b.machine.counters);
-        prop_assert_eq!(a.machine.metrics.report(), b.machine.metrics.report());
+        prop_assert_eq!(a.machine.metrics_report(), b.machine.metrics_report());
         let oa = observables(&mut a, &apids, n);
         prop_assert_eq!(&oa, &observables(&mut b, &bpids, n));
         // Different cpu counts: timing differs, results must not.
@@ -236,4 +236,155 @@ fn smp_conservation_work_plus_idle_equals_horizon() {
     assert!(sys.machine.counters.tlb_shootdowns > 0);
     let busy = run.work.iter().filter(|&&w| w > 0).count();
     assert!(busy >= 2, "work spread across cores: {:?}", run.work);
+}
+
+/// Golden pins for the multi-core ring data plane: the exact `SmpBench`,
+/// `Counters` (TLB fields included) and `Machine::metrics_report()` text of
+/// a 4-core sharded C10K run and a 2-core sharded ghostkv run. Every
+/// constant below was captured by running these tests on the parent commit
+/// of the change that made the machine's per-operation paths O(1) (the
+/// `Counters` TLB mirror, the recency-list TLB, the dense frame table and
+/// the ring's free-slot bitmap); that change, and any later host-side
+/// optimization, must leave them untouched.
+mod golden {
+    use vg_apps::smp::{self, SmpBench};
+    use vg_kernel::{Mode, System};
+    use vg_machine::Counters;
+
+    const C10K_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+http.request_cycles                    512    1012776.5    1048576    2097152    1170439
+sys.accept                             152      14368.3      16384      16384      73000
+sys.bind                                 8       9780.0      16384      16384       9780
+sys.close                              136       6730.0       8192       8192       6730
+sys.fcntl                                8       1565.0       2048       2048       1565
+sys.listen                               8       9780.0      16384      16384       9780
+sys.mmap                                40     102730.0     131072     131072     102730
+sys.open                                 8      25173.0      32768      32768      25173
+sys.poll                                16       8754.0      16384      16384       8754
+sys.read                                16      13379.5       4096      32768      23081
+sys.readv                              128       4706.8       4096      32768      19913
+sys.socket                               8       9780.0      16384      16384       9780
+sys.writev                             128      10409.0      16384      16384      10409
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 1440/392/0  misses r/w/x 0/80/0  evictions 0
+cpu0: hits r/w/x 360/98/0  misses r/w/x 0/20/0  evictions 0
+cpu1: hits r/w/x 360/98/0  misses r/w/x 0/20/0  evictions 0
+cpu2: hits r/w/x 360/98/0  misses r/w/x 0/20/0  evictions 0
+cpu3: hits r/w/x 360/98/0  misses r/w/x 0/20/0  evictions 0
+";
+
+    const KV_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+kv.request_cycles                       64     618340.2    1048576    1048576     639784
+sys.accept                              28      14267.9      16384      32768      22040
+sys.bind                                 4       9780.0      16384      16384       9780
+sys.close                               16       6730.0       8192       8192       6730
+sys.listen                               4       9780.0      16384      16384       9780
+sys.mmap                                16     102730.0     131072     131072     102730
+sys.poll                                 8       4434.0       8192       8192       4434
+sys.readv                               16       7211.5       4096      32768      17579
+sys.socket                               4       9780.0      16384      16384       9780
+sys.writev                              16       6421.0       8192       8192       6421
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 160/128/0  misses r/w/x 0/60/0  evictions 0
+cpu0: hits r/w/x 80/64/0  misses r/w/x 0/30/0  evictions 0
+cpu1: hits r/w/x 80/64/0  misses r/w/x 0/30/0  evictions 0
+";
+
+    #[test]
+    fn c10k_sharded_four_cores_is_pinned() {
+        let mut sys = System::boot_with_cpus(Mode::VirtualGhost, 4);
+        let bench = smp::c10k_sharded_on(&mut sys, 8, 512, 16, 4);
+        assert_eq!(
+            bench,
+            SmpBench {
+                cpus: 4,
+                shards: 8,
+                units: 512,
+                horizon_cycles: 2_877_458,
+                total_cycles: 11_332_772,
+                steals: 0,
+                ipis: 120,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 696,
+                syscalls: 656,
+                page_faults: 40,
+                pte_updates: 40,
+                kernel_accesses: 980_922,
+                kernel_branches: 49_199,
+                bytes_copied: 331_990,
+                disk_blocks: 6,
+                packets: 1152,
+                ring_doorbells: 129,
+                ring_descs: 1152,
+                context_switches: 8,
+                ipis: 120,
+                tlb_shootdowns: 40,
+                sched_steals: 0,
+                ghost_pages_allocated: 0,
+                ghost_pages_freed: 0,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [1440, 392, 0],
+                tlb_misses: [0, 80, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), C10K_REPORT);
+    }
+
+    #[test]
+    fn kv_sharded_two_cores_is_pinned() {
+        let mut sys = System::boot_with_cpus(Mode::VirtualGhost, 2);
+        let bench = smp::kv_sharded_on(&mut sys, 4, 64, 4, 2);
+        assert_eq!(
+            bench,
+            SmpBench {
+                cpus: 2,
+                shards: 4,
+                units: 64,
+                horizon_cycles: 1_714_140,
+                total_cycles: 3_420_228,
+                steals: 0,
+                ipis: 60,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 140,
+                syscalls: 112,
+                page_faults: 28,
+                pte_updates: 28,
+                kernel_accesses: 357_224,
+                kernel_branches: 17_124,
+                bytes_copied: 7480,
+                disk_blocks: 4,
+                packets: 80,
+                ring_doorbells: 17,
+                ring_descs: 80,
+                context_switches: 4,
+                ipis: 60,
+                tlb_shootdowns: 60,
+                sched_steals: 0,
+                ghost_pages_allocated: 16,
+                ghost_pages_freed: 16,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [160, 128, 0],
+                tlb_misses: [0, 60, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), KV_REPORT);
+    }
 }

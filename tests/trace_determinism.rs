@@ -86,8 +86,8 @@ fn traced_runs_are_byte_identical() {
         summary_top_n(&b.machine.trace, 10)
     );
     assert_eq!(
-        a.machine.metrics.report(),
-        b.machine.metrics.report(),
+        a.machine.metrics_report(),
+        b.machine.metrics_report(),
         "metrics reports are deterministic too"
     );
 }
@@ -178,7 +178,7 @@ fn fault_layer_is_invisible_when_it_injects_nothing() {
             sys.machine.counters,
             chrome_trace_json(&sys.machine.trace),
             summary_top_n(&sys.machine.trace, 10),
-            sys.machine.metrics.report(),
+            sys.machine.metrics_report(),
             fault_summary(&sys.machine.metrics),
         )
     };
@@ -219,8 +219,8 @@ fn profiling_does_not_perturb_cycles_counters_or_exports() {
         "profiling must leave the flight recorder bit-identical"
     );
     assert_eq!(
-        profiled.machine.metrics.report(),
-        plain.machine.metrics.report(),
+        profiled.machine.metrics_report(),
+        plain.machine.metrics_report(),
         "profiling must leave the metrics registry bit-identical"
     );
     // …and while invisible to the simulation, the profiled run's books
@@ -302,7 +302,7 @@ fn multi_core_capture_is_deterministic() {
         chrome_trace_json(&b.machine.trace),
         "4-core traces replay byte-identically"
     );
-    assert_eq!(a.machine.metrics.report(), b.machine.metrics.report());
+    assert_eq!(a.machine.metrics_report(), b.machine.metrics_report());
     assert_eq!(
         vg_trace::folded_stacks(&a.machine.profiler),
         vg_trace::folded_stacks(&b.machine.profiler)
