@@ -200,10 +200,10 @@ impl SvaVm {
             machine.iommu.map(desc.pfn);
             let elem = match ring.dir {
                 RingDir::ToDevice => {
-                    let mut data = vec![0u8; desc.len as usize];
-                    machine
+                    let data = machine
                         .phys
-                        .read_bytes(desc.pfn, u64::from(desc.off), &mut data);
+                        .bytes(desc.pfn, u64::from(desc.off), desc.len as usize)
+                        .to_vec();
                     machine.counters.packets += 1;
                     machine.charge_wire(
                         machine.costs.nic_per_packet + machine.costs.nic_per_byte * desc.len as u64,

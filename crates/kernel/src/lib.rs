@@ -88,6 +88,37 @@ impl System {
 mod tests {
     use super::*;
 
+    /// A read that fault-kills its process part-way (no frame for the
+    /// second page) still returns `len` bytes: what it read, then zeros.
+    #[test]
+    fn fault_killed_read_mem_returns_len_zero_padded_bytes() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use vg_machine::{FaultClass, FaultPlan, Trigger, PAGE_SIZE};
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let slot = got.clone();
+        let mut sys = System::boot_virtual_ghost();
+        sys.install_app("reader", false, move || {
+            let slot = slot.clone();
+            Box::new(move |env| {
+                let buf = env.mmap_anon(2 * PAGE_SIZE as usize);
+                env.write_mem(buf, &[7u8; PAGE_SIZE as usize]);
+                env.sys
+                    .machine
+                    .faults
+                    .arm(FaultPlan::new(1).with(FaultClass::FrameExhaust, Trigger::Nth(1)));
+                *slot.borrow_mut() = env.read_mem(buf + PAGE_SIZE - 96, 200);
+                assert!(env.sys.is_fault_killed(env.pid));
+                0
+            })
+        });
+        let pid = sys.spawn("reader");
+        sys.run_until_exit(pid);
+        let mut want = vec![7u8; 96];
+        want.resize(200, 0);
+        assert_eq!(*got.borrow(), want);
+    }
+
     #[test]
     fn boot_and_run_ghost_echo_under_vg() {
         let mut sys = System::boot_virtual_ghost();
@@ -201,8 +232,8 @@ mod ipc_tests {
             Box::new(|env| {
                 let (r, w) = env.pipe();
                 let buf = env.mmap_anon(4096);
-                // Empty with a live writer: EAGAIN (-2).
-                if env.read(r, buf, 8) != -2 {
+                // Empty with a live writer: EAGAIN.
+                if env.read(r, buf, 8) != crate::syscall::EAGAIN {
                     return 1;
                 }
                 env.close(w);

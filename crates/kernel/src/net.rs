@@ -292,11 +292,22 @@ impl System {
         if n == 0 {
             return if fb.closed { 0 } else { EAGAIN }; // EOF vs would-block
         }
-        let data: Vec<u8> = fb.rx.drain(..n).collect();
-        if !self.copyout(pid, buf, &data) {
-            return -1;
+        let mut rx = std::mem::take(&mut fb.rx);
+        let ok = self.copyout_stream(pid, buf, &mut rx, n);
+        self.restore_rx(flow, rx);
+        if ok {
+            n as i64
+        } else {
+            -1
         }
-        n as i64
+    }
+
+    /// Puts a flow's receive buffer back after a stream copy took it out
+    /// (the copy needs `&mut self` to resolve user pages).
+    fn restore_rx(&mut self, flow: u64, rx: VecDeque<u8>) {
+        if let Some(fb) = self.net.flows.get_mut(&flow) {
+            fb.rx = rx;
+        }
     }
 
     /// Drains inbound NIC traffic into per-flow buffers through whichever
@@ -362,8 +373,7 @@ impl System {
                 .sva_ring_doorbell(&mut self.machine, &mut self.net.rx_ring);
             while let Some(u) = self.net.rx_ring.pop_used() {
                 if u.ok {
-                    let mut data = vec![0u8; u.written as usize];
-                    self.machine.phys.read_bytes(u.desc.pfn, 0, &mut data);
+                    let data = self.machine.phys.bytes(u.desc.pfn, 0, u.written as usize);
                     self.net.flows.entry(u.flow).or_default().rx.extend(data);
                 }
                 self.machine.phys.free_frame(u.desc.pfn);
@@ -556,18 +566,22 @@ impl System {
         if n == 0 {
             return if fb.closed { 0 } else { EAGAIN };
         }
-        let data: Vec<u8> = fb.rx.drain(..n).collect();
+        let mut rx = std::mem::take(&mut fb.rx);
         let mut done = 0usize;
         for (base, len) in iovs {
             if done == n {
                 break;
             }
             let take = len.min(n - done);
-            if !self.copyout(pid, base, &data[done..done + take]) {
+            done += take;
+            if !self.copyout_stream(pid, base, &mut rx, take) {
+                // A failed iovec still consumes the whole read.
+                rx.drain(..n - done);
+                self.restore_rx(flow, rx);
                 return -1;
             }
-            done += take;
         }
+        self.restore_rx(flow, rx);
         n as i64
     }
 
@@ -655,6 +669,9 @@ impl System {
         }
     }
 }
+
+#[cfg(test)]
+mod stream_copy;
 
 #[cfg(test)]
 mod tests {

@@ -209,24 +209,24 @@ impl UserEnv<'_> {
     /// Panics if `va` is not mappable — the simulation's SIGSEGV.
     pub fn read_mem(&mut self, va: u64, len: usize) -> Vec<u8> {
         self.sys.machine.charge(len as u64 / 8 + 1);
-        let mut out = vec![0u8; len];
-        let mut done = 0;
-        while done < len {
-            let cur = va + done as u64;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let cur = va + out.len() as u64;
             let Some(pa) = self.sys.user_resolve(self.pid, cur, AccessKind::Read) else {
                 if self.sys.is_fault_killed(self.pid) {
+                    out.resize(len, 0);
                     return out;
                 }
                 panic!("segfault: read of {cur:#x} by pid {}", self.pid);
             };
             let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - done);
-            self.sys.machine.phys.read_bytes(
-                pa.pfn(),
-                pa.frame_offset(),
-                &mut out[done..done + take],
+            let take = in_page.min(len - out.len());
+            out.extend_from_slice(
+                self.sys
+                    .machine
+                    .phys
+                    .bytes(pa.pfn(), pa.frame_offset(), take),
             );
-            done += take;
         }
         out
     }

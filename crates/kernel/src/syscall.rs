@@ -456,22 +456,31 @@ impl System {
                 n as i64
             }
             Some(Fd::Sock { id }) => self.sock_recv(pid, id, buf, len),
-            Some(Fd::PipeR { id }) => {
-                let Some(p) = self.pipes.get_mut(&id) else {
-                    return -1;
-                };
-                let n = len.min(p.buf.len());
-                if n == 0 {
-                    return if p.writers == 0 { 0 } else { -2 }; // EOF vs EAGAIN
-                }
-                let data: Vec<u8> = p.buf.drain(..n).collect();
-                if !self.copyout(pid, buf, &data) {
-                    return -1;
-                }
-                n as i64
-            }
+            Some(Fd::PipeR { id }) => self.pipe_read(pid, id, buf, len),
             Some(Fd::PipeW { .. }) => -1,
             None => -1,
+        }
+    }
+
+    /// Reads up to `len` buffered bytes of pipe `id` into user memory:
+    /// 0 at EOF (no writers left), [`EAGAIN`] when empty but still open.
+    pub(crate) fn pipe_read(&mut self, pid: Pid, id: u64, buf: u64, len: usize) -> i64 {
+        let Some(p) = self.pipes.get_mut(&id) else {
+            return -1;
+        };
+        let n = len.min(p.buf.len());
+        if n == 0 {
+            return if p.writers == 0 { 0 } else { EAGAIN };
+        }
+        let mut data = std::mem::take(&mut p.buf);
+        let ok = self.copyout_stream(pid, buf, &mut data, n);
+        if let Some(p) = self.pipes.get_mut(&id) {
+            p.buf = data;
+        }
+        if ok {
+            n as i64
+        } else {
+            -1
         }
     }
 

@@ -28,6 +28,7 @@ use crate::net::{NetStack, Socket};
 use crate::program::{AppMain, SigHandlerFn, UserEnv};
 use crate::syscall::ENOMEM;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use vg_core::{AppBinary, ProcId, Protections, SvaError, SvaVm, ThreadId};
 use vg_crypto::{Sha256, Tpm};
 use vg_ir::registry::USER_TEXT_BASE;
@@ -36,7 +37,7 @@ use vg_machine::cpu::TrapKind;
 use vg_machine::layout::{GHOST_BASE, PAGE_SIZE};
 use vg_machine::mmu::{AccessKind, TranslateError};
 use vg_machine::pte::PteFlags;
-use vg_machine::{DenialKind, Domain, FaultClass, Machine, MachineConfig, Pfn, VAddr};
+use vg_machine::{DenialKind, Domain, FaultClass, Machine, MachineConfig, Pfn, PhysMem, VAddr};
 
 /// Process identifier.
 pub type Pid = u64;
@@ -395,6 +396,17 @@ impl std::fmt::Debug for System {
             .field("cycles", &self.machine.clock.cycles())
             .finish()
     }
+}
+
+/// Bytes `r` of `q` as slices of its two contiguous halves (either may be
+/// empty: a ring buffer's contents may wrap).
+fn deque_range(q: &VecDeque<u8>, r: Range<usize>) -> (&[u8], &[u8]) {
+    let (front, back) = q.as_slices();
+    let split = front.len();
+    (
+        &front[r.start.min(split)..r.end.min(split)],
+        &back[r.start.saturating_sub(split)..r.end.saturating_sub(split)],
+    )
 }
 
 impl System {
@@ -1112,19 +1124,59 @@ impl System {
     /// Copies bytes from kernel space into user memory (copyout), faulting
     /// pages in as needed. Returns false on an unmapped destination.
     pub(crate) fn copyout(&mut self, pid: Pid, va: u64, data: &[u8]) -> bool {
+        self.copyout_with(pid, va, data.len(), |phys, pfn, off, range| {
+            phys.write_bytes(pfn, off, &data[range]);
+        })
+    }
+
+    /// [`Self::copyout`] straight out of a kernel byte stream (a socket or
+    /// pipe buffer): copies the first `n` bytes of `src` into user memory,
+    /// then drops them from `src` — on a failed copy too, as the read that
+    /// drained them first always did. Same charge and page walk as
+    /// `copyout`; the bytes go from the buffer's (at most two) contiguous
+    /// halves into each user frame with no intermediate buffer.
+    pub(crate) fn copyout_stream(
+        &mut self,
+        pid: Pid,
+        va: u64,
+        src: &mut VecDeque<u8>,
+        n: usize,
+    ) -> bool {
+        let ok = self.copyout_with(pid, va, n, |phys, pfn, off, range| {
+            let (front, back) = deque_range(src, range);
+            phys.write_bytes(pfn, off, front);
+            phys.write_bytes(pfn, off + front.len() as u64, back);
+        });
+        src.drain(..n);
+        ok
+    }
+
+    /// The copyout loop: charges one copy of `len` bytes, then resolves
+    /// each destination page in order and has `put` write source bytes
+    /// `range` at frame `pfn` offset `off`.
+    fn copyout_with(
+        &mut self,
+        pid: Pid,
+        va: u64,
+        len: usize,
+        mut put: impl FnMut(&mut PhysMem, Pfn, u64, Range<usize>),
+    ) -> bool {
         let va = self.sandbox_mask(va);
-        copy_cost(&mut self.machine, data.len() as u64);
+        copy_cost(&mut self.machine, len as u64);
         let mut done = 0;
-        while done < data.len() {
+        while done < len {
             let cur = va + done as u64;
             let Some(pa) = self.user_resolve(pid, cur, AccessKind::Write) else {
                 return false;
             };
             let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(data.len() - done);
-            self.machine
-                .phys
-                .write_bytes(pa.pfn(), pa.frame_offset(), &data[done..done + take]);
+            let take = in_page.min(len - done);
+            put(
+                &mut self.machine.phys,
+                pa.pfn(),
+                pa.frame_offset(),
+                done..done + take,
+            );
             done += take;
         }
         true
@@ -1134,17 +1186,13 @@ impl System {
     pub(crate) fn copyin(&mut self, pid: Pid, va: u64, len: usize) -> Option<Vec<u8>> {
         let va = self.sandbox_mask(va);
         copy_cost(&mut self.machine, len as u64);
-        let mut out = vec![0u8; len];
-        let mut done = 0;
-        while done < len {
-            let cur = va + done as u64;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let cur = va + out.len() as u64;
             let pa = self.user_resolve(pid, cur, AccessKind::Read)?;
             let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - done);
-            self.machine
-                .phys
-                .read_bytes(pa.pfn(), pa.frame_offset(), &mut out[done..done + take]);
-            done += take;
+            let take = in_page.min(len - out.len());
+            out.extend_from_slice(self.machine.phys.bytes(pa.pfn(), pa.frame_offset(), take));
         }
         Some(out)
     }

@@ -100,16 +100,27 @@ impl PhysMem {
             .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
     }
 
-    /// Reads `buf.len()` bytes starting at frame `pfn` offset `off`.
+    /// Borrows `len` bytes starting at frame `pfn` offset `off`, so a
+    /// caller that wants the bytes elsewhere copies them once.
     ///
     /// # Panics
     ///
     /// Panics if the access crosses the frame boundary or the frame is
     /// unallocated — physical accesses are always page-local in this model.
-    pub fn read_bytes(&self, pfn: Pfn, off: u64, buf: &mut [u8]) {
+    #[inline]
+    pub fn bytes(&self, pfn: Pfn, off: u64, len: usize) -> &[u8] {
         let off = off as usize;
-        assert!(off + buf.len() <= PAGE_SIZE as usize, "frame-crossing read");
-        buf.copy_from_slice(&self.frame(pfn)[off..off + buf.len()]);
+        assert!(off + len <= PAGE_SIZE as usize, "frame-crossing read");
+        &self.frame(pfn)[off..off + len]
+    }
+
+    /// Reads `buf.len()` bytes starting at frame `pfn` offset `off`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::bytes`].
+    pub fn read_bytes(&self, pfn: Pfn, off: u64, buf: &mut [u8]) {
+        buf.copy_from_slice(self.bytes(pfn, off, buf.len()));
     }
 
     /// Writes `buf` starting at frame `pfn` offset `off`.
@@ -260,6 +271,30 @@ mod tests {
         let mut m = PhysMem::new(2);
         let a = m.alloc_frame().unwrap();
         m.write_bytes(a, PAGE_SIZE - 2, &[1, 2, 3]);
+    }
+
+    #[test]
+    fn bytes_borrows_what_read_bytes_copies() {
+        let mut m = PhysMem::new(2);
+        let a = m.alloc_frame().unwrap();
+        m.write_bytes(a, PAGE_SIZE - 5, b"tail!");
+        assert_eq!(m.bytes(a, PAGE_SIZE - 5, 5), b"tail!");
+        assert!(m.bytes(a, PAGE_SIZE, 0).is_empty(), "empty view at the end");
+    }
+
+    #[test]
+    #[should_panic(expected = "frame-crossing read")]
+    fn bytes_crossing_the_frame_panics() {
+        let mut m = PhysMem::new(2);
+        let a = m.alloc_frame().unwrap();
+        m.bytes(a, PAGE_SIZE - 2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "access to unallocated")]
+    fn bytes_of_an_unallocated_frame_panics() {
+        let m = PhysMem::new(2);
+        m.bytes(Pfn(1), 0, 1);
     }
 
     #[test]

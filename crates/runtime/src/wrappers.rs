@@ -108,14 +108,14 @@ impl Wrappers {
         done as i64
     }
 
-    /// `send` with ghost staging.
+    /// `send` with ghost staging: at most [`STAGING_LEN`] bytes per call.
     pub fn send(&self, env: &mut UserEnv, fd: i64, buf: u64, len: usize) -> i64 {
         if !Self::is_ghost(buf) {
             return env.send(fd, buf, len);
         }
-        let chunk = env.read_mem(buf, len);
-        env.write_mem(self.staging, &chunk);
         let take = len.min(STAGING_LEN);
+        let chunk = env.read_mem(buf, take);
+        env.write_mem(self.staging, &chunk);
         let n = env.send(fd, self.staging, take);
         if overclaims(n, take) {
             return -1;
@@ -249,6 +249,41 @@ mod tests {
         let pid = sys.spawn("t");
         assert_eq!(sys.run_until_exit(pid), 0);
         assert_eq!(sys.read_file("/plain").unwrap(), b"plain");
+    }
+
+    /// Regression: a ghost `send` longer than the staging buffer stages
+    /// only what it sends. It used to copy all `len` bytes into staging,
+    /// running past its end into the next mapping (or, as here, the guard
+    /// page before it: a segfault).
+    #[test]
+    fn long_ghost_send_stays_inside_staging() {
+        const CANARY: &[u8] = b"mapping after the staging buffer";
+        const LEN: usize = STAGING_LEN + 100;
+        let mut sys = System::boot(Mode::VirtualGhost);
+        let flow = sys.wire_connect(7200).expect("flow");
+        sys.install_app("t", true, || {
+            Box::new(|env| {
+                let w = Wrappers::new(env);
+                let canary = env.mmap_anon(4096);
+                assert!(canary > w.staging(), "the canary maps after staging");
+                env.write_mem(canary, CANARY);
+                let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+                let ghost = env.allocgm((LEN as u64).div_ceil(4096)).expect("ghost");
+                env.write_mem(ghost, &data);
+                let l = env.socket();
+                env.bind(l, 7200);
+                env.listen(l);
+                let c = env.accept(l);
+                assert_eq!(w.send(env, c, ghost, LEN), STAGING_LEN as i64);
+                assert_eq!(env.read_mem(canary, CANARY.len()), CANARY);
+                0
+            })
+        });
+        let pid = sys.spawn("t");
+        assert_eq!(sys.run_until_exit(pid), 0);
+        let sent = sys.wire_recv(flow);
+        let want: Vec<u8> = (0..STAGING_LEN).map(|i| (i % 251) as u8).collect();
+        assert_eq!(sent, want, "exactly the first STAGING_LEN bytes go out");
     }
 
     #[test]
