@@ -19,7 +19,7 @@
 use crate::{ProcId, SvaError, SvaVm};
 use std::collections::HashMap;
 use vg_crypto::aes::SealedBox;
-use vg_crypto::rsa::RsaKeyPair;
+use vg_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use vg_crypto::sha256::Sha256;
 use vg_crypto::Tpm;
 use vg_machine::{Domain, Machine};
@@ -115,6 +115,12 @@ impl KeyStore {
     /// The Virtual Ghost key pair (private to `vg-core`).
     pub(crate) fn vg_keys(&self) -> &RsaKeyPair {
         &self.vg_keys
+    }
+
+    /// The Virtual Ghost public key (what a distributor encrypts key
+    /// sections to).
+    pub fn vg_public(&self) -> &RsaPublicKey {
+        self.vg_keys.public()
     }
 }
 

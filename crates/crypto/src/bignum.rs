@@ -2,8 +2,13 @@
 //!
 //! A compact big-integer implementation (little-endian `u64` limbs) with the
 //! operations RSA needs: comparison, add/sub, schoolbook multiplication,
-//! Knuth Algorithm D division, modular exponentiation by square-and-multiply,
-//! modular inverse via extended Euclid, and Miller–Rabin primality testing.
+//! Knuth Algorithm D division, modular exponentiation and Miller–Rabin
+//! primality testing in the Montgomery domain (a private `Mont` context per
+//! odd modulus: word-serial Montgomery products over fixed-width stack
+//! limbs, no division or allocation inside the exponent loop), and modular
+//! inverse via extended Euclid. The textbook square-and-multiply `modpow`
+//! and `mul`/`rem` Miller–Rabin they replace live on in [`crate::reference`]
+//! as the executable specification.
 //!
 //! The representation invariant is "no trailing zero limbs"; zero is the
 //! empty limb vector.
@@ -204,6 +209,18 @@ impl BigUint {
     /// Returns the low limb, or 0 for zero. Useful for small-value checks.
     pub fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
+    }
+
+    /// Builds a value from little-endian limbs (trailing zeros allowed).
+    pub(crate) fn from_limbs(limbs: Vec<u64>) -> Self {
+        let mut n = BigUint { limbs };
+        n.normalize();
+        n
+    }
+
+    /// The little-endian limbs, without trailing zeros.
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
     }
 
     fn normalize(&mut self) {
@@ -421,25 +438,44 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// `self^exp mod m` by square-and-multiply.
+    /// `self mod d` for a single-limb divisor, without allocating.
+    fn rem_u64(&self, d: u64) -> u64 {
+        self.limbs.iter().rev().fold(0u64, |r, &l| {
+            ((((r as u128) << 64) | l as u128) % d as u128) as u64
+        })
+    }
+
+    /// `self^exp mod m`: a left-to-right binary ladder in the Montgomery
+    /// domain for odd moduli of up to 8 limbs (every RSA and Miller–Rabin
+    /// modulus up to 512-bit keys); even or wider moduli take
+    /// [`crate::reference::modpow`].
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
     pub fn modpow(&self, exp: &Self, m: &Self) -> Self {
         assert!(!m.is_zero(), "modpow with zero modulus");
-        if m.is_one() {
-            return BigUint::zero();
+        if !m.is_odd() {
+            return crate::reference::modpow(self, exp, m);
         }
-        let mut base = self.rem(m);
-        let mut result = BigUint::one();
-        for i in 0..exp.bit_len() {
-            if exp.bit(i) {
-                result = result.mul(&base).rem(m);
-            }
-            base = base.mul(&base).rem(m);
+        match m.limbs.len() {
+            1 => self.mont_modpow::<1>(exp, m),
+            2 => self.mont_modpow::<2>(exp, m),
+            3..=4 => self.mont_modpow::<4>(exp, m),
+            5..=8 => self.mont_modpow::<8>(exp, m),
+            _ => crate::reference::modpow(self, exp, m),
         }
-        result
+    }
+
+    fn mont_modpow<const N: usize>(&self, exp: &Self, m: &Self) -> Self {
+        let mont = Mont::<N>::new(m);
+        let base = if self < m {
+            limbs_of(self)
+        } else {
+            limbs_of(&self.rem(m))
+        };
+        let x = mont.pow(&mont.to_mont(&base), exp);
+        BigUint::from_limbs(mont.out_of_mont(&x).to_vec())
     }
 
     /// Greatest common divisor (binary-free Euclid via div_rem).
@@ -514,35 +550,53 @@ impl BigUint {
         if self.is_zero() || !self.is_odd() {
             return false;
         }
+        // One multi-limb division by the primes' product, then single-word
+        // remainders: the same divisibility tests, in the same order.
+        let r = self.rem_u64(SMALL_PRIMES.iter().product());
         for &p in &SMALL_PRIMES {
-            let pb = BigUint::from(p);
-            if self.rem(&pb).is_zero() {
-                return self == &pb;
+            if r.is_multiple_of(p) {
+                return self.limbs == [p];
             }
         }
+        match self.limbs.len() {
+            1 => self.miller_rabin::<1>(rounds, rng),
+            2 => self.miller_rabin::<2>(rounds, rng),
+            3..=4 => self.miller_rabin::<4>(rounds, rng),
+            5..=8 => self.miller_rabin::<8>(rounds, rng),
+            _ => crate::reference::is_probable_prime(self, rounds, rng),
+        }
+    }
+
+    /// The Miller–Rabin rounds for an odd `self` of at most `N` limbs that
+    /// survived trial division. Witnesses are drawn exactly as
+    /// [`crate::reference::is_probable_prime`] draws them; one Montgomery
+    /// context serves every round, and the squarings compare against the
+    /// Montgomery forms of 1 and `self - 1`.
+    fn miller_rabin<const N: usize>(&self, rounds: u32, rng: &mut impl FnMut() -> u64) -> bool {
+        let mont = Mont::<N>::new(self);
         // Write self-1 = d * 2^s with d odd.
         let n_minus_1 = self.sub(&BigUint::one());
         let s = (0..n_minus_1.bit_len())
             .take_while(|&i| !n_minus_1.bit(i))
             .count();
         let d = n_minus_1.shr(s);
+        let one = mont.to_mont(&unit());
+        let minus_one = mont.to_mont(&limbs_of(&n_minus_1));
         'witness: for _ in 0..rounds {
             // Random base in [2, n-2].
             let mut limbs: Vec<u64> = (0..self.limbs.len()).map(|_| rng()).collect();
             limbs[self.limbs.len() - 1] &= u64::MAX >> 1;
-            let mut a = BigUint { limbs };
-            a.normalize();
-            a = a.rem(&n_minus_1);
+            let mut a = BigUint::from_limbs(limbs).rem(&n_minus_1);
             if a < BigUint::from(2u64) {
                 a = a.add(&BigUint::from(2u64));
             }
-            let mut x = a.modpow(&d, self);
-            if x.is_one() || x == n_minus_1 {
+            let mut x = mont.pow(&mont.to_mont(&limbs_of(&a)), &d);
+            if x == one || x == minus_one {
                 continue 'witness;
             }
             for _ in 0..s - 1 {
-                x = x.mul(&x).rem(self);
-                if x == n_minus_1 {
+                x = mont.mul(&x, &x);
+                if x == minus_one {
                     continue 'witness;
                 }
             }
@@ -574,6 +628,124 @@ impl BigUint {
             }
         }
     }
+}
+
+/// `x`'s limbs zero-extended to `N` (`x` must fit).
+fn limbs_of<const N: usize>(x: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..x.limbs.len()].copy_from_slice(&x.limbs);
+    out
+}
+
+/// Montgomery arithmetic modulo an odd `m < R = 2^(64N)` (Montgomery,
+/// *Math. Comp.* 1985). Values live in the domain as `x·R mod m`, and one
+/// product `a·b·R⁻¹ mod m` costs 2N² limb multiplies and no division.
+/// `N` is fixed at compile time, so every loop below has a constant trip
+/// count and the running sum lives in a stack array.
+struct Mont<const N: usize> {
+    m: [u64; N],
+    /// `-m⁻¹ mod 2⁶⁴`.
+    m_inv: u64,
+    /// `R² mod m`, which maps a value into the domain with one product.
+    r2: [u64; N],
+}
+
+impl<const N: usize> Mont<N> {
+    fn new(m: &BigUint) -> Self {
+        debug_assert!(m.is_odd() && m.limbs.len() <= N);
+        let m0 = m.limbs[0];
+        // Newton's iteration for m0⁻¹ mod 2⁶⁴. An odd m0 is its own inverse
+        // mod 2³, and each step doubles the correct low bits:
+        // 3 → 6 → 12 → 24 → 48 → 96.
+        let mut inv = m0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        Mont {
+            m: limbs_of(m),
+            m_inv: inv.wrapping_neg(),
+            r2: limbs_of(&BigUint::one().shl(128 * N).rem(m)),
+        }
+    }
+
+    /// `a·b·R⁻¹ mod m` for `a, b < m`, fully reduced. Each word of `b`
+    /// adds `a·bᵢ + q·m` to the running sum and shifts it down one word,
+    /// with `q` chosen so the low word cancels: the finely integrated form
+    /// of Koç, Acar and Kaliski (*IEEE Micro* 1996), whose two carry chains
+    /// interleave instead of running one after the other.
+    #[inline(always)]
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        // The running sum is `hi·2^(64N) + t`, below 2m throughout.
+        let mut t = [0u64; N];
+        let mut hi = 0u64;
+        for &bi in b {
+            let s = t[0] as u128 + a[0] as u128 * bi as u128;
+            let q = (s as u64).wrapping_mul(self.m_inv);
+            let mut c1 = (s >> 64) as u64;
+            let mut c2 = ((s as u64 as u128 + q as u128 * self.m[0] as u128) >> 64) as u64;
+            for j in 1..N {
+                let s = t[j] as u128 + a[j] as u128 * bi as u128 + c1 as u128;
+                c1 = (s >> 64) as u64;
+                let s = s as u64 as u128 + q as u128 * self.m[j] as u128 + c2 as u128;
+                c2 = (s >> 64) as u64;
+                t[j - 1] = s as u64;
+            }
+            let s = hi as u128 + c1 as u128 + c2 as u128;
+            t[N - 1] = s as u64;
+            hi = (s >> 64) as u64;
+        }
+        if hi != 0 || !lt(&t, &self.m) {
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(&self.m) {
+                let (d1, b1) = tj.overflowing_sub(mj);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *tj = d2;
+                borrow = b1 | b2;
+            }
+        }
+        t
+    }
+
+    fn to_mont(&self, x: &[u64; N]) -> [u64; N] {
+        self.mul(x, &self.r2)
+    }
+
+    fn out_of_mont(&self, x: &[u64; N]) -> [u64; N] {
+        self.mul(x, &unit())
+    }
+
+    /// `x^exp` for `x` in the domain, by a left-to-right binary ladder.
+    fn pow(&self, x: &[u64; N], exp: &BigUint) -> [u64; N] {
+        let bits = exp.bit_len();
+        if bits == 0 {
+            return self.to_mont(&unit());
+        }
+        let mut acc = *x;
+        for i in (0..bits - 1).rev() {
+            acc = self.mul(&acc, &acc);
+            if exp.bit(i) {
+                acc = self.mul(&acc, x);
+            }
+        }
+        acc
+    }
+}
+
+/// The value 1 in `N` limbs.
+fn unit<const N: usize>() -> [u64; N] {
+    let mut one = [0u64; N];
+    one[0] = 1;
+    one
+}
+
+/// `a < b` over equal-width little-endian limbs.
+fn lt<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
 }
 
 /// Error parsing a [`BigUint`] from text.

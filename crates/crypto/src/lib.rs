@@ -17,11 +17,13 @@
 //!   [`aes::SealedBox`] used for ghost page swapping. CTR keystream uses
 //!   the CPU's AES instructions, eight blocks at a time, when x86-64
 //!   reports them at run time, and the T-tables otherwise.
-//! * [`reference`] — the retained textbook scalar implementations; the
-//!   optimized data plane is proven bit-identical to them by differential
-//!   proptests (`tests/differential.rs`).
+//! * [`reference`](mod@reference) — the retained textbook implementations
+//!   (scalar AES, SHA-256, HMAC; square-and-multiply `modpow` and
+//!   Miller–Rabin); the optimized paths are proven bit-identical to them by
+//!   differential proptests (`tests/differential.rs`).
 //! * [`bignum`] — arbitrary-precision unsigned arithmetic with modular
-//!   exponentiation and Miller–Rabin primality testing.
+//!   exponentiation and Miller–Rabin primality testing in the Montgomery
+//!   domain.
 //! * [`rsa`] — RSA key generation, encryption and signatures built on
 //!   [`bignum`]. Key sizes are configurable; the simulator defaults to short
 //!   keys for speed (documented in DESIGN.md — this is a systems simulation,

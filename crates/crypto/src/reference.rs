@@ -5,11 +5,19 @@
 //! rounds with bit-serial GF(2^8) multiplication, the inverse S-box rebuilt
 //! on every `decrypt_block` call, CTR re-expanding the key schedule per
 //! invocation, SHA-256 with the straight-from-the-spec 64-word schedule, and
-//! HMAC hashing both pad blocks per MAC. They are deliberately slow and
-//! obviously correct; `tests/differential.rs` proves the optimized
-//! [`crate::aes`] / [`crate::sha256`] / [`crate::hmac`] paths bit-identical
-//! to them on arbitrary inputs, and the Criterion `crypto` group benches
-//! them as the before/after baseline (BENCH_crypto.json).
+//! HMAC hashing both pad blocks per MAC; and square-and-multiply modular
+//! exponentiation with a full `mul` + `rem` per step, plus the Miller–Rabin
+//! test built on it. They are deliberately slow and obviously correct;
+//! `tests/differential.rs` proves the optimized [`crate::aes`] /
+//! [`crate::sha256`] / [`crate::hmac`] / [`crate::bignum`] paths
+//! bit-identical to them on arbitrary inputs, and the Criterion `crypto`
+//! group benches the symmetric ones as the before/after baseline
+//! (BENCH_crypto.json). [`BigUint::modpow`] and
+//! [`BigUint::is_probable_prime`] also fall back to [`modpow`] and
+//! [`is_probable_prime`] for moduli their Montgomery contexts do not cover
+//! (even, or wider than 8 limbs).
+
+use crate::bignum::BigUint;
 
 /// AES S-box (same table the optimized path derives its T-tables from).
 const SBOX: [u8; 256] = [
@@ -332,4 +340,81 @@ fn seal_tag(mac_key: &[u8; 32], context: u64, nonce: u64, ct: &[u8]) -> [u8; 32]
     msg.extend_from_slice(&nonce.to_be_bytes());
     msg.extend_from_slice(ct);
     hmac_sha256(mac_key, &msg)
+}
+
+/// `base^exp mod m` by right-to-left square-and-multiply, one schoolbook
+/// `mul` and one Knuth-D `rem` per step.
+///
+/// # Panics
+///
+/// Panics if `m` is zero.
+pub fn modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    assert!(!m.is_zero(), "modpow with zero modulus");
+    if m.is_one() {
+        return BigUint::zero();
+    }
+    let mut base = base.rem(m);
+    let mut result = BigUint::one();
+    for i in 0..exp.bit_len() {
+        if exp.bit(i) {
+            result = result.mul(&base).rem(m);
+        }
+        base = base.mul(&base).rem(m);
+    }
+    result
+}
+
+/// Miller–Rabin with `rounds` random bases drawn from `rng`, after trial
+/// division by the primes below 40; every step is a [`modpow`] or a
+/// `mul().rem()`. [`BigUint::is_probable_prime`] must return the same
+/// verdict after the same number of draws.
+pub fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut impl FnMut() -> u64) -> bool {
+    const SMALL_PRIMES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+    let limbs = n.limbs().len();
+    if limbs == 1 {
+        let v = n.limbs()[0];
+        if v < 2 {
+            return false;
+        }
+        if SMALL_PRIMES.contains(&v) {
+            return true;
+        }
+    }
+    if n.is_zero() || !n.is_odd() {
+        return false;
+    }
+    for &p in &SMALL_PRIMES {
+        let pb = BigUint::from(p);
+        if n.rem(&pb).is_zero() {
+            return n == &pb;
+        }
+    }
+    // Write n-1 = d * 2^s with d odd.
+    let n_minus_1 = n.sub(&BigUint::one());
+    let s = (0..n_minus_1.bit_len())
+        .take_while(|&i| !n_minus_1.bit(i))
+        .count();
+    let d = n_minus_1.shr(s);
+    'witness: for _ in 0..rounds {
+        // Random base in [2, n-2].
+        let mut draws: Vec<u64> = (0..limbs).map(|_| rng()).collect();
+        draws[limbs - 1] &= u64::MAX >> 1;
+        let mut a = BigUint::from_limbs(draws);
+        a = a.rem(&n_minus_1);
+        if a < BigUint::from(2u64) {
+            a = a.add(&BigUint::from(2u64));
+        }
+        let mut x = modpow(&a, &d, n);
+        if x.is_one() || x == n_minus_1 {
+            continue 'witness;
+        }
+        for _ in 0..s - 1 {
+            x = x.mul(&x).rem(n);
+            if x == n_minus_1 {
+                continue 'witness;
+            }
+        }
+        return false;
+    }
+    true
 }

@@ -73,7 +73,11 @@ pub fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64
 #[derive(Debug, Clone)]
 pub struct ChaChaRng {
     key: [u8; 32],
-    counter: u32,
+    /// 64-bit block counter: the low word is ChaCha20's counter and the
+    /// high word carries into the first nonce word (RFC 8439's 64-bit
+    /// counter variant), so the keystream does not repeat within 2⁶⁴
+    /// blocks.
+    counter: u64,
     buf: [u8; 64],
     pos: usize,
 }
@@ -105,9 +109,20 @@ impl ChaChaRng {
         }
     }
 
+    /// A generator about to produce block `counter` of `seed`'s keystream.
+    #[cfg(test)]
+    fn at_block(seed: u64, counter: u64) -> Self {
+        ChaChaRng {
+            counter,
+            ..ChaChaRng::from_seed(seed)
+        }
+    }
+
     fn refill(&mut self) {
-        self.buf = chacha20_block(&self.key, self.counter, &[0u8; 12]);
-        self.counter = self.counter.wrapping_add(1);
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&((self.counter >> 32) as u32).to_le_bytes());
+        self.buf = chacha20_block(&self.key, self.counter as u32, &nonce);
+        self.counter += 1;
         self.pos = 0;
     }
 
@@ -145,9 +160,16 @@ impl ChaChaRng {
     }
 
     /// Fills `out` with random bytes.
-    pub fn fill(&mut self, out: &mut [u8]) {
-        for b in out.iter_mut() {
-            *b = self.next_u8();
+    pub fn fill(&mut self, mut out: &mut [u8]) {
+        while !out.is_empty() {
+            if self.pos >= 64 {
+                self.refill();
+            }
+            let n = out.len().min(64 - self.pos);
+            let (head, rest) = out.split_at_mut(n);
+            head.copy_from_slice(&self.buf[self.pos..self.pos + n]);
+            self.pos += n;
+            out = rest;
         }
     }
 }
@@ -205,6 +227,39 @@ mod tests {
         rng.fill(&mut buf);
         // Not all zeros, and not all the same byte.
         assert!(buf.iter().any(|&b| b != buf[0]));
+    }
+
+    #[test]
+    fn fill_matches_byte_at_a_time_output() {
+        let mut bulk = ChaChaRng::from_seed(6);
+        let mut bytewise = ChaChaRng::from_seed(6);
+        for len in [0usize, 1, 7, 8, 63, 64, 65, 130, 3] {
+            let mut buf = vec![0u8; len];
+            bulk.fill(&mut buf);
+            let expect: Vec<u8> = (0..len).map(|_| bytewise.next_u8()).collect();
+            assert_eq!(buf, expect, "len {len}");
+        }
+        assert_eq!(bulk.next_u64(), bytewise.next_u64());
+    }
+
+    #[test]
+    fn keystream_does_not_repeat_after_2_pow_32_blocks() {
+        let mut rng = ChaChaRng::at_block(9, u32::MAX as u64);
+        let mut last = [0u8; 64];
+        rng.fill(&mut last);
+        let mut next = [0u8; 64];
+        rng.fill(&mut next);
+        // Block 2³² is counter 0 with the carry in the first nonce word,
+        // not a repeat of block 0.
+        let key = ChaChaRng::from_seed(9).key;
+        assert_eq!(last, chacha20_block(&key, u32::MAX, &[0u8; 12]));
+        assert_eq!(
+            next,
+            chacha20_block(&key, 0, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+        );
+        let mut first = [0u8; 64];
+        ChaChaRng::from_seed(9).fill(&mut first);
+        assert_ne!(next, first);
     }
 
     #[test]

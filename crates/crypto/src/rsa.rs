@@ -188,9 +188,17 @@ impl RsaKeyPair {
     /// # Errors
     ///
     /// [`RsaError::BadPadding`] if the ciphertext was corrupted or produced
-    /// under a different key.
+    /// under a different key, or is not a canonical ciphertext: longer than
+    /// the modulus, or a value `≥ n` (as [`RsaPublicKey::verify`] refuses a
+    /// signature `≥ n`).
     pub fn decrypt(&self, ct: &[u8]) -> Result<Vec<u8>, RsaError> {
+        if ct.len() > self.public.modulus_len() {
+            return Err(RsaError::BadPadding);
+        }
         let c = BigUint::from_be_bytes(ct);
+        if c >= self.public.n {
+            return Err(RsaError::BadPadding);
+        }
         let m = c.modpow(&self.d, &self.public.n);
         let em = m.to_be_bytes_padded(self.public.modulus_len());
         unpad(&em)
@@ -243,6 +251,37 @@ mod tests {
         let mut ct = kp.public().encrypt(b"secret", 9).unwrap();
         ct[3] ^= 0x40;
         assert!(kp.decrypt(&ct).is_err());
+    }
+
+    #[test]
+    fn ciphertext_longer_than_modulus_rejected() {
+        let mut rng = test_rng();
+        let kp = RsaKeyPair::generate(256, &mut rng);
+        let ct = kp.public().encrypt(b"app key!", 77).unwrap();
+        // Same value with a leading zero byte: it would decrypt if accepted.
+        let mut long = vec![0u8];
+        long.extend_from_slice(&ct);
+        assert_eq!(kp.decrypt(&long), Err(RsaError::BadPadding));
+        assert_eq!(kp.decrypt(&ct).unwrap(), b"app key!");
+    }
+
+    #[test]
+    fn ciphertext_not_below_modulus_rejected() {
+        let mut rng = test_rng();
+        let kp = RsaKeyPair::generate(256, &mut rng);
+        let ct = kp.public().encrypt(b"app key!", 77).unwrap();
+        // c + n is the same residue mod n: canonical-only decryption refuses it.
+        let n = kp.public().n();
+        let k = kp.public().modulus_len();
+        let shifted = BigUint::from_be_bytes(&ct).add(n);
+        assert_eq!(
+            kp.decrypt(&shifted.to_be_bytes_padded(k)),
+            Err(RsaError::BadPadding)
+        );
+        assert_eq!(
+            kp.decrypt(&n.to_be_bytes_padded(k)),
+            Err(RsaError::BadPadding)
+        );
     }
 
     #[test]

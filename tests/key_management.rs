@@ -134,3 +134,22 @@ fn kernel_never_observes_the_application_key() {
         );
     }
 }
+
+#[test]
+fn system_boot_keys_match_the_pinned_sva_boot() {
+    // `crates/core/tests/boot_keys.rs` pins the keys of this exact SVA boot;
+    // the kernel's boot and `install_app` must produce the same bytes.
+    let mut sys = System::boot(Mode::VirtualGhost);
+    let mut vm = vg_core::SvaVm::boot_with_key_bits(
+        vg_core::Protections::virtual_ghost(),
+        &vg_crypto::Tpm::new(0x7a31),
+        0x1337,
+        256,
+    );
+    assert_eq!(sys.vm.keys.vg_public(), vm.keys.vg_public());
+    sys.install_app("sshd", true, || Box::new(|_env| 0));
+    let mut app_key = [0u8; 16];
+    app_key.copy_from_slice(&Sha256::digest(b"app-key:sshd")[..16]);
+    let expect = vm.sva_install_app("sshd", Sha256::digest(b"app-code:sshd"), app_key);
+    assert_eq!(sys.binaries["sshd"].binary, expect);
+}
