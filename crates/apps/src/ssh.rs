@@ -229,55 +229,11 @@ fn stream_encrypted_file(env: &mut UserEnv, conn: i64, path: &str) -> u64 {
     total
 }
 
-/// The pre-hoist transfer loop, retained as the wall-clock baseline for the
-/// `ssh_transfer` gate row in `BENCH_crypto.json`: a fresh key expansion
-/// and the textbook scalar rounds per 8 KiB chunk (`reference::ctr_xor`).
-/// Bit-identical ciphertext and identical simulated-cycle charges — only
-/// host wall-clock differs.
-fn stream_encrypted_file_scalar(env: &mut UserEnv, conn: i64, path: &str) -> u64 {
-    let key = session_key();
-    let fd = env.open(path, 0);
-    if fd < 0 {
-        return 0;
-    }
-    let buf = env.mmap_anon(8192);
-    let mut nonce = 0u64;
-    let mut total = 0u64;
-    loop {
-        let n = env.read(fd, buf, 8192);
-        if n <= 0 {
-            break;
-        }
-        let mut chunk = env.read_mem(buf, n as usize);
-        vg_crypto::reference::ctr_xor(&key, nonce, &mut chunk);
-        nonce += 1;
-        let blocks = (n as u64).div_ceil(16);
-        let aes = env.sys.machine.costs.aes_per_block * blocks;
-        env.sys.machine.charge(aes);
-        env.write_mem(buf, &chunk);
-        env.send(conn, buf, n as usize);
-        total += n as u64;
-    }
-    env.close(fd);
-    total
-}
-
 /// Installs `sshd`: accepts connections and forks an `scp`-style child per
 /// session, which charges the key exchange and streams the requested file
 /// encrypted. Mirrors real sshd's fork-per-connection structure — the
 /// source of the small-file overhead in Figure 3.
 pub fn install_sshd(sys: &mut System) {
-    install_sshd_inner(sys, false);
-}
-
-/// `sshd` over the retained per-chunk scalar cipher loop — identical wire
-/// bytes and cycle charges, used only to measure the hoisting's wall-clock
-/// gain end to end.
-pub fn install_sshd_scalar(sys: &mut System) {
-    install_sshd_inner(sys, true);
-}
-
-fn install_sshd_inner(sys: &mut System, scalar: bool) {
     sys.install_app_with_key("sshd", false, suite_key(), move || {
         Box::new(move |env| {
             let sock = env.socket();
@@ -302,11 +258,7 @@ fn install_sshd_inner(sys: &mut System, scalar: bool) {
                             .strip_prefix(b"get ")
                             .and_then(|p| std::str::from_utf8(p).ok())
                         {
-                            if scalar {
-                                stream_encrypted_file_scalar(env, conn, path.trim_end());
-                            } else {
-                                stream_encrypted_file(env, conn, path.trim_end());
-                            }
+                            stream_encrypted_file(env, conn, path.trim_end());
                         }
                     }
                     env.close(conn);
@@ -324,18 +276,6 @@ fn install_sshd_inner(sys: &mut System, scalar: bool) {
 /// `file_size`-byte file against `sshd` and returns payload KB/s.
 pub fn sshd_bandwidth(sys: &mut System, file_size: usize, transfers: u32) -> f64 {
     install_sshd(sys);
-    run_sshd_transfers(sys, file_size, transfers)
-}
-
-/// The same Figure 3 driver over the per-chunk scalar cipher loop — the
-/// `ssh_transfer` scalar baseline in `BENCH_crypto.json`. Same simulated
-/// cycles and wire bytes; only host wall-clock differs.
-pub fn sshd_bandwidth_scalar(sys: &mut System, file_size: usize, transfers: u32) -> f64 {
-    install_sshd_scalar(sys);
-    run_sshd_transfers(sys, file_size, transfers)
-}
-
-fn run_sshd_transfers(sys: &mut System, file_size: usize, transfers: u32) -> f64 {
     let data: Vec<u8> = (0..file_size).map(|i| (i * 17 % 251) as u8).collect();
     sys.write_file("/srv.dat", &data);
     let mut flows = Vec::new();
@@ -531,22 +471,6 @@ mod tests {
         let mut sys = System::boot(Mode::VirtualGhost);
         let kbps = sshd_bandwidth(&mut sys, 16 * 1024, 2);
         assert!(kbps > 0.0);
-    }
-
-    #[test]
-    fn scalar_and_hoisted_sshd_transfers_are_cycle_identical() {
-        // The scalar loop is a wall-clock baseline only: simulated cycles,
-        // counters, and bandwidth must not move.
-        let mut hoisted = System::boot(Mode::Native);
-        let kb_hoisted = sshd_bandwidth(&mut hoisted, 16 * 1024, 2);
-        let mut scalar = System::boot(Mode::Native);
-        let kb_scalar = sshd_bandwidth_scalar(&mut scalar, 16 * 1024, 2);
-        assert_eq!(kb_hoisted, kb_scalar);
-        assert_eq!(
-            hoisted.machine.clock.cycles(),
-            scalar.machine.clock.cycles()
-        );
-        assert_eq!(hoisted.machine.counters, scalar.machine.counters);
     }
 
     #[test]

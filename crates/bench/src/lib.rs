@@ -14,12 +14,11 @@
 //! (sshd transfer rate), `figure4` (ghosting ssh client), `security`
 //! (§7 rootkit experiments), `ablation` (per-mechanism overhead split).
 //!
-//! Criterion micro-benchmarks of the simulator itself live under
-//! `benches/`.
+//! The `vg-bench` binary is the simulator's wall-clock harness: `record`
+//! writes the `BENCH_*.json` files from the shapes in [`shapes`], and
+//! `check` gates against them.
 
 pub mod shapes;
-
-use vg_kernel::{Mode, System};
 
 /// Paper-reported values for Table 2 (microseconds): (name, native, vg,
 /// InkTag-reported overhead ×, if reported).
@@ -53,11 +52,6 @@ pub const PAPER_TABLE4: &[(&str, usize, f64, f64)] = &[
 
 /// Paper Table 5 (Postmark seconds at 500k transactions): (native, vg).
 pub const PAPER_TABLE5: (f64, f64) = (14.30, 67.50);
-
-/// Boots a system for the given mode.
-pub fn boot(mode: &Mode) -> System {
-    System::boot(mode.clone())
-}
 
 /// vg/native ratio with NaN guard.
 pub fn ratio(native: f64, vg: f64) -> f64 {

@@ -1,9 +1,10 @@
-//! Criterion-free builders for the interpreter-engine benchmark shapes.
+//! The benchmark shapes `vg-bench` records and checks.
 //!
-//! The `vg-bench` regression-gate binary times these shapes under both IR
-//! engines — exactly the workloads the checked-in `BENCH_interp.json`
-//! baselines were recorded from. Everything here is deterministic module
-//! construction — timing policy stays with the callers.
+//! Three families: the interpreter-engine shapes (timed under both IR
+//! engines for `BENCH_interp.json`), the descriptor-ring data-plane shapes
+//! (`BENCH_net.json`) and the SMP scaling curves (`BENCH_smp.json`). The
+//! last two report deterministic simulated cycles. Everything here builds
+//! and runs workloads; timing policy stays with the `vg-bench` binary.
 
 use vg_ir::interp::{HostError, Pair};
 use vg_ir::{BinOp, Engine};
@@ -274,7 +275,7 @@ pub struct NetShapeResult {
 
 impl NetShapeResult {
     /// Requests-per-megacycle gain of the optimized configuration — the
-    /// ratio `BENCH_net.json`'s `gate_ratios` section records.
+    /// ratio `vg-bench` records as `BENCH_net.json`'s `shapes.*.speedup`.
     pub fn speedup(&self) -> f64 {
         self.optimized.req_per_megacycle / self.baseline.req_per_megacycle
     }
@@ -334,11 +335,6 @@ pub const SMP_CPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// curve runs identical work.
 pub const SMP_SHARDS: usize = 8;
 
-/// Load multiplier the checked-in `BENCH_smp.json` baselines were recorded
-/// with; the gate must re-measure at the same scale for cycle-exact
-/// comparison.
-pub const SMP_GATE_SCALE: u32 = 4;
-
 /// One point on a scaling curve: the sharded run at one cpu count plus its
 /// speedup over the 1-core run and the per-core efficiency.
 pub struct SmpScalePoint {
@@ -393,8 +389,8 @@ impl SmpShapeResult {
     }
 }
 
-/// Runs all four SMP scaling curves at load multiplier `scale` (the
-/// recorded baselines use [`SMP_GATE_SCALE`]). Every workload keeps
+/// Runs all four SMP scaling curves at load multiplier `scale` (`vg-bench`
+/// uses `BENCH_smp.json`'s `methodology.scale`). Every workload keeps
 /// [`SMP_SHARDS`] shards while the cpu count sweeps [`SMP_CPU_COUNTS`];
 /// all cycle numbers are deterministic simulated time.
 pub fn smp_shapes(scale: u32) -> Vec<SmpShapeResult> {

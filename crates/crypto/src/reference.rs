@@ -10,8 +10,8 @@
 //! test built on it. They are deliberately slow and obviously correct;
 //! `tests/differential.rs` proves the optimized [`crate::aes`] /
 //! [`crate::sha256`] / [`crate::hmac`] / [`crate::bignum`] paths
-//! bit-identical to them on arbitrary inputs, and the Criterion `crypto`
-//! group benches the symmetric ones as the before/after baseline
+//! bit-identical to them on arbitrary inputs, and `vg-bench` times the
+//! symmetric ones as the baseline of its `crypto_data_plane` rows
 //! (BENCH_crypto.json). [`BigUint::modpow`] and
 //! [`BigUint::is_probable_prime`] also fall back to [`modpow`] and
 //! [`is_probable_prime`] for moduli their Montgomery contexts do not cover

@@ -1,5 +1,10 @@
 //! The paper's reproduced claims, pinned as tests with stated bands.
 //!
+//! Table 2 (LMBench): each of the nine Virtual Ghost / native
+//! latency ratios stays within ±12% of the paper's. At `--fast` scale (40
+//! iterations) the widest gap is signal delivery, 1.75× against the
+//! paper's 1.61× (+8.4%).
+//!
 //! Table 5 (Postmark, §8.5): Virtual Ghost runs the mail-server mix 4.72×
 //! slower than native FreeBSD. At test scale (50 base files, 200
 //! transactions) the simulator gives ~4.1–4.2×; the band accepts the
@@ -11,9 +16,27 @@
 //! work must leave them bit-identical; a change to them is a change to the
 //! cost model and must say so.
 
+use vg_apps::lmbench;
 use vg_apps::postmark::{self, PostmarkConfig};
 use vg_kernel::{Mode, System};
 use vg_machine::Counters;
+
+/// Table 2 as the paper reports it: (benchmark, native µs, Virtual Ghost
+/// µs), in `lmbench::table2` row order.
+const PAPER_TABLE2: [(&str, f64, f64); 9] = [
+    ("null syscall", 0.091, 0.355),
+    ("open/close", 2.01, 9.70),
+    ("mmap", 7.06, 33.2),
+    ("page fault", 31.8, 36.7),
+    ("signal handler install", 0.168, 0.545),
+    ("signal handler delivery", 1.27, 2.05),
+    ("fork + exit", 63.7, 283.0),
+    ("fork + exec", 101.0, 422.0),
+    ("select", 3.05, 10.3),
+];
+
+/// Allowed relative distance of a Table 2 ratio from the paper's.
+const TABLE2_BAND: f64 = 0.12;
 
 /// Table 5's Virtual Ghost / native Postmark ratio.
 const PAPER_TABLE5_RATIO: f64 = 4.72;
@@ -91,4 +114,22 @@ fn table5_postmark_ratio_within_band_of_paper() {
             "seed {seed}: Postmark VG/native {ratio:.3} outside {band:?}"
         );
     }
+}
+
+#[test]
+fn table2_overhead_ratios_within_band_of_paper() {
+    let native = lmbench::table2(Mode::Native, 40);
+    let vg = lmbench::table2(Mode::VirtualGhost, 40);
+    assert_eq!(native.len(), PAPER_TABLE2.len());
+    let mut outside = Vec::new();
+    for ((n, v), (name, paper_native, paper_vg)) in native.iter().zip(&vg).zip(PAPER_TABLE2) {
+        assert_eq!((n.name.as_str(), v.name.as_str()), (name, name));
+        let ratio = v.micros / n.micros;
+        let paper = paper_vg / paper_native;
+        let band = paper * (1.0 - TABLE2_BAND)..paper * (1.0 + TABLE2_BAND);
+        if !band.contains(&ratio) {
+            outside.push(format!("{name}: VG/native {ratio:.3} outside {band:.3?}"));
+        }
+    }
+    assert!(outside.is_empty(), "{outside:#?}");
 }
