@@ -97,13 +97,7 @@ impl SvaVm {
             machine.phys.zero_frame(f);
             self.frames.set_kind(f, FrameKind::Ghost);
             let page_va = VAddr(va.0 + i as u64 * PAGE_SIZE);
-            self.map_page_unchecked(
-                machine,
-                root,
-                page_va,
-                Pte::new(f, PteFlags::user_rw()),
-                FrameKind::PageTable,
-            )?;
+            self.map_page_unchecked(machine, root, page_va, Pte::new(f, PteFlags::user_rw()))?;
             machine.tlb_flush_page(page_va.vpn());
             self.ghost
                 .pages

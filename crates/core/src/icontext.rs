@@ -18,9 +18,8 @@
 //! second rootkit attack modifies.
 
 use crate::{ProcId, SvaError, SvaVm, ThreadId};
-use std::collections::{HashMap, HashSet};
 use vg_machine::cpu::{Privilege, Reg, TrapFrame, TrapKind};
-use vg_machine::{DenialKind, Domain, Machine, TraceEvent, VAddr};
+use vg_machine::{DenialKind, Domain, IntMap, IntSet, Machine, TraceEvent, VAddr};
 
 /// Trace span name and payload for a trap kind.
 fn trap_trace_parts(kind: TrapKind) -> (&'static str, u64) {
@@ -76,9 +75,9 @@ impl std::error::Error for IcError {}
 #[derive(Debug)]
 pub struct IcStore {
     protected: bool,
-    stacks: HashMap<ThreadId, Vec<InterruptContext>>,
-    saved: HashMap<ThreadId, Vec<InterruptContext>>,
-    permits: HashMap<ProcId, HashSet<u64>>,
+    stacks: IntMap<ThreadId, Vec<InterruptContext>>,
+    saved: IntMap<ThreadId, Vec<InterruptContext>>,
+    permits: IntMap<ProcId, IntSet<u64>>,
 }
 
 impl IcStore {
@@ -87,9 +86,9 @@ impl IcStore {
     pub fn new(protected: bool) -> Self {
         IcStore {
             protected,
-            stacks: HashMap::new(),
-            saved: HashMap::new(),
-            permits: HashMap::new(),
+            stacks: IntMap::default(),
+            saved: IntMap::default(),
+            permits: IntMap::default(),
         }
     }
 

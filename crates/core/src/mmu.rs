@@ -79,8 +79,26 @@ impl SvaVm {
         machine.charge(machine.costs.mmu_update);
         machine.prof_pop();
         let root = machine.phys.alloc_frame().ok_or(SvaError::OutOfFrames)?;
-        self.frames.set_kind(root, FrameKind::PageTable);
+        self.claim_page_table(machine, root);
         Ok(root)
+    }
+
+    /// Declares a freshly allocated frame a page table. Under Virtual
+    /// Ghost, a frame the OS left DMA-visible (mapped through
+    /// `sva_iommu_map`, then freed and reallocated) loses that mapping
+    /// here, and the stale mapping is recorded as a
+    /// [`DenialKind::DmaViolation`]. Revoking charges nothing, so a benign
+    /// claim costs what it always did.
+    fn claim_page_table(&mut self, machine: &mut Machine, pfn: Pfn) {
+        if self.protections.dma_checks && machine.iommu.is_mapped(pfn) {
+            machine.iommu.unmap(pfn);
+            machine.record_denial(
+                DenialKind::DmaViolation,
+                pfn.0,
+                "page-table frame was still DMA-visible",
+            );
+        }
+        self.frames.set_kind(pfn, FrameKind::PageTable);
     }
 
     /// Destroys an address-space root and every page-table frame reachable
@@ -145,13 +163,7 @@ impl SvaVm {
                 return Err(e.into());
             }
         }
-        self.map_page_unchecked(
-            machine,
-            root,
-            va,
-            Pte::new(pfn, flags),
-            FrameKind::PageTable,
-        )?;
+        self.map_page_unchecked(machine, root, va, Pte::new(pfn, flags))?;
         self.frames.inc_map(pfn);
         machine.tlb_flush_page(va.vpn());
         machine.trace_emit(TraceEvent::PteUpdate {
@@ -290,7 +302,6 @@ impl SvaVm {
         root: Pfn,
         va: VAddr,
         leaf: Pte,
-        table_kind: FrameKind,
     ) -> Result<(), SvaError> {
         let mut table = root;
         for level in [PageTableLevel::L4, PageTableLevel::L3, PageTableLevel::L2] {
@@ -300,7 +311,7 @@ impl SvaVm {
                 pte.pfn()
             } else {
                 let frame = machine.alloc_frame_checked().ok_or(SvaError::OutOfFrames)?;
-                self.frames.set_kind(frame, table_kind);
+                self.claim_page_table(machine, frame);
                 write_pte(
                     &mut machine.phys,
                     table,

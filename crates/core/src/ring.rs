@@ -22,7 +22,7 @@
 use crate::frames::FrameKind;
 use crate::SvaVm;
 use std::collections::VecDeque;
-use vg_machine::devices::{Packet, MTU};
+use vg_machine::devices::MTU;
 use vg_machine::{DenialKind, Domain, Machine, Pfn};
 
 /// Transfer direction of every descriptor in a ring (rings are
@@ -200,18 +200,15 @@ impl SvaVm {
             machine.iommu.map(desc.pfn);
             let elem = match ring.dir {
                 RingDir::ToDevice => {
-                    let data = machine
-                        .phys
-                        .bytes(desc.pfn, u64::from(desc.off), desc.len as usize)
-                        .to_vec();
                     machine.counters.packets += 1;
                     machine.charge_wire(
                         machine.costs.nic_per_packet + machine.costs.nic_per_byte * desc.len as u64,
                     );
-                    machine.nic.transmit(Packet {
-                        flow: desc.flow,
-                        data,
-                    });
+                    // The NIC reads the payload straight out of the frame.
+                    let data = machine
+                        .phys
+                        .bytes(desc.pfn, u64::from(desc.off), desc.len as usize);
+                    machine.nic.transmit_bytes(desc.flow, data);
                     UsedElem {
                         slot,
                         desc,
@@ -264,6 +261,7 @@ mod tests {
     use super::*;
     use crate::Protections;
     use vg_crypto::Tpm;
+    use vg_machine::devices::Packet;
     use vg_machine::layout::GHOST_BASE;
     use vg_machine::VAddr;
 

@@ -181,13 +181,9 @@ impl SvaVm {
         };
         machine.phys.write_frame(frame, &contents);
         self.frames.set_kind(frame, FrameKind::Ghost);
-        if let Err(e) = self.map_page_unchecked(
-            machine,
-            root,
-            va,
-            Pte::new(frame, PteFlags::user_rw()),
-            FrameKind::PageTable,
-        ) {
+        if let Err(e) =
+            self.map_page_unchecked(machine, root, va, Pte::new(frame, PteFlags::user_rw()))
+        {
             // Mapping failed (e.g. no frames left for intermediate tables)
             // after the plaintext was already written: scrub the frame and
             // hand it back in the state the OS donated it, so nothing ghost

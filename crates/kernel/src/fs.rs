@@ -25,9 +25,9 @@
 //!   LRU ticks in bulk, exactly as one access per inode would have.
 //! - The buffer cache is one map; each block carries its own LRU tick.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use vg_machine::layout::PAGE_SIZE;
+use vg_machine::IntMap;
 
 /// Block size (= page size).
 pub const BLOCK_SIZE: usize = PAGE_SIZE as usize;
@@ -232,7 +232,7 @@ pub struct VgFs {
     inode_blocks: u32,
     bitmap_blocks: u32,
     nblocks: u32,
-    cache: HashMap<u32, CachedBlock>,
+    cache: IntMap<u32, CachedBlock>,
     cache_cap: usize,
     clock: u64, // LRU tick
 }
@@ -248,7 +248,7 @@ impl VgFs {
             inode_blocks,
             bitmap_blocks,
             nblocks,
-            cache: HashMap::new(),
+            cache: IntMap::default(),
             cache_cap: 4096,
             clock: 0,
         };
@@ -283,7 +283,7 @@ impl VgFs {
             inode_blocks: ninodes.div_ceil(INODES_PER_BLOCK as u32),
             bitmap_blocks: nblocks.div_ceil((BLOCK_SIZE * 8) as u32),
             nblocks,
-            cache: HashMap::new(),
+            cache: IntMap::default(),
             cache_cap: 4096,
             clock: 0,
         }

@@ -10,7 +10,7 @@
 use crate::costs;
 use crate::syscall::EAGAIN;
 use crate::system::{Fd, Pid, System};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use vg_core::{DescRing, RingDesc, RingDir};
 use vg_machine::devices::{Packet, MTU};
 use vg_machine::IntMap;
@@ -81,12 +81,12 @@ pub struct FlowBuf {
 #[derive(Debug)]
 pub struct NetStack {
     /// Pending (un-accepted) connections per port.
-    pub pending: HashMap<u16, VecDeque<u64>>,
+    pub pending: IntMap<u16, VecDeque<u64>>,
     /// Active flows.
     pub flows: IntMap<u64, FlowBuf>,
     next_flow: u64,
     /// Ports with listeners.
-    pub listeners: HashMap<u16, u64>, // port -> socket id
+    pub listeners: IntMap<u16, u64>, // port -> socket id
     /// Transmit descriptor ring (the batched data plane's TX queue).
     pub tx_ring: DescRing,
     /// Receive descriptor ring.
@@ -96,10 +96,10 @@ pub struct NetStack {
 impl Default for NetStack {
     fn default() -> Self {
         NetStack {
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             flows: IntMap::default(),
             next_flow: 0,
-            listeners: HashMap::new(),
+            listeners: IntMap::default(),
             tx_ring: DescRing::new(RingDir::ToDevice, 1024),
             rx_ring: DescRing::new(RingDir::FromDevice, 256),
         }
@@ -271,10 +271,7 @@ impl System {
             let wire = self.machine.costs.nic_per_packet
                 + self.machine.costs.nic_per_byte * chunk.len() as u64;
             self.machine.charge_wire(wire);
-            self.machine.nic.transmit(Packet {
-                flow,
-                data: chunk.to_vec(),
-            });
+            self.machine.nic.transmit_bytes(flow, chunk);
         }
         self.run_remote_responder(flow);
         data.len() as i64

@@ -37,7 +37,9 @@ use vg_machine::cpu::TrapKind;
 use vg_machine::layout::{GHOST_BASE, PAGE_SIZE};
 use vg_machine::mmu::{AccessKind, TranslateError};
 use vg_machine::pte::PteFlags;
-use vg_machine::{DenialKind, Domain, FaultClass, Machine, MachineConfig, Pfn, PhysMem, VAddr};
+use vg_machine::{
+    DenialKind, Domain, FaultClass, IntMap, Machine, MachineConfig, Pfn, PhysMem, VAddr,
+};
 
 /// Process identifier.
 pub type Pid = u64;
@@ -193,9 +195,9 @@ pub struct Proc {
     /// File descriptor table.
     pub fds: Vec<Option<Fd>>,
     /// Registered signal-handler bodies, keyed by handler code address.
-    pub handlers: HashMap<u64, SigHandlerFn>,
+    pub handlers: IntMap<u64, SigHandlerFn>,
     /// Signal dispositions: signal → handler code address.
-    pub sig_disposition: HashMap<i32, u64>,
+    pub sig_disposition: IntMap<i32, u64>,
     /// Queued signals awaiting delivery.
     pub pending: VecDeque<i32>,
     /// Whether this process uses ghost memory.
@@ -341,11 +343,11 @@ pub struct System {
     /// Kernel data segment (flat memory at `KERNEL_BASE`).
     pub kernel_heap: Vec<u8>,
     /// Process table.
-    pub procs: HashMap<Pid, Proc>,
+    pub procs: IntMap<Pid, Proc>,
     /// Installed binaries.
     pub binaries: HashMap<String, AppSpec>,
     /// Module syscall hooks: syscall number → handler code address.
-    pub hooks: HashMap<u32, vg_ir::CodeAddr>,
+    pub hooks: IntMap<u32, vg_ir::CodeAddr>,
     /// Attacker/module configuration cells (the "sysctl" channel).
     pub module_config: Vec<i64>,
     /// Extern-id dispatch tables for module/user code, indexed by the code
@@ -365,10 +367,10 @@ pub struct System {
     /// Kernel swap store for evicted (sealed) ghost pages.
     pub swap: crate::swapper::SwapStore,
     /// Pipe table.
-    pub pipes: HashMap<u64, Pipe>,
+    pub pipes: IntMap<u64, Pipe>,
     pub(crate) next_pipe: u64,
     /// Exit codes of all processes ever exited.
-    pub exited: HashMap<Pid, i32>,
+    pub exited: IntMap<Pid, i32>,
     /// Harness-side model of a remote peer: sees bytes the host transmits
     /// on a flow, returns the reply to inject. `None` when no peer model is
     /// registered.
@@ -454,9 +456,9 @@ impl System {
             tpm,
             fs,
             kernel_heap: vec![0u8; 1 << 20],
-            procs: HashMap::new(),
+            procs: IntMap::default(),
             binaries: HashMap::new(),
-            hooks: HashMap::new(),
+            hooks: IntMap::default(),
             module_config: vec![0; 16],
             kern_api_tab: Vec::new(),
             user_api_tab: Vec::new(),
@@ -465,9 +467,9 @@ impl System {
             sockets: BTreeMap::new(),
             log: Vec::new(),
             swap: crate::swapper::SwapStore::default(),
-            pipes: HashMap::new(),
+            pipes: IntMap::default(),
             next_pipe: 1,
-            exited: HashMap::new(),
+            exited: IntMap::default(),
             remote_responder: None,
             boot_root,
             cur: None,
@@ -620,8 +622,8 @@ impl System {
                 root,
                 aspace,
                 fds: Vec::new(),
-                handlers: HashMap::new(),
-                sig_disposition: HashMap::new(),
+                handlers: IntMap::default(),
+                sig_disposition: IntMap::default(),
                 pending: VecDeque::new(),
                 ghosting: false,
                 ghost_cursor: GHOST_BASE,

@@ -118,16 +118,17 @@ pub const MTU: usize = 1500;
 ///
 /// The far end of the wire is driven by the benchmark harness (the paper's
 /// client machines were separate hosts), which calls [`Nic::wire_inject`],
-/// [`Nic::wire_take`] and [`Nic::wire_drain`]. Transmitted packets wait in
-/// one queue per flow, each stamped with a global transmit sequence number,
-/// so reading back one flow costs O(that flow's packets) while a full drain
-/// still sees global transmit order.
+/// [`Nic::wire_take`] and [`Nic::wire_drain`]. Transmitted payloads wait in
+/// one byte buffer per flow, each packet marked by its global transmit
+/// sequence number and end offset. Transmitting appends to the buffer, so
+/// no packet gets an allocation of its own; reading back one flow hands
+/// over its buffer whole, while a full drain still sees global transmit
+/// order.
 #[derive(Debug, Default)]
 pub struct Nic {
     rx: VecDeque<Packet>,
-    /// Untaken transmitted payloads per flow, as `(sequence, data)` in
-    /// transmit order.
-    tx: IntMap<u64, Vec<(u64, Vec<u8>)>>,
+    /// Untaken transmitted traffic per flow.
+    tx: IntMap<u64, FlowTx>,
     /// Sequence number of the next transmitted packet.
     tx_seq: u64,
     /// Bytes transmitted since boot.
@@ -136,25 +137,33 @@ pub struct Nic {
     pub rx_bytes: u64,
 }
 
+/// One flow's untaken transmitted packets: payloads back to back in
+/// transmit order, and per packet its `(sequence, end offset)` in `bytes`.
+#[derive(Debug, Default)]
+struct FlowTx {
+    bytes: Vec<u8>,
+    marks: Vec<(u64, usize)>,
+}
+
 impl Nic {
     /// A NIC with empty queues.
     pub fn new() -> Self {
         Nic::default()
     }
 
-    /// Host side: transmit a packet (the kernel driver calls this after
-    /// assembling the payload from frames the IOMMU allowed it to read).
+    /// Host side: transmit one packet's payload on `flow` (the kernel's
+    /// NIC code calls this with bytes from frames the IOMMU allowed it to
+    /// read).
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds [`MTU`].
-    pub fn transmit(&mut self, packet: Packet) {
-        assert!(packet.data.len() <= MTU, "packet exceeds MTU");
-        self.tx_bytes += packet.data.len() as u64;
-        self.tx
-            .entry(packet.flow)
-            .or_default()
-            .push((self.tx_seq, packet.data));
+    pub fn transmit_bytes(&mut self, flow: u64, data: &[u8]) {
+        assert!(data.len() <= MTU, "packet exceeds MTU");
+        self.tx_bytes += data.len() as u64;
+        let q = self.tx.entry(flow).or_default();
+        q.bytes.extend_from_slice(data);
+        q.marks.push((self.tx_seq, q.bytes.len()));
         self.tx_seq += 1;
     }
 
@@ -173,32 +182,35 @@ impl Nic {
     }
 
     /// Wire side: inject a packet as if it arrived from the network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds [`MTU`]: the wire carries at most one
+    /// MTU per packet in both directions, so no receive path has to choose
+    /// between truncating and over-delivering.
     pub fn wire_inject(&mut self, packet: Packet) {
+        assert!(packet.data.len() <= MTU, "injected packet exceeds MTU");
         self.rx.push_back(packet);
     }
 
     /// Wire side: remove everything the host transmitted on `flow`, payloads
     /// concatenated in transmit order. Other flows' packets are untouched.
     pub fn wire_take(&mut self, flow: u64) -> Vec<u8> {
-        let packets = self.tx.remove(&flow).unwrap_or_default();
-        let mut out = Vec::with_capacity(packets.iter().map(|(_, d)| d.len()).sum());
-        for (_, data) in packets {
-            out.extend_from_slice(&data);
-        }
-        out
+        self.tx.remove(&flow).map(|q| q.bytes).unwrap_or_default()
     }
 
     /// Wire side: drain everything the host transmitted, in global transmit
     /// order.
     pub fn wire_drain(&mut self) -> Vec<Packet> {
-        let mut all: Vec<(u64, Packet)> = self
-            .tx
-            .drain()
-            .flat_map(|(flow, q)| {
-                q.into_iter()
-                    .map(move |(seq, data)| (seq, Packet { flow, data }))
-            })
-            .collect();
+        let mut all: Vec<(u64, Packet)> = Vec::new();
+        for (flow, q) in self.tx.drain() {
+            let mut start = 0;
+            for (seq, end) in q.marks {
+                let data = q.bytes[start..end].to_vec();
+                all.push((seq, Packet { flow, data }));
+                start = end;
+            }
+        }
         all.sort_unstable_by_key(|&(seq, _)| seq);
         all.into_iter().map(|(_, p)| p).collect()
     }
@@ -235,11 +247,12 @@ impl Console {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dma_env() -> (Iommu, PhysMem, Pfn) {
         let mut phys = PhysMem::new(8);
         let pfn = phys.alloc_frame().unwrap();
-        let mut iommu = Iommu::new();
+        let mut iommu = Iommu::new(8);
         iommu.map(pfn);
         (iommu, phys, pfn)
     }
@@ -262,7 +275,7 @@ mod tests {
     fn disk_dma_blocked_by_iommu() {
         let mut phys = PhysMem::new(8);
         let pfn = phys.alloc_frame().unwrap();
-        let iommu = Iommu::new(); // nothing mapped
+        let iommu = Iommu::new(8); // nothing mapped
         let mut disk = Disk::new(16);
         assert!(disk.dma_read(&iommu, &mut phys, 0, pfn).is_err());
         assert!(disk.dma_write(&iommu, &phys, 0, pfn).is_err());
@@ -294,20 +307,14 @@ mod tests {
         assert_eq!(nic.rx_bytes, 3);
         assert!(nic.receive().is_none());
 
-        nic.transmit(Packet {
-            flow: 1,
-            data: vec![9; 100],
-        });
+        nic.transmit_bytes(1, &[9; 100]);
         let out = nic.wire_drain();
         assert_eq!(out.len(), 1);
         assert_eq!(nic.tx_bytes, 100);
     }
 
     fn send(nic: &mut Nic, flow: u64, data: &[u8]) {
-        nic.transmit(Packet {
-            flow,
-            data: data.to_vec(),
-        });
+        nic.transmit_bytes(flow, data);
     }
 
     #[test]
@@ -371,10 +378,97 @@ mod tests {
     #[should_panic(expected = "MTU")]
     fn oversized_packet_panics() {
         let mut nic = Nic::new();
-        nic.transmit(Packet {
+        nic.transmit_bytes(0, &[0; MTU + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "injected packet exceeds MTU")]
+    fn oversized_injected_packet_panics() {
+        let mut nic = Nic::new();
+        nic.wire_inject(Packet {
             flow: 0,
             data: vec![0; MTU + 1],
         });
+    }
+
+    #[test]
+    fn an_mtu_sized_packet_is_injected_whole() {
+        let mut nic = Nic::new();
+        nic.wire_inject(Packet {
+            flow: 3,
+            data: vec![5; MTU],
+        });
+        assert_eq!(nic.receive().unwrap().data.len(), MTU);
+    }
+
+    /// The replaced per-packet queue, kept as the byte queues' oracle: one
+    /// `Vec` per transmitted packet, concatenated by `wire_take` and merged
+    /// by sequence in `wire_drain`.
+    #[derive(Default)]
+    struct PacketQueues {
+        tx: IntMap<u64, Vec<(u64, Vec<u8>)>>,
+        tx_seq: u64,
+    }
+
+    impl PacketQueues {
+        fn transmit(&mut self, flow: u64, data: &[u8]) {
+            self.tx
+                .entry(flow)
+                .or_default()
+                .push((self.tx_seq, data.to_vec()));
+            self.tx_seq += 1;
+        }
+
+        fn wire_take(&mut self, flow: u64) -> Vec<u8> {
+            let packets = self.tx.remove(&flow).unwrap_or_default();
+            packets.into_iter().flat_map(|(_, d)| d).collect()
+        }
+
+        fn wire_drain(&mut self) -> Vec<Packet> {
+            let mut all: Vec<(u64, Packet)> = self
+                .tx
+                .drain()
+                .flat_map(|(flow, q)| {
+                    q.into_iter()
+                        .map(move |(seq, data)| (seq, Packet { flow, data }))
+                })
+                .collect();
+            all.sort_unstable_by_key(|&(seq, _)| seq);
+            all.into_iter().map(|(_, p)| p).collect()
+        }
+    }
+
+    proptest! {
+        /// The per-flow byte queues give exactly the per-packet queues'
+        /// bytes per `wire_take` and packets per `wire_drain` (boundaries
+        /// and global order), over random interleaved transmits of 0..=MTU
+        /// bytes on 1–6 flows.
+        #[test]
+        fn byte_queues_match_per_packet_oracle(
+            flows in 1u64..7,
+            ops in proptest::collection::vec((0u8..10, any::<u64>(), 0usize..MTU + 1), 1..120),
+        ) {
+            let mut nic = Nic::new();
+            let mut oracle = PacketQueues::default();
+            let mut sent = 0u64;
+            for (i, (op, pick, len)) in ops.into_iter().enumerate() {
+                let flow = pick % flows;
+                match op {
+                    0..=6 => {
+                        // Short packets most of the time, so flows hold many.
+                        let len = if op == 0 { len } else { len % 40 };
+                        let data: Vec<u8> = (0..len).map(|b| (i + b) as u8).collect();
+                        nic.transmit_bytes(flow, &data);
+                        oracle.transmit(flow, &data);
+                        sent += len as u64;
+                    }
+                    7 | 8 => prop_assert_eq!(nic.wire_take(flow), oracle.wire_take(flow)),
+                    _ => prop_assert_eq!(nic.wire_drain(), oracle.wire_drain()),
+                }
+                prop_assert_eq!(nic.tx_bytes, sent);
+            }
+            prop_assert_eq!(nic.wire_drain(), oracle.wire_drain());
+        }
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl Machine {
             phys: PhysMem::new(config.phys_frames),
             cpu: Cpu::new(),
             mmu: Mmu::new(),
-            iommu: Iommu::new(),
+            iommu: Iommu::new(config.phys_frames),
             disk: Disk::new(config.disk_blocks),
             nic: Nic::new(),
             console: Console::new(),

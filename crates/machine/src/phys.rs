@@ -4,9 +4,16 @@
 //! dense — one slot per page frame number, so every access is an index, not
 //! a hash lookup — but backing storage appears only when a frame is
 //! allocated, so large machines are cheap to construct. Freed buffers are
-//! kept for reuse and zero-filled when handed out again. All kernel, user,
+//! kept for reuse and handed out again zero-filled. All kernel, user,
 //! ghost and page-table data lives here — page tables are real bytes in
 //! these frames, walked by the MMU.
+//!
+//! Re-zeroing is lazy: each frame carries a *write mark*, how far writes
+//! have reached since the frame was last zeroed. Every byte at or past the
+//! mark is zero, so zeroing a frame (on `zero_frame`, or when a recycled
+//! buffer is handed out) fills only the prefix below it. A TX staging frame
+//! that held one ~600-byte packet costs a 600-byte fill, not 4 KiB. The
+//! model charges the same cycles either way; this is host time only.
 
 use crate::layout::{PAddr, Pfn, PAGE_SIZE};
 
@@ -15,10 +22,14 @@ use crate::layout::{PAddr, Pfn, PAGE_SIZE};
 pub struct PhysMem {
     /// Backing storage per pfn; `None` while the frame is free.
     frames: Vec<Option<Box<[u8]>>>,
+    /// Write mark per pfn (see the module docs): bytes at or past it are
+    /// zero.
+    marks: Vec<u16>,
     free: Vec<u64>,
-    /// Buffers of freed frames, reused (zero-filled) by `alloc_frame`
-    /// instead of going back to the host allocator.
-    recycled: Vec<Box<[u8]>>,
+    /// Buffers of freed frames with their write marks, reused by
+    /// `alloc_frame` (which zeroes the marked prefix) instead of going back
+    /// to the host allocator.
+    recycled: Vec<(Box<[u8]>, u16)>,
     total_frames: usize,
 }
 
@@ -30,6 +41,7 @@ impl PhysMem {
         let free = (0..total_frames as u64).rev().collect();
         PhysMem {
             frames: vec![None; total_frames],
+            marks: vec![0; total_frames],
             free,
             recycled: Vec::new(),
             total_frames,
@@ -50,13 +62,14 @@ impl PhysMem {
     pub fn alloc_frame(&mut self) -> Option<Pfn> {
         let pfn = self.free.pop()?;
         let buf = match self.recycled.pop() {
-            Some(mut buf) => {
-                buf.fill(0);
+            Some((mut buf, mark)) => {
+                buf[..usize::from(mark)].fill(0);
                 buf
             }
             None => vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
         };
         self.frames[pfn as usize] = Some(buf);
+        self.marks[pfn as usize] = 0;
         Some(Pfn(pfn))
     }
 
@@ -68,7 +81,7 @@ impl PhysMem {
     pub fn free_frame(&mut self, pfn: Pfn) {
         let buf = self.frames.get_mut(pfn.0 as usize).and_then(Option::take);
         let buf = buf.unwrap_or_else(|| panic!("double free of {pfn}"));
-        self.recycled.push(buf);
+        self.recycled.push((buf, self.marks[pfn.0 as usize]));
         self.free.push(pfn.0);
     }
 
@@ -80,8 +93,8 @@ impl PhysMem {
     /// Fills an allocated frame with zeros (used by `allocgm`/`freegm`,
     /// which must not leak prior contents in either direction).
     pub fn zero_frame(&mut self, pfn: Pfn) {
-        let f = self.frame_mut(pfn);
-        f.fill(0);
+        let (f, mark) = self.frame_mut(pfn);
+        f[..usize::from(std::mem::take(mark))].fill(0);
     }
 
     #[inline]
@@ -92,12 +105,17 @@ impl PhysMem {
             .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
     }
 
+    /// The frame's bytes and its write mark; the caller raises the mark
+    /// over whatever it writes.
     #[inline]
-    fn frame_mut(&mut self, pfn: Pfn) -> &mut [u8] {
-        self.frames
-            .get_mut(pfn.0 as usize)
+    fn frame_mut(&mut self, pfn: Pfn) -> (&mut [u8], &mut u16) {
+        let i = pfn.0 as usize;
+        let f = self
+            .frames
+            .get_mut(i)
             .and_then(Option::as_deref_mut)
-            .unwrap_or_else(|| panic!("access to unallocated {pfn}"))
+            .unwrap_or_else(|| panic!("access to unallocated {pfn}"));
+        (f, &mut self.marks[i])
     }
 
     /// Borrows `len` bytes starting at frame `pfn` offset `off`, so a
@@ -131,11 +149,11 @@ impl PhysMem {
     /// unallocated.
     pub fn write_bytes(&mut self, pfn: Pfn, off: u64, buf: &[u8]) {
         let off = off as usize;
-        assert!(
-            off + buf.len() <= PAGE_SIZE as usize,
-            "frame-crossing write"
-        );
-        self.frame_mut(pfn)[off..off + buf.len()].copy_from_slice(buf);
+        let end = off + buf.len();
+        assert!(end <= PAGE_SIZE as usize, "frame-crossing write");
+        let (f, mark) = self.frame_mut(pfn);
+        f[off..end].copy_from_slice(buf);
+        *mark = (*mark).max(end as u16);
     }
 
     /// Reads a little-endian u64 at frame offset `off`.
@@ -178,13 +196,139 @@ impl PhysMem {
             PAGE_SIZE as usize,
             "frame write must be page-sized"
         );
-        self.frame_mut(pfn).copy_from_slice(data);
+        let (f, mark) = self.frame_mut(pfn);
+        f.copy_from_slice(data);
+        *mark = PAGE_SIZE as u16;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl PhysMem {
+        /// The write mark of an allocated frame.
+        fn mark(&self, pfn: Pfn) -> u16 {
+            assert!(self.is_allocated(pfn));
+            self.marks[pfn.0 as usize]
+        }
+    }
+
+    /// The replaced eager allocator, kept as the lazy-zeroing oracle: same
+    /// free-list order, but every handout and every `zero_frame` fills the
+    /// whole page.
+    struct EagerPhys {
+        frames: Vec<Option<Box<[u8]>>>,
+        free: Vec<u64>,
+        recycled: Vec<Box<[u8]>>,
+    }
+
+    impl EagerPhys {
+        fn new(total_frames: usize) -> Self {
+            EagerPhys {
+                frames: vec![None; total_frames],
+                free: (0..total_frames as u64).rev().collect(),
+                recycled: Vec::new(),
+            }
+        }
+
+        fn alloc_frame(&mut self) -> Option<Pfn> {
+            let pfn = self.free.pop()?;
+            let mut buf = self
+                .recycled
+                .pop()
+                .unwrap_or_else(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+            buf.fill(0);
+            self.frames[pfn as usize] = Some(buf);
+            Some(Pfn(pfn))
+        }
+
+        fn free_frame(&mut self, pfn: Pfn) {
+            let buf = self.frames[pfn.0 as usize].take().expect("allocated");
+            self.recycled.push(buf);
+            self.free.push(pfn.0);
+        }
+
+        fn frame(&mut self, pfn: Pfn) -> &mut [u8] {
+            self.frames[pfn.0 as usize]
+                .as_deref_mut()
+                .expect("allocated")
+        }
+    }
+
+    proptest! {
+        /// Lazy re-zeroing is invisible: over random alloc / write /
+        /// whole-frame write / zero / free sequences on a small pool, every
+        /// allocated frame reads exactly as under eager zeroing, and each
+        /// write mark is exactly the furthest write end since the frame
+        /// was last handed out or zeroed.
+        #[test]
+        fn lazy_zeroing_matches_eager_oracle(
+            ops in proptest::collection::vec(
+                (0u8..10, any::<u64>(), 0u64..PAGE_SIZE, 0usize..300, 1u8..255),
+                1..160,
+            ),
+        ) {
+            let mut lazy = PhysMem::new(4);
+            let mut eager = EagerPhys::new(4);
+            let mut held: Vec<Pfn> = Vec::new();
+            let mut want_mark = [0u16; 4];
+            for (op, pick, off, len, byte) in ops {
+                let target = (!held.is_empty()).then(|| held[(pick % held.len() as u64) as usize]);
+                match (op, target) {
+                    (0..=2, _) | (_, None) => {
+                        let got = lazy.alloc_frame();
+                        prop_assert_eq!(got, eager.alloc_frame());
+                        if let Some(f) = got {
+                            held.push(f);
+                            want_mark[f.0 as usize] = 0;
+                        }
+                    }
+                    (3..=5, Some(f)) => {
+                        let len = len.min((PAGE_SIZE - off) as usize);
+                        let data = vec![byte; len];
+                        lazy.write_bytes(f, off, &data);
+                        eager.frame(f)[off as usize..off as usize + len].copy_from_slice(&data);
+                        let end = (off as usize + len) as u16;
+                        want_mark[f.0 as usize] = want_mark[f.0 as usize].max(end);
+                    }
+                    (6, Some(f)) => {
+                        let page = vec![byte; PAGE_SIZE as usize];
+                        lazy.write_frame(f, &page);
+                        eager.frame(f).copy_from_slice(&page);
+                        want_mark[f.0 as usize] = PAGE_SIZE as u16;
+                    }
+                    (7, Some(f)) => {
+                        lazy.zero_frame(f);
+                        eager.frame(f).fill(0);
+                        want_mark[f.0 as usize] = 0;
+                    }
+                    (_, Some(f)) => {
+                        held.retain(|&h| h != f);
+                        lazy.free_frame(f);
+                        eager.free_frame(f);
+                    }
+                }
+                for &f in &held {
+                    prop_assert_eq!(lazy.bytes(f, 0, PAGE_SIZE as usize), &*eager.frame(f));
+                    prop_assert_eq!(lazy.mark(f), want_mark[f.0 as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_frame_resets_the_write_mark() {
+        let mut m = PhysMem::new(1);
+        let a = m.alloc_frame().unwrap();
+        m.write_bytes(a, 100, &[7; 20]);
+        assert_eq!(m.mark(a), 120);
+        m.zero_frame(a);
+        assert_eq!(m.mark(a), 0);
+        m.write_frame(a, &[1; PAGE_SIZE as usize]);
+        assert_eq!(m.mark(a), PAGE_SIZE as u16);
+    }
 
     #[test]
     fn alloc_free_cycle() {

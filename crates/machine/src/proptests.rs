@@ -136,8 +136,8 @@ proptest! {
             match op {
                 0..=4 => {
                     let p = Packet { flow, data: vec![i as u8; len] };
-                    model.push(p.clone());
-                    nic.transmit(p);
+                    nic.transmit_bytes(flow, &p.data);
+                    model.push(p);
                 }
                 5 | 6 => {
                     let (hit, keep): (Vec<Packet>, Vec<Packet>) =

@@ -10,6 +10,21 @@
 //! transactions) the simulator gives ~4.1–4.2×; the band accepts the
 //! paper's figure ±20%.
 //!
+//! Figures 2–4 (thttpd and ssh bandwidth) call the same app functions as
+//! `paper-tables --fast`, at its scale: 8 requests per thttpd file size and
+//! 3 transfers per ssh file size.
+//! - Figure 2: the paper sees negligible thttpd impact; VG/native stays
+//!   within ±1% of 1.0 at every size (today: exactly 1.0).
+//! - Figure 3: the paper's worst sshd reduction is 45%, at small files;
+//!   ours stays within ±12% of it (today: 40.1%, at 64 KB). The paper's
+//!   mean reduction is 23%; ours is 29.6%, because the model holds every
+//!   size from 1 to 64 KB at a 39–40% reduction and only 256 KB and up
+//!   recover. The band holds today's mean ±5% so drift shows, and states
+//!   the gap rather than hiding it in a wide band.
+//! - Figure 4: the ghosting ssh client loses at most 5% against the
+//!   original; ghost/orig stays ≥ 0.95 at every size (today's lowest:
+//!   0.995, at 64 KB).
+//!
 //! The exact cycle and [`Counters`] pins below were captured by running
 //! this test on the code before vgfs gained its in-place directory scan,
 //! block-at-a-time inode allocation and single-map buffer cache. Host-speed
@@ -18,6 +33,7 @@
 
 use vg_apps::lmbench;
 use vg_apps::postmark::{self, PostmarkConfig};
+use vg_apps::{ssh, thttpd};
 use vg_kernel::{Mode, System};
 use vg_machine::Counters;
 
@@ -40,6 +56,25 @@ const TABLE2_BAND: f64 = 0.12;
 
 /// Table 5's Virtual Ghost / native Postmark ratio.
 const PAPER_TABLE5_RATIO: f64 = 4.72;
+
+/// `paper-tables --fast` scale for Figures 2–4.
+const HTTP_REQS: u32 = 8;
+const TRANSFERS: u32 = 3;
+
+/// Figure 2's file sizes (KB), as `paper-tables` runs them.
+const FIGURE2_KB: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
+
+/// Figure 3 and 4's file sizes (KB), as `paper-tables` runs them.
+const FIGURE34_KB: [usize; 6] = [1, 4, 16, 64, 256, 1024];
+
+/// Figure 3's worst-case sshd bandwidth reduction in the paper.
+const PAPER_FIGURE3_WORST: f64 = 0.45;
+
+/// Figure 3's mean sshd bandwidth reduction in the paper.
+const PAPER_FIGURE3_MEAN: f64 = 0.23;
+
+/// Figure 3's mean reduction this model reproduces at `--fast` scale.
+const MODEL_FIGURE3_MEAN: f64 = 0.296;
 
 /// Runs the test-scale Postmark; returns total simulated cycles (boot
 /// included), the counters, and the timed phase in simulated seconds.
@@ -132,4 +167,64 @@ fn table2_overhead_ratios_within_band_of_paper() {
         }
     }
     assert!(outside.is_empty(), "{outside:#?}");
+}
+
+#[test]
+fn figure2_thttpd_overhead_is_negligible() {
+    for kb in FIGURE2_KB {
+        let n = thttpd::bandwidth(&mut System::boot(Mode::Native), kb * 1024, HTTP_REQS);
+        let v = thttpd::bandwidth(&mut System::boot(Mode::VirtualGhost), kb * 1024, HTTP_REQS);
+        let ratio = v.kb_per_sec / n.kb_per_sec;
+        assert!(
+            (0.99..=1.01).contains(&ratio),
+            "{kb} KB: thttpd VG/native {ratio:.4} outside 1.0 ± 1%"
+        );
+    }
+}
+
+/// Figure 3's per-size sshd bandwidth reduction, `1 - VG/native`.
+fn figure3_reductions() -> Vec<f64> {
+    FIGURE34_KB
+        .iter()
+        .map(|&kb| {
+            let n = ssh::sshd_bandwidth(&mut System::boot(Mode::Native), kb * 1024, TRANSFERS);
+            let v =
+                ssh::sshd_bandwidth(&mut System::boot(Mode::VirtualGhost), kb * 1024, TRANSFERS);
+            1.0 - v / n
+        })
+        .collect()
+}
+
+#[test]
+fn figure3_sshd_reduction_worst_case_and_mean() {
+    let reductions = figure3_reductions();
+    let worst = reductions.iter().copied().fold(f64::MIN, f64::max);
+    let band = PAPER_FIGURE3_WORST * 0.88..PAPER_FIGURE3_WORST * 1.12;
+    assert!(
+        band.contains(&worst),
+        "worst-case reduction {worst:.3} outside {band:.3?} (paper 45% ± 12%): {reductions:.3?}"
+    );
+    // The mean stays above the paper's 23% (see the module docs); the
+    // band pins today's value so the gap cannot drift unnoticed.
+    let mean = reductions.iter().sum::<f64>() / reductions.len() as f64;
+    let band = MODEL_FIGURE3_MEAN * 0.95..MODEL_FIGURE3_MEAN * 1.05;
+    assert!(
+        band.contains(&mean),
+        "mean reduction {mean:.4} outside {band:.4?} (paper: {PAPER_FIGURE3_MEAN}): {reductions:.3?}"
+    );
+}
+
+#[test]
+fn figure4_ghosting_client_loses_at_most_five_percent() {
+    for kb in FIGURE34_KB {
+        let run = |ghosting| {
+            let mut sys = System::boot(Mode::VirtualGhost);
+            ssh::ssh_client_bandwidth(&mut sys, kb * 1024, TRANSFERS, ghosting)
+        };
+        let ratio = run(true) / run(false);
+        assert!(
+            ratio >= 0.95,
+            "{kb} KB: ghosting/original ssh client {ratio:.4} below 0.95"
+        );
+    }
 }
