@@ -29,29 +29,16 @@ fn now(env: &mut UserEnv) -> u64 {
     env.sys.machine.clock.cycles()
 }
 
+/// Runs `body` once as process `app`. `body` runs setup, then the measured
+/// loop, and returns `(elapsed_cycles, operations)`; the result is
+/// simulated microseconds per operation.
 fn measure(
     sys: &mut System,
     app: &str,
     body: impl Fn(&mut UserEnv) -> (u64, u64) + 'static,
 ) -> f64 {
-    // `body` runs setup, then the measured loop, and returns
-    // (elapsed_cycles, operations).
-    let cycles = Rc::new(Cell::new(0u64));
-    let ops = Rc::new(Cell::new(0u64));
-    let (c2, o2) = (cycles.clone(), ops.clone());
-    let body = Rc::new(body);
-    sys.install_app(app, false, move || {
-        let (c, o, body) = (c2.clone(), o2.clone(), body.clone());
-        Box::new(move |env| {
-            let (elapsed, n) = body(env);
-            c.set(elapsed);
-            o.set(n);
-            0
-        })
-    });
-    let pid = sys.spawn(app);
-    sys.run_until_exit(pid);
-    (cycles.get() as f64 / CYCLES_PER_US) / ops.get().max(1) as f64
+    let (cycles, ops) = crate::run_once(sys, app, false, body);
+    (cycles as f64 / CYCLES_PER_US) / ops.max(1) as f64
 }
 
 /// `null syscall`: getpid latency.
@@ -215,37 +202,28 @@ pub fn table2(mode: Mode, iters: u64) -> Vec<MicroResult> {
 /// File create/delete rates (Tables 3 and 4). Returns
 /// `(files_created_per_sec, files_deleted_per_sec)` for the given file size.
 pub fn file_rates(sys: &mut System, size: usize, files: u64) -> (f64, f64) {
-    let create_c = Rc::new(Cell::new(0u64));
-    let delete_c = Rc::new(Cell::new(0u64));
-    let (cc, dc) = (create_c.clone(), delete_c.clone());
-    sys.install_app("lm-fs", false, move || {
-        let (cc, dc) = (cc.clone(), dc.clone());
-        Box::new(move |env| {
-            let buf = env.mmap_anon(16 * 1024);
+    let (create, delete) = crate::run_once(sys, "lm-fs", false, move |env| {
+        let buf = env.mmap_anon(16 * 1024);
+        if size > 0 {
+            env.write_mem(buf, &vec![0x61u8; size]);
+        }
+        let t0 = env.sys.machine.clock.cycles();
+        for i in 0..files {
+            let fd = env.open(&format!("/lmfs{i}"), O_CREAT);
             if size > 0 {
-                env.write_mem(buf, &vec![0x61u8; size]);
+                env.write(fd, buf, size);
             }
-            let t0 = env.sys.machine.clock.cycles();
-            for i in 0..files {
-                let fd = env.open(&format!("/lmfs{i}"), O_CREAT);
-                if size > 0 {
-                    env.write(fd, buf, size);
-                }
-                env.close(fd);
-            }
-            cc.set(env.sys.machine.clock.cycles() - t0);
-            let t1 = env.sys.machine.clock.cycles();
-            for i in 0..files {
-                env.unlink(&format!("/lmfs{i}"));
-            }
-            dc.set(env.sys.machine.clock.cycles() - t1);
-            0
-        })
+            env.close(fd);
+        }
+        let create = env.sys.machine.clock.cycles() - t0;
+        let t1 = env.sys.machine.clock.cycles();
+        for i in 0..files {
+            env.unlink(&format!("/lmfs{i}"));
+        }
+        (create, env.sys.machine.clock.cycles() - t1)
     });
-    let pid = sys.spawn("lm-fs");
-    sys.run_until_exit(pid);
     let per_sec = |cycles: u64| files as f64 / (cycles as f64 / CYCLES_PER_US / 1e6);
-    (per_sec(create_c.get()), per_sec(delete_c.get()))
+    (per_sec(create), per_sec(delete))
 }
 
 #[cfg(test)]

@@ -7,8 +7,6 @@
 //! transactions; the driver takes a transaction count and reports simulated
 //! seconds, normalized so runs of different lengths are comparable.
 
-use std::cell::Cell;
-use std::rc::Rc;
 use vg_crypto::ChaChaRng;
 use vg_kernel::syscall::{O_APPEND, O_CREAT};
 use vg_kernel::{System, UserEnv};
@@ -136,25 +134,15 @@ pub(crate) fn workload(env: &mut UserEnv, cfg: &PostmarkConfig, dir: &str) -> u6
 
 /// Runs Postmark on `sys`; returns the result.
 pub fn run(sys: &mut System, cfg: PostmarkConfig) -> PostmarkResult {
-    let seconds = Rc::new(Cell::new(0f64));
-    let s2 = seconds.clone();
-    let cfg2 = cfg.clone();
-    sys.install_app("postmark", false, move || {
-        let cfg = cfg2.clone();
-        let s = s2.clone();
-        Box::new(move |env| {
-            let cycles = workload(env, &cfg, "/pm");
-            s.set(cycles as f64 / vg_machine::cost::CYCLES_PER_US / 1e6);
-            0
-        })
+    let transactions = cfg.transactions;
+    let cycles = crate::run_once(sys, "postmark", false, move |env| {
+        workload(env, &cfg, "/pm")
     });
-    let pid = sys.spawn("postmark");
-    sys.run_until_exit(pid);
-    let secs = seconds.get();
+    let secs = cycles as f64 / vg_machine::cost::CYCLES_PER_US / 1e6;
     PostmarkResult {
         seconds: secs,
-        transactions: cfg.transactions,
-        seconds_at_500k: secs * 500_000.0 / cfg.transactions as f64,
+        transactions,
+        seconds_at_500k: secs * 500_000.0 / transactions as f64,
     }
 }
 

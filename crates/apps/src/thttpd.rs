@@ -7,19 +7,22 @@
 //!   the request, respond with per-call `send`s, close. Kept verbatim (per
 //!   the Figure 2 driver) and extended with keep-alive support as
 //!   [`ServerKind::Sync`], the reference side of the C10K comparison.
-//! * A single-process event loop ([`ServerKind::EventLoop`]): non-blocking
-//!   listener, `poll` readiness over every live connection, `readv` request
-//!   gathering, and one `writev` per connection per round that batches all
-//!   pending responses into a single descriptor-ring submission.
+//! * A single-process event loop ([`ServerKind::EventLoop`]): a
+//!   non-blocking listener running the crate's shared server loop (the one
+//!   ghostkv runs too) with HTTP as its protocol step — `poll` readiness
+//!   over every live connection, `readv` request gathering, and one
+//!   `writev` per connection per round that batches all pending responses
+//!   into a single descriptor-ring submission. Each response takes two
+//!   iovecs of the 256-entry table, so a connection with more than 128
+//!   pipelined requests in a round gets one `writev` per 128.
 //!
 //! The C10K driver pre-queues N connections × K pipelined keep-alive
 //! requests (the paper's client machines, scaled up), runs the server until
-//! the backlog drains, and reports requests-per-megacycle plus p50/p99
-//! request latency through the vg-trace metrics registry.
+//! the backlog drains through the shared single-process load driver, and
+//! reports requests-per-megacycle plus p50/p99 request latency through the
+//! vg-trace metrics registry.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
-use vg_kernel::syscall::EAGAIN;
+use crate::server::{self, LoopBufs, IOV_MAX};
 use vg_kernel::{System, UserEnv};
 
 /// Port the server listens on.
@@ -95,8 +98,7 @@ pub struct HttpBench {
 /// reported mean bandwidth).
 pub fn bandwidth(sys: &mut System, file_size: usize, requests: u32) -> HttpBench {
     // Document root content: "random data from /dev/random" in the paper.
-    let data: Vec<u8> = (0..file_size).map(|i| (i * 31 % 251) as u8).collect();
-    sys.write_file("/index.dat", &data);
+    sys.write_file("/index.dat", &document(file_size));
 
     // Client side: queue all connections with their requests (the wire has
     // them ready; the single-threaded server drains the backlog).
@@ -107,35 +109,18 @@ pub fn bandwidth(sys: &mut System, file_size: usize, requests: u32) -> HttpBench
         flows.push(flow);
     }
 
-    let cycles = Rc::new(Cell::new(0u64));
-    let served = Rc::new(Cell::new(0u64));
-    let (c2, s2) = (cycles.clone(), served.clone());
-    sys.install_app("thttpd", false, move || {
-        let (c, s) = (c2.clone(), s2.clone());
-        Box::new(move |env| {
-            let sock = env.socket();
-            env.bind(sock, HTTP_PORT);
-            env.listen(sock);
-            let t0 = env.sys.machine.clock.cycles();
-            let w0 = env.sys.machine.nic_time.cycles();
-            s.set(serve_all(env, sock));
-            // Server CPU overlaps wire+client time (the paper's client was
-            // a separate machine driving 100 concurrent connections).
-            let cpu = env.sys.machine.clock.cycles() - t0;
-            let wire = env.sys.machine.nic_time.cycles() - w0;
-            c.set(cpu.max(wire));
-            0
-        })
+    let run = crate::run_once(sys, "thttpd", false, |env| {
+        server::listen_and_serve(env, HTTP_PORT, &|env, sock, _, _| serve_all(env, sock))
     });
-    let pid = sys.spawn("thttpd");
-    sys.run_until_exit(pid);
-    assert_eq!(served.get(), requests as u64, "all queued requests served");
+    assert_eq!(run.requests, requests as u64, "all queued requests served");
 
     // Verify responses arrived intact (first flow spot check).
     let resp = sys.wire_recv(flows[0]);
     assert!(resp.len() >= file_size, "short response: {}", resp.len());
 
-    let seconds = cycles.get() as f64 / vg_machine::cost::CYCLES_PER_US / 1e6;
+    // Server CPU overlaps wire+client time (the paper's client was a
+    // separate machine driving 100 concurrent connections).
+    let seconds = run.cpu.max(run.wire) as f64 / vg_machine::cost::CYCLES_PER_US / 1e6;
     let kb = (file_size as f64 * requests as f64) / 1024.0;
     HttpBench {
         file_size,
@@ -162,15 +147,41 @@ pub(crate) fn http_header(file_size: usize) -> Vec<u8> {
     format!("HTTP/1.1 200 OK\r\nContent-Length: {file_size}\r\n\r\n").into_bytes()
 }
 
-/// Counts complete (`\r\n\r\n`-terminated) requests in `acc`, consuming
-/// them; leaves any trailing partial request in place.
-fn drain_complete_requests(acc: &mut Vec<u8>) -> usize {
-    let mut count = 0;
-    while let Some(pos) = acc.windows(4).position(|w| w == b"\r\n\r\n") {
-        acc.drain(..pos + 4);
+/// Consumes up to `max` complete (`\r\n\r\n`-terminated) requests off the
+/// front of `acc` and returns how many; leaves the rest in place.
+fn drain_complete_requests(acc: &mut Vec<u8>, max: usize) -> usize {
+    let (mut count, mut end) = (0, 0);
+    while count < max {
+        let Some(pos) = acc[end..].windows(4).position(|w| w == b"\r\n\r\n") else {
+            break;
+        };
+        end += pos + 4;
         count += 1;
     }
+    acc.drain(..end);
     count
+}
+
+/// The `/index.dat` document the C10K drivers serve: `file_size` bytes.
+pub(crate) fn document(file_size: usize) -> Vec<u8> {
+    (0..file_size).map(|i| (i * 31 % 251) as u8).collect()
+}
+
+/// One connection's client train: `reqs_per_conn` pipelined requests for
+/// `/index.dat`.
+pub(crate) fn request_train(reqs_per_conn: u32) -> Vec<u8> {
+    http_request("/index.dat").repeat(reqs_per_conn as usize)
+}
+
+/// Checks one C10K flow's response bytes: `reqs_per_conn` responses for
+/// `doc`, the first of which starts with the header and the document's
+/// first bytes.
+pub(crate) fn check_response(resp: &[u8], doc: &[u8], reqs_per_conn: u32) {
+    let hdr = http_header(doc.len());
+    assert_eq!(resp.len(), (hdr.len() + doc.len()) * reqs_per_conn as usize);
+    assert!(resp.starts_with(&hdr));
+    let head = doc.len().min(64);
+    assert_eq!(&resp[hdr.len()..hdr.len() + head], &doc[..head]);
 }
 
 /// Loads `/index.dat` into user memory once at server startup (real thttpd
@@ -215,7 +226,7 @@ fn serve_sync_c10k(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0: u6
                 break; // EOF (client done) or would-block on a dead conn
             }
             acc.extend(env.read_mem(rxbuf, n as usize));
-            for _ in 0..drain_complete_requests(&mut acc) {
+            for _ in 0..drain_complete_requests(&mut acc, usize::MAX) {
                 env.send(conn, hdr_va, hdr_len);
                 env.send(conn, file_va, file_size);
                 served += 1;
@@ -229,9 +240,8 @@ fn serve_sync_c10k(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0: u6
     served
 }
 
-/// Event-loop server: accept burst, then rounds of `poll` → `readv` → one
-/// batched `writev` per connection carrying every response it owes.
-/// Returns requests served.
+/// Event-loop server: the shared loop with HTTP as its protocol step, two
+/// iovecs (header, document) per response. Returns requests served.
 pub(crate) fn serve_event_loop(
     env: &mut UserEnv,
     listen_fd: i64,
@@ -240,85 +250,23 @@ pub(crate) fn serve_event_loop(
 ) -> u64 {
     let (file_va, file_size, hdr_va, hdr_len) = load_document(env);
     env.set_nonblocking(listen_fd, true);
-    let rxbuf = env.mmap_anon(8192);
-    let iov_va = env.mmap_anon(4096);
-    let scratch = env.mmap_anon(64 * 4096); // pollfd table
-    let mut conns: Vec<i64> = Vec::new();
-    let mut bufs: Vec<Vec<u8>> = Vec::new();
-    let mut eof: Vec<bool> = Vec::new();
-    let mut served = 0u64;
-    loop {
-        // Accept burst: take everything the backlog has.
-        loop {
-            let c = env.accept(listen_fd);
-            if c < 0 {
-                break;
+    let bufs = LoopBufs::map(env);
+    let metric = "http.request_cycles";
+    server::event_loop(
+        env,
+        listen_fd,
+        &bufs,
+        metric,
+        lat,
+        t0,
+        |_env, input, iovs| {
+            let requests = drain_complete_requests(input, IOV_MAX / 2);
+            for _ in 0..requests {
+                iovs.extend([(hdr_va, hdr_len), (file_va, file_size)]);
             }
-            conns.push(c);
-            bufs.push(Vec::new());
-            eof.push(false);
-        }
-        if conns.is_empty() {
-            break;
-        }
-        // One readiness syscall over every live fd.
-        let (_ready, events) = env.poll(scratch, &conns);
-        for i in 0..conns.len() {
-            const POLLIN: u64 = 0x1;
-            const POLLHUP: u64 = 0x2;
-            if events[i] & POLLIN == 0 {
-                // Hang-up with nothing left to read: retire without
-                // spending a trap on a readv that would return EOF.
-                if events[i] & POLLHUP != 0 {
-                    eof[i] = true;
-                }
-                continue;
-            }
-            loop {
-                let r = env.readv(conns[i], iov_va, &[(rxbuf, 8192)]);
-                if r == EAGAIN {
-                    break;
-                }
-                if r <= 0 {
-                    eof[i] = true;
-                    break;
-                }
-                bufs[i].extend(env.read_mem(rxbuf, r as usize));
-                if (r as usize) < 8192 {
-                    break;
-                }
-            }
-            let requests = drain_complete_requests(&mut bufs[i]);
-            if requests > 0 {
-                // All owed responses in ONE writev: a single trap and a
-                // single descriptor-ring doorbell for the whole batch.
-                let iovs: Vec<(u64, usize)> = (0..requests)
-                    .flat_map(|_| [(hdr_va, hdr_len), (file_va, file_size)])
-                    .collect();
-                let expect = (requests * (hdr_len + file_size)) as i64;
-                assert_eq!(env.writev(conns[i], iov_va, &iovs), expect);
-                served += requests as u64;
-                let now = env.sys.machine.clock.cycles() - t0;
-                for _ in 0..requests {
-                    env.sys.machine.metrics.observe("http.request_cycles", now);
-                    lat.push(now);
-                }
-            }
-        }
-        // Retire finished connections.
-        let mut i = 0;
-        while i < conns.len() {
-            if eof[i] && bufs[i].is_empty() {
-                env.close(conns[i]);
-                conns.swap_remove(i);
-                bufs.swap_remove(i);
-                eof.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    served
+            requests
+        },
+    )
 }
 
 /// Result of one C10K run.
@@ -356,78 +304,27 @@ pub fn c10k(
     reqs_per_conn: u32,
     server: ServerKind,
 ) -> C10kBench {
-    let data: Vec<u8> = (0..file_size).map(|i| (i * 31 % 251) as u8).collect();
-    sys.write_file("/index.dat", &data);
-
-    // Client side: every connection arrives with its whole pipelined
-    // request train and a half-close (the client has said everything).
-    let request = http_request("/index.dat");
-    let mut train = Vec::with_capacity(request.len() * reqs_per_conn as usize);
-    for _ in 0..reqs_per_conn {
-        train.extend_from_slice(&request);
-    }
-    let mut flows = Vec::with_capacity(conns as usize);
-    for _ in 0..conns {
-        let flow = sys.wire_connect(HTTP_PORT).expect("wire connect");
-        sys.wire_send(flow, &train);
-        sys.wire_close(flow);
-        flows.push(flow);
-    }
-
-    let cpu = Rc::new(Cell::new(0u64));
-    let wire = Rc::new(Cell::new(0u64));
-    let served = Rc::new(Cell::new(0u64));
-    let lats: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let (c2, w2, s2, l2) = (cpu.clone(), wire.clone(), served.clone(), lats.clone());
-    sys.install_app("thttpd-c10k", false, move || {
-        let (c, w, s, l) = (c2.clone(), w2.clone(), s2.clone(), l2.clone());
-        Box::new(move |env| {
-            let sock = env.socket();
-            env.bind(sock, HTTP_PORT);
-            env.listen(sock);
-            let t0 = env.sys.machine.clock.cycles();
-            let w0 = env.sys.machine.nic_time.cycles();
-            let mut lat = Vec::new();
-            let n = match server {
-                ServerKind::Sync => serve_sync_c10k(env, sock, &mut lat, t0),
-                ServerKind::EventLoop => serve_event_loop(env, sock, &mut lat, t0),
-            };
-            s.set(n);
-            c.set(env.sys.machine.clock.cycles() - t0);
-            w.set(env.sys.machine.nic_time.cycles() - w0);
-            *l.borrow_mut() = lat;
-            0
-        })
-    });
-    let pid = sys.spawn("thttpd-c10k");
-    sys.run_until_exit(pid);
-    let expected = conns as u64 * reqs_per_conn as u64;
-    assert_eq!(served.get(), expected, "all pipelined requests served");
-
-    // Spot-check a flow: every response present and byte-correct.
-    let resp = sys.wire_recv(flows[0]);
-    let hdr = http_header(file_size);
-    assert_eq!(resp.len(), (hdr.len() + file_size) * reqs_per_conn as usize);
-    assert!(resp.starts_with(&hdr));
-    assert_eq!(
-        &resp[hdr.len()..hdr.len() + file_size.min(64)],
-        &data[..file_size.min(64)]
-    );
-
-    let mut lat = lats.borrow().clone();
-    lat.sort_unstable();
-    let pct = |p: usize| lat[(lat.len() - 1) * p / 100];
-    C10kBench {
-        conns,
+    let doc = document(file_size);
+    sys.write_file("/index.dat", &doc);
+    let train = request_train(reqs_per_conn);
+    let trains = std::iter::repeat_n(&train[..], conns as usize);
+    let serve = move |env: &mut UserEnv, sock, lat: &mut Vec<u64>, t0| match server {
+        ServerKind::Sync => serve_sync_c10k(env, sock, lat, t0),
+        ServerKind::EventLoop => serve_event_loop(env, sock, lat, t0),
+    };
+    let (bench, flows) = crate::server::load(
+        sys,
+        "thttpd-c10k",
+        false,
+        HTTP_PORT,
+        trains,
         reqs_per_conn,
         file_size,
-        requests: served.get(),
-        cpu_cycles: cpu.get(),
-        wire_cycles: wire.get(),
-        req_per_megacycle: served.get() as f64 / (cpu.get() as f64 / 1e6),
-        p50_cycles: pct(50),
-        p99_cycles: pct(99),
-    }
+        serve,
+    );
+    // Spot-check a flow: every response present and byte-correct.
+    check_response(&sys.wire_recv(flows[0]), &doc, reqs_per_conn);
+    bench
 }
 
 #[cfg(test)]
@@ -475,6 +372,19 @@ mod c10k_tests {
             sy.req_per_megacycle
         );
         assert!(ev.p99_cycles >= ev.p50_cycles);
+    }
+
+    #[test]
+    fn pipeline_past_iovec_table_is_served() {
+        // 200 pipelined requests on one connection need 400 iovecs, more
+        // than the 256-entry table: the loop splits them over two
+        // writevs instead of writing past the table.
+        let mut sys = System::boot(Mode::VirtualGhost);
+        sys.net_mode = NetMode::Ring;
+        let b = c10k(&mut sys, 64, 1, 200, ServerKind::EventLoop);
+        assert_eq!(b.requests, 200);
+        let writevs = sys.machine.metrics.histogram("sys.writev").unwrap();
+        assert_eq!(writevs.count(), 2);
     }
 }
 

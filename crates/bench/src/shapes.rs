@@ -395,17 +395,22 @@ impl SmpShapeResult {
 /// all cycle numbers are deterministic simulated time.
 pub fn smp_shapes(scale: u32) -> Vec<SmpShapeResult> {
     use vg_apps::smp;
-    let sweep = |f: &dyn Fn(usize) -> smp::SmpBench| SMP_CPU_COUNTS.map(f).into();
+    use vg_kernel::{Mode, System};
+    let sweep = |f: &dyn Fn(&mut System) -> smp::SmpBench| {
+        SMP_CPU_COUNTS
+            .map(|cpus| f(&mut System::boot_with_cpus(Mode::VirtualGhost, cpus)))
+            .into()
+    };
 
-    let c10k = sweep(&|cpus| smp::c10k_sharded(cpus, SMP_SHARDS, 512, 8 * scale, 8));
+    let c10k = sweep(&|sys| smp::c10k_sharded_on(sys, SMP_SHARDS, 512, 8 * scale, 8));
     let pm_cfg = vg_apps::PostmarkConfig {
         base_files: 20,
         transactions: 40 * scale,
         ..Default::default()
     };
-    let postmark = sweep(&|cpus| smp::postmark_sharded(cpus, SMP_SHARDS, &pm_cfg));
-    let kv = sweep(&|cpus| smp::kv_sharded(cpus, SMP_SHARDS, 256, 4 * scale, 4));
-    let mix = sweep(&|cpus| smp::procmix(cpus, SMP_SHARDS, 10 * scale));
+    let postmark = sweep(&|sys| smp::postmark_sharded_on(sys, SMP_SHARDS, &pm_cfg));
+    let kv = sweep(&|sys| smp::kv_sharded_on(sys, SMP_SHARDS, 256, 4 * scale, 4));
+    let mix = sweep(&|sys| smp::procmix_on(sys, SMP_SHARDS, 10 * scale));
 
     vec![
         SmpShapeResult::from_runs("thttpd_c10k", c10k),

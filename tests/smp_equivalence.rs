@@ -238,17 +238,24 @@ fn smp_conservation_work_plus_idle_equals_horizon() {
     assert!(busy >= 2, "work spread across cores: {:?}", run.work);
 }
 
-/// Golden pins for the multi-core ring data plane: the exact `SmpBench`,
-/// `Counters` (TLB fields included) and `Machine::metrics_report()` text of
-/// a 4-core sharded C10K run and a 2-core sharded ghostkv run. Every
-/// constant below was captured by running these tests on the parent commit
-/// of the change that made the machine's per-operation paths O(1) (the
-/// `Counters` TLB mirror, the recency-list TLB, the dense frame table and
-/// the ring's free-slot bitmap); that change, and any later host-side
-/// optimization, must leave them untouched.
+/// Golden pins for the app drivers: the exact bench row, `Counters` (TLB
+/// fields included) and `Machine::metrics_report()` text of each run.
+///
+/// The 4-core sharded C10K and 2-core sharded ghostkv pins were captured on
+/// the parent commit of the change that made the machine's per-operation
+/// paths O(1) (the `Counters` TLB mirror, the recency-list TLB, the dense
+/// frame table and the ring's free-slot bitmap). The single-core C10K (both
+/// server architectures), single-core ghostkv, and 4-core sharded Postmark
+/// and process-mix pins were captured on the parent commit of the change
+/// that gave both servers one shared event loop and one load driver, and
+/// every SMP driver the caller's `System`. Those changes, and any later
+/// host-side refactor or optimization, must leave every constant here
+/// untouched.
 mod golden {
     use vg_apps::smp::{self, SmpBench};
-    use vg_kernel::{Mode, System};
+    use vg_apps::thttpd::{self, C10kBench, ServerKind};
+    use vg_apps::{ghostkv, PostmarkConfig};
+    use vg_kernel::{Mode, NetMode, System};
     use vg_machine::Counters;
 
     const C10K_REPORT: &str = "\
@@ -386,5 +393,348 @@ cpu1: hits r/w/x 80/64/0  misses r/w/x 0/30/0  evictions 0
             }
         );
         assert_eq!(sys.machine.metrics_report(), KV_REPORT);
+    }
+
+    /// A single-core Virtual Ghost system on the given data plane.
+    fn uni(net_mode: NetMode) -> System {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        sys.net_mode = net_mode;
+        sys
+    }
+
+    const C10K_EVENT_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+http.request_cycles                     64     995459.0    1048576    2097152    1101479
+sys.accept                              19      14404.2      16384      32768      22040
+sys.bind                                 1       9780.0      16384      16384       9780
+sys.close                               17       6730.0       8192       8192       6730
+sys.fcntl                                1       1565.0       2048       2048       1565
+sys.listen                               1       9780.0      16384      16384       9780
+sys.mmap                                 5     102730.0     131072     131072     102730
+sys.open                                 1      25173.0      32768      32768      25173
+sys.poll                                 2       8754.0      16384      16384       8754
+sys.read                                 2      11579.5       4096      32768      19481
+sys.readv                               16       4481.8       4096      16384      16313
+sys.socket                               1       9780.0      16384      16384       9780
+sys.writev                              16      10409.0      16384      16384      10409
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 180/49/0  misses r/w/x 0/10/0  evictions 0
+";
+
+    #[test]
+    fn c10k_event_loop_on_ring_is_pinned() {
+        let mut sys = uni(NetMode::Ring);
+        let bench = thttpd::c10k(&mut sys, 512, 16, 4, ServerKind::EventLoop);
+        assert_eq!(
+            bench,
+            C10kBench {
+                conns: 16,
+                reqs_per_conn: 4,
+                file_size: 512,
+                requests: 64,
+                cpu_cycles: 1_245_939,
+                wire_cycles: 4_394_112,
+                req_per_megacycle: 51.36688072208993,
+                p50_cycles: 988_391,
+                p99_cycles: 1_101_479,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 87,
+                syscalls: 82,
+                page_faults: 5,
+                pte_updates: 5,
+                kernel_accesses: 123_030,
+                kernel_branches: 6177,
+                bytes_copied: 41_959,
+                disk_blocks: 6,
+                packets: 144,
+                ring_doorbells: 17,
+                ring_descs: 144,
+                context_switches: 1,
+                ipis: 0,
+                tlb_shootdowns: 0,
+                sched_steals: 0,
+                ghost_pages_allocated: 0,
+                ghost_pages_freed: 0,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [180, 49, 0],
+                tlb_misses: [0, 10, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), C10K_EVENT_REPORT);
+    }
+
+    const C10K_SYNC_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+http.request_cycles                     64    1294917.0    2097152    2097152    2080431
+sys.accept                              17      18977.6      16384     131072      98940
+sys.bind                                 1       9780.0      16384      16384       9780
+sys.close                               17       6730.0       8192       8192       6730
+sys.listen                               1       9780.0      16384      16384       9780
+sys.mmap                                 3     102730.0     131072     131072     102730
+sys.open                                 1      25173.0      32768      32768      25173
+sys.read                                 2      11579.5       4096      32768      19481
+sys.recv                                32       3999.4       4096      16384      16285
+sys.send                               128       9143.0      16384      16384       9379
+sys.socket                               1       9780.0      16384      16384       9780
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 144/15/0  misses r/w/x 0/6/0  evictions 0
+";
+
+    #[test]
+    fn c10k_sync_on_reference_is_pinned() {
+        let mut sys = uni(NetMode::Reference);
+        let bench = thttpd::c10k(&mut sys, 512, 16, 4, ServerKind::Sync);
+        assert_eq!(
+            bench,
+            C10kBench {
+                conns: 16,
+                reqs_per_conn: 4,
+                file_size: 512,
+                requests: 64,
+                cpu_cycles: 2_104_686,
+                wire_cycles: 4_394_112,
+                req_per_megacycle: 30.408336445436515,
+                p50_cycles: 1_271_807,
+                p99_cycles: 2_062_145,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 206,
+                syscalls: 203,
+                page_faults: 3,
+                pte_updates: 3,
+                kernel_accesses: 176_276,
+                kernel_branches: 8726,
+                bytes_copied: 38_631,
+                disk_blocks: 6,
+                packets: 144,
+                ring_doorbells: 0,
+                ring_descs: 0,
+                context_switches: 1,
+                ipis: 0,
+                tlb_shootdowns: 0,
+                sched_steals: 0,
+                ghost_pages_allocated: 0,
+                ghost_pages_freed: 0,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [144, 15, 0],
+                tlb_misses: [0, 6, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), C10K_SYNC_REPORT);
+    }
+
+    const KV_LOAD_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+kv.request_cycles                       32     685454.0    1048576    1048576     721392
+sys.accept                              11      14381.8      16384      32768      18400
+sys.bind                                 1       9780.0      16384      16384       9780
+sys.close                                8       6730.0       8192       8192       6730
+sys.listen                               1       9780.0      16384      16384       9780
+sys.mmap                                 4     102730.0     131072     131072     102730
+sys.poll                                 2       5874.0       8192       8192       5874
+sys.readv                                8       5332.5       4096      16384      16375
+sys.socket                               1       9780.0      16384      16384       9780
+sys.writev                               8       6421.0       8192       8192       6421
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 76/68/0  misses r/w/x 0/15/0  evictions 0
+";
+
+    #[test]
+    fn kv_load_on_ring_is_pinned() {
+        let mut sys = uni(NetMode::Ring);
+        let bench = ghostkv::kv_load(&mut sys, 64, 8, 2);
+        assert_eq!(
+            bench,
+            C10kBench {
+                conns: 8,
+                reqs_per_conn: 4,
+                file_size: 64,
+                requests: 32,
+                cpu_cycles: 809_100,
+                wire_cycles: 1_737_552,
+                req_per_megacycle: 39.55011741441107,
+                p50_cycles: 680_320,
+                p99_cycles: 721_392,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 51,
+                syscalls: 44,
+                page_faults: 7,
+                pte_updates: 7,
+                kernel_accesses: 96_872,
+                kernel_branches: 4700,
+                bytes_copied: 3728,
+                disk_blocks: 4,
+                packets: 40,
+                ring_doorbells: 9,
+                ring_descs: 40,
+                context_switches: 1,
+                ipis: 0,
+                tlb_shootdowns: 0,
+                sched_steals: 0,
+                ghost_pages_allocated: 4,
+                ghost_pages_freed: 4,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [76, 68, 0],
+                tlb_misses: [0, 15, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), KV_LOAD_REPORT);
+    }
+
+    const POSTMARK_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+sys.close                              278       6730.0       8192       8192       6730
+sys.mkdir                                4      59622.0      65536      65536      61939
+sys.mmap                                 4     102730.0     131072     131072     102730
+sys.open                               278      68392.4     131072     131072      88820
+sys.read                               961       6453.8       8192       8192       6861
+sys.unlink                             118      83491.9     131072     131072      84186
+sys.write                             1346       7015.4       8192      16384      11246
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 1346/883/0  misses r/w/x 0/8/0  evictions 0
+cpu0: hits r/w/x 339/221/0  misses r/w/x 0/2/0  evictions 0
+cpu1: hits r/w/x 351/222/0  misses r/w/x 0/2/0  evictions 0
+cpu2: hits r/w/x 261/205/0  misses r/w/x 0/2/0  evictions 0
+cpu3: hits r/w/x 395/235/0  misses r/w/x 0/2/0  evictions 0
+";
+
+    #[test]
+    fn postmark_sharded_four_cores_is_pinned() {
+        let mut sys = System::boot_with_cpus(Mode::VirtualGhost, 4);
+        let cfg = PostmarkConfig {
+            base_files: 10,
+            transactions: 40,
+            ..Default::default()
+        };
+        let bench = smp::postmark_sharded_on(&mut sys, 4, &cfg);
+        assert_eq!(
+            bench,
+            SmpBench {
+                cpus: 4,
+                shards: 4,
+                units: 160,
+                horizon_cycles: 12_440_417,
+                total_cycles: 47_591_416,
+                steals: 0,
+                ipis: 12,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 2993,
+                syscalls: 2989,
+                page_faults: 4,
+                pte_updates: 4,
+                kernel_accesses: 3_248_702,
+                kernel_branches: 135_347,
+                bytes_copied: 2_234_716,
+                disk_blocks: 39,
+                packets: 0,
+                ring_doorbells: 0,
+                ring_descs: 0,
+                context_switches: 4,
+                ipis: 12,
+                tlb_shootdowns: 4,
+                sched_steals: 0,
+                ghost_pages_allocated: 0,
+                ghost_pages_freed: 0,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [1346, 883, 0],
+                tlb_misses: [0, 8, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), POSTMARK_REPORT);
+    }
+
+    const PROCMIX_REPORT: &str = "\
+== metrics: histograms (simulated cycles) ==
+name                                 count         mean        p50        p99        max
+sys.close                               18       6730.0       8192       8192       6730
+sys.fork                                 6     866178.0    1048576    1048576     866178
+sys.mmap                                20     102730.0     131072     131072     102730
+sys.open                                18      85785.4     131072     131072      88833
+sys.wait4                                6     132720.0     262144     262144     132720
+sys.write                               18       9715.0      16384      16384       9715
+== metrics: counters ==
+== metrics: tlb ==
+hits r/w/x 18/0/0  misses r/w/x 0/40/0  evictions 0
+cpu0: hits r/w/x 6/0/0  misses r/w/x 0/4/0  evictions 0
+cpu1: hits r/w/x 0/0/0  misses r/w/x 0/2/0  evictions 0
+cpu2: hits r/w/x 6/0/0  misses r/w/x 0/30/0  evictions 0
+cpu3: hits r/w/x 6/0/0  misses r/w/x 0/4/0  evictions 0
+";
+
+    #[test]
+    fn procmix_four_cores_is_pinned() {
+        let mut sys = System::boot_with_cpus(Mode::VirtualGhost, 4);
+        let bench = smp::procmix_on(&mut sys, 8, 6);
+        assert_eq!(
+            bench,
+            SmpBench {
+                cpus: 4,
+                shards: 8,
+                units: 48,
+                horizon_cycles: 3_104_026,
+                total_cycles: 11_204_835,
+                steals: 1,
+                ipis: 78,
+            }
+        );
+        assert_eq!(
+            sys.machine.counters,
+            Counters {
+                traps: 106,
+                syscalls: 86,
+                page_faults: 20,
+                pte_updates: 26,
+                kernel_accesses: 1_045_320,
+                kernel_branches: 51_614,
+                bytes_copied: 39_678,
+                disk_blocks: 23,
+                packets: 0,
+                ring_doorbells: 0,
+                ring_descs: 0,
+                context_switches: 20,
+                ipis: 78,
+                tlb_shootdowns: 26,
+                sched_steals: 1,
+                ghost_pages_allocated: 0,
+                ghost_pages_freed: 0,
+                mmu_rejections: 0,
+                cfi_violations: 0,
+                tlb_hits: [18, 0, 0],
+                tlb_misses: [0, 40, 0],
+                tlb_evictions: 0,
+            }
+        );
+        assert_eq!(sys.machine.metrics_report(), PROCMIX_REPORT);
     }
 }
