@@ -30,6 +30,8 @@
 use crate::server::{self, LoopBufs, IOV_MAX};
 use crate::thttpd; // shares the C10K latency/throughput reporting shape
 use std::collections::HashMap;
+use std::io::Write;
+use std::ops::Range;
 use vg_kernel::{System, UserEnv};
 use vg_runtime::Heap;
 
@@ -42,39 +44,70 @@ const SLOT: u64 = 4096;
 /// Largest value the staging layout accepts.
 pub const MAX_VALUE: usize = 2048;
 
-/// One parsed command.
+/// One parsed command, as byte ranges into the connection's input.
+#[derive(Debug)]
 enum Cmd {
-    Set { key: String, value: Vec<u8> },
-    Get { key: String },
+    Set {
+        key: Range<usize>,
+        value: Range<usize>,
+    },
+    Get {
+        key: Range<usize>,
+    },
+    /// A line that is no command, or a `SET` whose length is no number.
+    Error,
+    /// A `SET` of more than [`MAX_VALUE`] bytes (its payload is consumed).
+    TooLarge,
 }
 
-/// Pulls the first complete command off the front of `acc`, or `None`
-/// when only partial input is left.
-fn next_command(acc: &mut Vec<u8>) -> Option<Cmd> {
-    let nl = acc.iter().position(|&b| b == b'\n')?;
-    let line = String::from_utf8_lossy(&acc[..nl]).into_owned();
-    let parts: Vec<&str> = line.split_whitespace().collect();
-    match parts.as_slice() {
-        ["SET", key, len] => {
-            let len: usize = len.parse().expect("SET length");
-            if acc.len() < nl + 1 + len {
+/// Parses the first complete command in `input[at..]` and returns it with
+/// the offset just past it, or `None` when only partial input is left.
+fn next_command(input: &[u8], at: usize) -> Option<(Cmd, usize)> {
+    let nl = at + input[at..].iter().position(|&b| b == b'\n')?;
+    let mut words = words(input, at..nl);
+    let verb = words.next().map(|r| &input[r]);
+    match (verb, [words.next(), words.next(), words.next()]) {
+        (Some(b"SET"), [Some(key), Some(len), None]) => {
+            let Some(len) = std::str::from_utf8(&input[len])
+                .ok()
+                .and_then(|l| l.parse::<usize>().ok())
+            else {
+                return Some((Cmd::Error, nl + 1));
+            };
+            let end = (nl + 1).saturating_add(len);
+            if input.len() < end {
                 return None; // payload not fully arrived yet
             }
-            let value = acc[nl + 1..nl + 1 + len].to_vec();
-            acc.drain(..nl + 1 + len);
-            Some(Cmd::Set {
-                key: key.to_string(),
-                value,
-            })
+            if len > MAX_VALUE {
+                return Some((Cmd::TooLarge, end));
+            }
+            Some((
+                Cmd::Set {
+                    key,
+                    value: nl + 1..end,
+                },
+                end,
+            ))
         }
-        ["GET", key] => {
-            acc.drain(..nl + 1);
-            Some(Cmd::Get {
-                key: key.to_string(),
-            })
-        }
-        other => panic!("bad kv command: {other:?}"),
+        (Some(b"GET"), [Some(key), None, None]) => Some((Cmd::Get { key }, nl + 1)),
+        _ => Some((Cmd::Error, nl + 1)),
     }
+}
+
+/// The whitespace-separated words of `input[line]`, as ranges into
+/// `input`.
+fn words(input: &[u8], line: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut i = line.start;
+    std::iter::from_fn(move || {
+        while i < line.end && input[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        let start = i;
+        while i < line.end && !input[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        (start < i).then_some(start..i)
+    })
 }
 
 /// The server's store: key → (ghost address, length). The map itself is
@@ -82,37 +115,47 @@ fn next_command(acc: &mut Vec<u8>) -> Option<Cmd> {
 /// bytes live in simulated ghost pages.
 struct Store {
     heap: Heap,
-    index: HashMap<String, (u64, usize)>,
+    index: HashMap<Vec<u8>, (u64, usize)>,
+    /// The `GET` response being built, reused across commands.
+    resp: Vec<u8>,
 }
 
 impl Store {
-    fn set(&mut self, env: &mut UserEnv, key: String, value: &[u8]) {
+    fn set(&mut self, env: &mut UserEnv, key: &[u8], value: &[u8]) {
         assert!(value.len() <= MAX_VALUE, "value exceeds staging slot");
-        if let Some((va, _)) = self.index.remove(&key) {
+        let entry = self.index.get_mut(key);
+        if let Some(&(va, _)) = entry.as_deref() {
             self.heap.free(va);
         }
         let va = self.heap.malloc(env, value.len() as u64);
         env.write_mem(va, value); // traditional rx staging -> ghost heap
-        self.index.insert(key, (va, value.len()));
-    }
-
-    /// Stages the response for `key` at `slot_va`; returns its length.
-    fn get_into(&self, env: &mut UserEnv, key: &str, slot_va: u64) -> usize {
-        match self.index.get(key) {
-            Some(&(va, len)) => {
-                let header = format!("VALUE {len}\n").into_bytes();
-                let value = env.read_mem(va, len); // ghost heap -> staging
-                let mut resp = header;
-                resp.extend_from_slice(&value);
-                env.write_mem(slot_va, &resp);
-                resp.len()
-            }
+        match entry {
+            Some(entry) => *entry = (va, value.len()),
             None => {
-                env.write_mem(slot_va, b"MISS\n");
-                5
+                self.index.insert(key.to_vec(), (va, value.len()));
             }
         }
     }
+
+    /// Stages the response for `key` at `slot_va`; returns its length.
+    fn get_into(&mut self, env: &mut UserEnv, key: &[u8], slot_va: u64) -> usize {
+        match self.index.get(key) {
+            Some(&(va, len)) => {
+                self.resp.clear();
+                writeln!(self.resp, "VALUE {len}").expect("writing to a Vec cannot fail");
+                env.read_mem_into(va, len, &mut self.resp); // ghost heap -> staging
+                env.write_mem(slot_va, &self.resp);
+                self.resp.len()
+            }
+            None => reply(env, slot_va, b"MISS\n"),
+        }
+    }
+}
+
+/// Stages a fixed response at `slot_va`; returns its length.
+fn reply(env: &mut UserEnv, slot_va: u64, msg: &[u8]) -> usize {
+    env.write_mem(slot_va, msg);
+    msg.len()
 }
 
 /// Event-loop body: the shared loop with the KV protocol as its step, one
@@ -123,6 +166,7 @@ pub(crate) fn serve_kv(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0
     let mut store = Store {
         heap,
         index: HashMap::new(),
+        resp: Vec::new(),
     };
     let bufs = LoopBufs::map(env);
     let staging = env.mmap_anon(IOV_MAX * SLOT as usize); // response slots, reused per batch
@@ -135,51 +179,69 @@ pub(crate) fn serve_kv(env: &mut UserEnv, listen_fd: i64, lat: &mut Vec<u64>, t0
         lat,
         t0,
         |env, input, iovs| {
+            let mut at = 0;
             while iovs.len() < IOV_MAX {
-                let Some(cmd) = next_command(input) else {
+                let Some((cmd, end)) = next_command(input, at) else {
                     break;
                 };
                 let slot_va = staging + iovs.len() as u64 * SLOT;
                 let len = match cmd {
                     Cmd::Set { key, value } => {
-                        store.set(env, key, &value);
-                        env.write_mem(slot_va, b"OK\n");
-                        3
+                        store.set(env, &input[key], &input[value]);
+                        reply(env, slot_va, b"OK\n")
                     }
-                    Cmd::Get { key } => store.get_into(env, &key, slot_va),
+                    Cmd::Get { key } => store.get_into(env, &input[key], slot_va),
+                    Cmd::Error => reply(env, slot_va, b"ERROR\n"),
+                    Cmd::TooLarge => reply(env, slot_va, b"SERVER_ERROR too large\n"),
                 };
                 iovs.push((slot_va, len));
+                at = end;
             }
+            input.drain(..at);
             iovs.len()
         },
     )
 }
 
 /// The client command train for one connection: `pairs` SETs of distinct
-/// keys followed by `pairs` GETs reading them back.
+/// keys followed by `pairs` GETs reading them back, and the responses it
+/// is owed. Both are written in place into buffers of their exact size.
 pub(crate) fn command_train(conn: usize, pairs: u32, value_size: usize) -> (Vec<u8>, Vec<u8>) {
-    let mut train = Vec::new();
-    let mut expected = Vec::new();
+    assert!(
+        value_size <= MAX_VALUE,
+        "value size {value_size} over MAX_VALUE"
+    );
+    let n = pairs as usize;
+    let pair_digits: usize = (0..n).map(digits).sum();
+    // Per pair: `SET k{conn}-{p} {len}\n{value}` and `GET k{conn}-{p}\n`;
+    // `OK\n` and `VALUE {len}\n{value}`.
+    let train_len = n * (15 + 2 * digits(conn) + digits(value_size) + value_size) + 2 * pair_digits;
+    let expected_len = n * (10 + digits(value_size) + value_size);
+    let mut train = Vec::with_capacity(train_len);
+    let mut expected = Vec::with_capacity(expected_len);
+    let vec_write = "writing to a Vec cannot fail";
     for p in 0..pairs {
-        let value = kv_value(conn, p, value_size);
-        train.extend_from_slice(format!("SET k{conn}-{p} {}\n", value.len()).as_bytes());
-        train.extend_from_slice(&value);
+        writeln!(train, "SET k{conn}-{p} {value_size}").expect(vec_write);
+        kv_value(&mut train, conn, p, value_size);
         expected.extend_from_slice(b"OK\n");
     }
     for p in 0..pairs {
-        let value = kv_value(conn, p, value_size);
-        train.extend_from_slice(format!("GET k{conn}-{p}\n").as_bytes());
-        expected.extend_from_slice(format!("VALUE {}\n", value.len()).as_bytes());
-        expected.extend_from_slice(&value);
+        writeln!(train, "GET k{conn}-{p}").expect(vec_write);
+        writeln!(expected, "VALUE {value_size}").expect(vec_write);
+        kv_value(&mut expected, conn, p, value_size);
     }
+    debug_assert_eq!((train.len(), expected.len()), (train_len, expected_len));
     (train, expected)
 }
 
-/// Deterministic per-key value bytes.
-fn kv_value(conn: usize, pair: u32, value_size: usize) -> Vec<u8> {
-    (0..value_size)
-        .map(|i| ((conn * 131 + pair as usize * 17 + i) % 251) as u8)
-        .collect()
+/// Decimal digits of `n`.
+fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends the deterministic value bytes of one key to `out`.
+fn kv_value(out: &mut Vec<u8>, conn: usize, pair: u32, value_size: usize) {
+    out.extend((0..value_size).map(|i| ((conn * 131 + pair as usize * 17 + i) % 251) as u8));
 }
 
 /// Result of one ghostkv load run (same shape as
@@ -220,7 +282,164 @@ pub fn kv_load(sys: &mut System, value_size: usize, conns: u32, pairs: u32) -> K
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vg_kernel::{Mode, NetMode};
+
+    /// Serves one connection that sends `input` and half-closes; returns
+    /// the bytes the server answered.
+    fn serve_one(input: &[u8]) -> Vec<u8> {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        let flow = sys.wire_connect(KV_PORT).unwrap();
+        sys.wire_send(flow, input);
+        sys.wire_close(flow);
+        sys.install_app("ghostkv", true, || {
+            Box::new(|env| {
+                let sock = env.socket();
+                env.bind(sock, KV_PORT);
+                env.listen(sock);
+                serve_kv(env, sock, &mut Vec::new(), 0);
+                0
+            })
+        });
+        let pid = sys.spawn("ghostkv");
+        assert_eq!(sys.run_until_exit(pid), 0);
+        sys.wire_recv(flow)
+    }
+
+    #[test]
+    fn malformed_line_gets_error() {
+        assert_eq!(
+            serve_one(b"BOGUS a\nGET a b\nGET a\n"),
+            b"ERROR\nERROR\nMISS\n"
+        );
+    }
+
+    #[test]
+    fn non_numeric_set_length_gets_error() {
+        assert_eq!(
+            serve_one(b"SET a x\nSET a -1\nGET a\n"),
+            b"ERROR\nERROR\nMISS\n"
+        );
+    }
+
+    #[test]
+    fn oversized_value_gets_server_error_after_its_payload() {
+        let mut input = format!("SET a {}\n", MAX_VALUE + 1).into_bytes();
+        input.resize(input.len() + MAX_VALUE + 1, b'v');
+        input.extend_from_slice(b"GET a\n");
+        assert_eq!(serve_one(&input), b"SERVER_ERROR too large\nMISS\n");
+    }
+
+    /// The owned-string parser the borrowed one replaced, kept as its
+    /// oracle over valid input.
+    #[derive(Debug, PartialEq)]
+    enum OracleCmd {
+        Set { key: String, value: Vec<u8> },
+        Get { key: String },
+    }
+
+    fn oracle_next_command(acc: &mut Vec<u8>) -> Option<OracleCmd> {
+        let nl = acc.iter().position(|&b| b == b'\n')?;
+        let line = String::from_utf8_lossy(&acc[..nl]).into_owned();
+        let parts: Vec<&str> = line.split_whitespace().collect();
+        match parts.as_slice() {
+            ["SET", key, len] => {
+                let len: usize = len.parse().expect("SET length");
+                if acc.len() < nl + 1 + len {
+                    return None; // payload not fully arrived yet
+                }
+                let value = acc[nl + 1..nl + 1 + len].to_vec();
+                acc.drain(..nl + 1 + len);
+                Some(OracleCmd::Set {
+                    key: key.to_string(),
+                    value,
+                })
+            }
+            ["GET", key] => {
+                acc.drain(..nl + 1);
+                Some(OracleCmd::Get {
+                    key: key.to_string(),
+                })
+            }
+            other => panic!("bad kv command: {other:?}"),
+        }
+    }
+
+    /// One valid command: a key of letters and digits, and for a `SET` a
+    /// value of any bytes (newlines and spaces included).
+    fn command() -> impl Strategy<Value = Vec<u8>> {
+        let key = proptest::collection::vec(0u8..62, 1..12).prop_map(|k| {
+            let abc = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+            k.into_iter().map(|i| abc[i as usize]).collect::<Vec<u8>>()
+        });
+        let value = proptest::collection::vec(any::<u8>(), 0..300);
+        (key, value, any::<bool>(), 0u8..3).prop_map(|(key, value, set, pad)| {
+            let sep = &b" \t  "[..=pad as usize];
+            let mut cmd = Vec::new();
+            if set {
+                cmd.extend_from_slice(b"SET");
+                cmd.extend_from_slice(sep);
+                cmd.extend_from_slice(&key);
+                cmd.extend_from_slice(format!(" {}\n", value.len()).as_bytes());
+                cmd.extend_from_slice(&value);
+            } else {
+                cmd.extend_from_slice(b"GET");
+                cmd.extend_from_slice(sep);
+                cmd.extend_from_slice(&key);
+                cmd.extend_from_slice(b"\r\n");
+            }
+            cmd
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over a valid command stream cut at any point, the borrowed
+        /// parser finds the oracle's commands, consumes the same bytes
+        /// after each, and stops (`None`) where the oracle does: at the
+        /// first command the cut left partial.
+        #[test]
+        fn borrowed_parser_matches_the_oracle(
+            cmds in proptest::collection::vec(command(), 0..12),
+            cut in any::<u64>(),
+        ) {
+            let stream = cmds.concat();
+            let cut = (cut % (stream.len() as u64 + 1)) as usize;
+            let input = &stream[..cut];
+            let mut got = Vec::new();
+            let mut at = 0;
+            while let Some((cmd, end)) = next_command(input, at) {
+                let cmd = match cmd {
+                    Cmd::Set { key, value } => OracleCmd::Set {
+                        key: String::from_utf8(input[key].to_vec()).unwrap(),
+                        value: input[value].to_vec(),
+                    },
+                    Cmd::Get { key } => OracleCmd::Get {
+                        key: String::from_utf8(input[key].to_vec()).unwrap(),
+                    },
+                    other => panic!("valid input parsed as {other:?}"),
+                };
+                got.push((cmd, end));
+                at = end;
+            }
+            let mut acc = input.to_vec();
+            let mut want = Vec::new();
+            while let Some(cmd) = oracle_next_command(&mut acc) {
+                want.push((cmd, cut - acc.len()));
+            }
+            let whole = cmds
+                .iter()
+                .scan(0, |end, c| {
+                    *end += c.len();
+                    Some(*end)
+                })
+                .take_while(|&end| end <= cut)
+                .count();
+            prop_assert_eq!(got.len(), whole);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn sets_and_gets_roundtrip_with_miss() {

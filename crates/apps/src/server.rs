@@ -71,6 +71,7 @@ pub(crate) fn event_loop(
     let mut inputs: Vec<Vec<u8>> = Vec::new();
     let mut eof: Vec<bool> = Vec::new();
     let mut iovs: Vec<(u64, usize)> = Vec::with_capacity(IOV_MAX);
+    let mut events: Vec<u64> = Vec::new();
     let mut served = 0u64;
     loop {
         // Accept burst: take everything the backlog has.
@@ -87,7 +88,9 @@ pub(crate) fn event_loop(
             break;
         }
         // One readiness syscall over every live fd.
-        let (_ready, events) = env.poll(bufs.pollfds, &conns);
+        let (_ready, revents) = env.poll(bufs.pollfds, &conns);
+        events.clear();
+        events.extend_from_slice(revents);
         for i in 0..conns.len() {
             if events[i] & POLLIN == 0 {
                 // Hang-up with nothing left to read: retire without
@@ -106,7 +109,7 @@ pub(crate) fn event_loop(
                     eof[i] = true;
                     break;
                 }
-                inputs[i].extend(env.read_mem(bufs.rxbuf, r as usize));
+                env.read_mem_into(bufs.rxbuf, r as usize, &mut inputs[i]);
                 if (r as usize) < RX_LEN {
                     break;
                 }
@@ -130,10 +133,13 @@ pub(crate) fn event_loop(
                 }
             }
         }
-        // Retire finished connections.
+        // Retire finished connections. The step loop above left no
+        // complete request in any input, so a hung-up connection's
+        // leftover bytes are a request its client never finished: they
+        // go with it.
         let mut i = 0;
         while i < conns.len() {
-            if eof[i] && inputs[i].is_empty() {
+            if eof[i] {
                 env.close(conns[i]);
                 conns.swap_remove(i);
                 inputs.swap_remove(i);
@@ -231,4 +237,27 @@ pub(crate) fn load(
         p99_cycles: pct(99),
     };
     (bench, flows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::thttpd::{self, HTTP_PORT};
+    use vg_kernel::Mode;
+
+    /// A client that half-closes after a partial request gets its complete
+    /// request answered, and the loop retires it with the partial bytes;
+    /// it used to poll the hung-up connection forever.
+    #[test]
+    fn half_closed_partial_request_is_retired() {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        let doc = thttpd::document(64);
+        sys.write_file("/index.dat", &doc);
+        let train = b"GET /index.dat HTTP/1.1\r\n\r\nGET /ind";
+        let trains = std::iter::once(&train[..]);
+        let serve = thttpd::serve_event_loop;
+        let (bench, flows) = load(&mut sys, "thttpd", false, HTTP_PORT, trains, 1, 64, serve);
+        assert_eq!(bench.requests, 1);
+        thttpd::check_response(&sys.wire_recv(flows[0]), &doc, 1);
+    }
 }

@@ -136,6 +136,10 @@ pub fn c10k_sharded_on(
     conns_per_shard: u32,
     reqs_per_conn: u32,
 ) -> SmpBench {
+    assert!(
+        file_size <= thttpd::DOC_MAX,
+        "file size {file_size} over DOC_MAX"
+    );
     sys.net_mode = NetMode::Ring;
     let doc = thttpd::document(file_size);
     sys.write_file("/index.dat", &doc);

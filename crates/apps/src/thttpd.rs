@@ -184,18 +184,31 @@ pub(crate) fn check_response(resp: &[u8], doc: &[u8], reqs_per_conn: u32) {
     assert_eq!(&resp[hdr.len()..hdr.len() + head], &doc[..head]);
 }
 
+/// Largest `/index.dat` the C10K servers serve: the size of the mapping
+/// [`load_document`] reads it into.
+pub const DOC_MAX: usize = 1 << 20;
+
 /// Loads `/index.dat` into user memory once at server startup (real thttpd
 /// mmaps its document root; both C10K servers cache identically so the
 /// comparison isolates the I/O plane, not the file cache). Returns
 /// `(file_va, file_size, hdr_va, hdr_len)`.
+///
+/// # Panics
+///
+/// Panics if a read fails, as it does once a document over [`DOC_MAX`]
+/// runs past the mapping: serving it cut short would be worse.
 fn load_document(env: &mut UserEnv) -> (u64, usize, u64, usize) {
     let fd = env.open("/index.dat", 0);
     assert!(fd >= 0, "document root missing");
-    let filebuf = env.mmap_anon(1 << 20);
+    let filebuf = env.mmap_anon(DOC_MAX);
     let mut size = 0usize;
     loop {
         let r = env.read(fd, filebuf + size as u64, 8192);
-        if r <= 0 {
+        assert!(
+            r >= 0,
+            "reading /index.dat failed at byte {size} (DOC_MAX {DOC_MAX})"
+        );
+        if r == 0 {
             break;
         }
         size += r as usize;
@@ -304,6 +317,7 @@ pub fn c10k(
     reqs_per_conn: u32,
     server: ServerKind,
 ) -> C10kBench {
+    assert!(file_size <= DOC_MAX, "file size {file_size} over DOC_MAX");
     let doc = document(file_size);
     sys.write_file("/index.dat", &doc);
     let train = request_train(reqs_per_conn);
@@ -372,6 +386,16 @@ mod c10k_tests {
             sy.req_per_megacycle
         );
         assert!(ev.p99_cycles >= ev.p50_cycles);
+    }
+
+    /// A document over `DOC_MAX` fails the server's load instead of being
+    /// served cut short at the mapping's end.
+    #[test]
+    #[should_panic(expected = "reading /index.dat failed")]
+    fn oversized_document_is_refused_not_truncated() {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        sys.write_file("/index.dat", &document(2 * DOC_MAX));
+        crate::run_once(&mut sys, "thttpd", false, |env| load_document(env).1);
     }
 
     #[test]

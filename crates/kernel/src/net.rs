@@ -21,6 +21,10 @@ use vg_machine::IntMap;
 /// Figure 2 left edge of ≈16 MB/s at 1 KB).
 pub const CONN_WIRE_CYCLES: u64 = 204_000; // ≈ 60 µs
 
+/// Most iovecs one `readv`/`writev` accepts (Linux's `UIO_MAXIOV`): a
+/// larger count fails before the table is copied in.
+pub const UIO_MAXIOV: usize = 1024;
+
 /// Which backend moves network payloads between kernel and NIC.
 ///
 /// Both modes serve byte-identical traffic with identical packet
@@ -502,52 +506,80 @@ impl System {
     /// revents out (bit 0 readable, bit 1 hang-up). Unlike `select`'s dense
     /// 0..nfds scan, only the fds the caller actually lists are examined —
     /// and only those are charged `SELECT_PER_FD`. Returns the number of
-    /// entries with non-zero revents.
+    /// entries with non-zero revents, or -1 on an unmapped table or one
+    /// whose size overflows. The table is edited in the kernel's reused
+    /// scratch buffer.
     pub(crate) fn sys_poll(&mut self, pid: Pid, fds_ptr: u64, nfds: usize) -> i64 {
         costs::SELECT_BASE.charge(&mut self.machine);
         self.pump();
-        let Some(mut table) = self.copyin(pid, fds_ptr, nfds * 16) else {
+        let Some(len) = nfds.checked_mul(16) else {
             return -1;
         };
-        let mut ready = 0i64;
-        for i in 0..nfds {
-            costs::SELECT_PER_FD.charge(&mut self.machine);
-            let fd = u64::from_le_bytes(table[i * 16..i * 16 + 8].try_into().expect("8 bytes"));
-            let ev = self.poll_events(pid, fd);
-            table[i * 16 + 8..i * 16 + 16].copy_from_slice(&ev.to_le_bytes());
-            if ev != 0 {
-                ready += 1;
+        let mut table = std::mem::take(&mut self.io_bytes);
+        table.clear();
+        let mut ready = -1;
+        if self.copyin_into(pid, fds_ptr, len, &mut table) {
+            ready = 0;
+            for entry in table.chunks_exact_mut(16) {
+                costs::SELECT_PER_FD.charge(&mut self.machine);
+                let fd = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
+                let ev = self.poll_events(pid, fd);
+                entry[8..].copy_from_slice(&ev.to_le_bytes());
+                ready += i64::from(ev != 0);
+            }
+            if !self.copyout(pid, fds_ptr, &table) {
+                ready = -1;
             }
         }
-        if !self.copyout(pid, fds_ptr, &table) {
-            return -1;
-        }
+        self.io_bytes = table;
         ready
     }
 
-    /// Decodes an iovec table: `cnt` 16-byte `(u64 base, u64 len)` entries.
-    fn copyin_iovs(&mut self, pid: Pid, iov_ptr: u64, cnt: usize) -> Option<Vec<(u64, usize)>> {
-        let raw = self.copyin(pid, iov_ptr, cnt * 16)?;
-        Some(
-            (0..cnt)
-                .map(|i| {
-                    let base =
-                        u64::from_le_bytes(raw[i * 16..i * 16 + 8].try_into().expect("8 bytes"));
-                    let len =
-                        u64::from_le_bytes(raw[i * 16 + 8..i * 16 + 16].try_into().expect("8"));
-                    (base, len as usize)
-                })
-                .collect(),
-        )
+    /// Decodes an iovec table, `cnt` 16-byte `(u64 base, u64 len)` entries,
+    /// into `iovs` through the kernel's scratch byte buffer. Fails on an
+    /// unmapped table, or on more than [`UIO_MAXIOV`] entries before any
+    /// copy.
+    fn copyin_iovs(
+        &mut self,
+        pid: Pid,
+        iov_ptr: u64,
+        cnt: usize,
+        iovs: &mut Vec<(u64, usize)>,
+    ) -> bool {
+        iovs.clear();
+        if cnt > UIO_MAXIOV {
+            return false;
+        }
+        let mut raw = std::mem::take(&mut self.io_bytes);
+        raw.clear();
+        let ok = self.copyin_into(pid, iov_ptr, cnt * 16, &mut raw);
+        if ok {
+            iovs.extend(raw.chunks_exact(16).map(|e| {
+                let base = u64::from_le_bytes(e[..8].try_into().expect("8 bytes"));
+                let len = u64::from_le_bytes(e[8..].try_into().expect("8 bytes"));
+                (base, len as usize)
+            }));
+        }
+        self.io_bytes = raw;
+        ok
     }
 
     /// `readv(fd, iov, iovcnt)`: gathers buffered socket bytes across the
     /// iovecs in one trap. Same EOF/[`EAGAIN`] contract as `recv`.
     pub(crate) fn sys_readv(&mut self, pid: Pid, fd: u64, iov_ptr: u64, iovcnt: usize) -> i64 {
         costs::RW_BASE.charge(&mut self.machine);
-        let Some(iovs) = self.copyin_iovs(pid, iov_ptr, iovcnt) else {
-            return -1;
+        let mut iovs = std::mem::take(&mut self.io_iovs);
+        let r = if self.copyin_iovs(pid, iov_ptr, iovcnt, &mut iovs) {
+            self.readv_into(pid, fd, &iovs)
+        } else {
+            -1
         };
+        self.io_iovs = iovs;
+        r
+    }
+
+    /// The body of [`Self::sys_readv`] once its iovecs are decoded.
+    fn readv_into(&mut self, pid: Pid, fd: u64, iovs: &[(u64, usize)]) -> i64 {
         let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) else {
             return -1;
         };
@@ -558,14 +590,14 @@ impl System {
         let Some(fb) = self.net.flows.get_mut(&flow) else {
             return -1;
         };
-        let cap: usize = iovs.iter().map(|&(_, l)| l).sum();
+        let cap = iovs.iter().fold(0usize, |a, &(_, l)| a.saturating_add(l));
         let n = cap.min(fb.rx.len());
         if n == 0 {
             return if fb.closed { 0 } else { EAGAIN };
         }
         let mut rx = std::mem::take(&mut fb.rx);
         let mut done = 0usize;
-        for (base, len) in iovs {
+        for &(base, len) in iovs {
             if done == n {
                 break;
             }
@@ -590,16 +622,27 @@ impl System {
     /// both modes. Returns total bytes written.
     pub(crate) fn sys_writev(&mut self, pid: Pid, fd: u64, iov_ptr: u64, iovcnt: usize) -> i64 {
         costs::RW_BASE.charge(&mut self.machine);
-        let Some(iovs) = self.copyin_iovs(pid, iov_ptr, iovcnt) else {
-            return -1;
+        let mut iovs = std::mem::take(&mut self.io_iovs);
+        let r = if self.copyin_iovs(pid, iov_ptr, iovcnt, &mut iovs) {
+            self.writev_from(pid, fd, &iovs)
+        } else {
+            -1
         };
+        self.io_iovs = iovs;
+        r
+    }
+
+    /// The body of [`Self::sys_writev`] once its iovecs are decoded. The
+    /// ring path copies each iovec into the kernel's scratch byte buffer
+    /// and stages it from there.
+    fn writev_from(&mut self, pid: Pid, fd: u64, iovs: &[(u64, usize)]) -> i64 {
         let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) else {
             return -1;
         };
         match self.net_mode {
             NetMode::Reference => {
                 let mut total = 0i64;
-                for (base, len) in iovs {
+                for &(base, len) in iovs {
                     let Some(data) = self.copyin(pid, base, len) else {
                         return -1;
                     };
@@ -615,13 +658,22 @@ impl System {
                 let Some(flow) = self.sockets.get(&id).and_then(|s| s.flow) else {
                     return -1;
                 };
+                let mut data = std::mem::take(&mut self.io_bytes);
                 let mut total = 0i64;
-                for (base, len) in iovs {
-                    let Some(data) = self.copyin(pid, base, len) else {
-                        return -1;
-                    };
+                let mut ok = true;
+                for &(base, len) in iovs {
+                    data.clear();
+                    ok = self.copyin_into(pid, base, len, &mut data);
+                    if !ok {
+                        break;
+                    }
                     self.stage_tx(id, flow, &data);
                     total += data.len() as i64;
+                }
+                self.io_bytes = data;
+                if !ok {
+                    // Earlier iovecs stay staged for the next doorbell.
+                    return -1;
                 }
                 self.flush_tx_ring();
                 self.run_remote_responder(flow);
@@ -673,6 +725,7 @@ mod stream_copy;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::UserEnv;
     use crate::syscall::O_CREAT;
     use crate::system::System;
 
@@ -777,6 +830,87 @@ mod tests {
         });
         let pid = sys.spawn("poll");
         assert_eq!(sys.run_until_exit(pid), 0);
+    }
+
+    /// Runs `body` in a process that has a file, a connected socket and one
+    /// mapped page, and checks it returned 0.
+    fn with_fd_and_socket(port: u16, body: fn(&mut UserEnv, i64, i64, u64)) {
+        let mut sys = System::boot_virtual_ghost();
+        sys.wire_connect(port).unwrap();
+        sys.install_app("hostile", false, move || {
+            Box::new(move |env| {
+                let file = env.open("/f", O_CREAT);
+                let l = env.socket();
+                env.bind(l, port);
+                env.listen(l);
+                let c = env.accept(l);
+                assert!(file >= 0 && c >= 0);
+                let page = env.mmap_anon(4096);
+                env.write_mem(page, &[0u8; 4096]);
+                body(env, file, c, page);
+                0
+            })
+        });
+        let pid = sys.spawn("hostile");
+        assert_eq!(sys.run_until_exit(pid), 0);
+    }
+
+    /// A user length far past physical memory fails the `write` instead of
+    /// aborting the host on a terabyte reservation.
+    #[test]
+    fn write_with_hostile_length_returns_error() {
+        with_fd_and_socket(5200, |env, file, _, page| {
+            assert_eq!(env.write(file, page, 1 << 40), -1);
+        });
+    }
+
+    /// A `read` of a hostile length is a short read of what the file
+    /// holds, not a terabyte reservation.
+    #[test]
+    fn read_with_hostile_length_reads_the_file() {
+        with_fd_and_socket(5201, |env, file, _, page| {
+            env.write_mem(page, b"abc");
+            assert_eq!(env.write(file, page, 3), 3);
+            env.lseek(file, 0, 0);
+            assert_eq!(env.read(file, page, 1 << 40), 3);
+        });
+    }
+
+    /// An iovec count over `UIO_MAXIOV` fails before the table is copied.
+    #[test]
+    fn readv_with_hostile_count_returns_error() {
+        with_fd_and_socket(5202, |env, _, sock, page| {
+            let args = [sock as u64, page, 1 << 34, 0, 0, 0];
+            assert_eq!(env.syscall(crate::syscall::SYS_READV, args), -1);
+        });
+    }
+
+    /// An iovec count whose table size overflows fails instead of
+    /// panicking.
+    #[test]
+    fn writev_with_hostile_count_returns_error() {
+        with_fd_and_socket(5203, |env, _, sock, page| {
+            let args = [sock as u64, page, 1 << 60, 0, 0, 0];
+            assert_eq!(env.syscall(crate::syscall::SYS_WRITEV, args), -1);
+        });
+    }
+
+    /// A poll table whose size overflows fails instead of panicking.
+    #[test]
+    fn poll_with_hostile_count_returns_error() {
+        with_fd_and_socket(5204, |env, _, _, page| {
+            let args = [page, 1 << 60, 0, 0, 0, 0];
+            assert_eq!(env.syscall(crate::syscall::SYS_POLL, args), -1);
+        });
+    }
+
+    /// A hostile `select` count stops at the fd table instead of spinning
+    /// the host through 2^60 empty slots.
+    #[test]
+    fn select_with_hostile_count_returns() {
+        with_fd_and_socket(5205, |env, _, _, _| {
+            assert_eq!(env.select(1 << 60), 1); // the file; the socket is quiet
+        });
     }
 
     /// Regression: a ring-mode `send` whose second staging frame cannot be

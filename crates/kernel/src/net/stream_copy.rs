@@ -43,9 +43,10 @@ impl System {
     /// The drain-then-copyout `readv`: one drain, one copyout per iovec.
     fn sys_readv_drain(&mut self, pid: Pid, fd: u64, iov_ptr: u64, iovcnt: usize) -> i64 {
         costs::RW_BASE.charge(&mut self.machine);
-        let Some(iovs) = self.copyin_iovs(pid, iov_ptr, iovcnt) else {
+        let mut iovs = Vec::new();
+        if !self.copyin_iovs(pid, iov_ptr, iovcnt, &mut iovs) {
             return -1;
-        };
+        }
         let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) else {
             return -1;
         };

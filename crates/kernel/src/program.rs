@@ -46,6 +46,23 @@ pub struct UserEnv<'a> {
     pub sys: &'a mut System,
     /// This process.
     pub pid: Pid,
+    /// The poll or iovec table the wrappers encode before they trap,
+    /// reused across calls.
+    table: Vec<u8>,
+    /// The revents [`poll`](Self::poll) decoded last.
+    revents: Vec<u64>,
+}
+
+impl<'a> UserEnv<'a> {
+    /// The environment of process `pid` on `sys`.
+    pub(crate) fn new(sys: &'a mut System, pid: Pid) -> Self {
+        UserEnv {
+            sys,
+            pid,
+            table: Vec::new(),
+            revents: Vec::new(),
+        }
+    }
 }
 
 impl UserEnv<'_> {
@@ -208,27 +225,39 @@ impl UserEnv<'_> {
     ///
     /// Panics if `va` is not mappable — the simulation's SIGSEGV.
     pub fn read_mem(&mut self, va: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.read_mem_into(va, len, &mut out);
+        out
+    }
+
+    /// [`Self::read_mem`] onto the end of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not mappable — the simulation's SIGSEGV.
+    pub fn read_mem_into(&mut self, va: u64, len: usize, out: &mut Vec<u8>) {
         self.sys.machine.charge(len as u64 / 8 + 1);
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            let cur = va + out.len() as u64;
+        out.reserve(len);
+        let mut done = 0;
+        while done < len {
+            let cur = va + done as u64;
             let Some(pa) = self.sys.user_resolve(self.pid, cur, AccessKind::Read) else {
                 if self.sys.is_fault_killed(self.pid) {
-                    out.resize(len, 0);
-                    return out;
+                    out.resize(out.len() + len - done, 0);
+                    return;
                 }
                 panic!("segfault: read of {cur:#x} by pid {}", self.pid);
             };
             let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - out.len());
+            let take = in_page.min(len - done);
             out.extend_from_slice(
                 self.sys
                     .machine
                     .phys
                     .bytes(pa.pfn(), pa.frame_offset(), take),
             );
+            done += take;
         }
-        out
     }
 
     // ---- SVA application instructions (no kernel trap) -------------------------
@@ -479,32 +508,42 @@ impl UserEnv<'_> {
     }
 
     /// `poll(fds)`: builds the pollfd table at `scratch_va` (16 bytes per
-    /// entry), traps once, and returns `(ready_count, revents)` — revents
-    /// bit 0 is readable, bit 1 hang-up.
-    pub fn poll(&mut self, scratch_va: u64, fds: &[i64]) -> (i64, Vec<u64>) {
-        let mut table = Vec::with_capacity(fds.len() * 16);
+    /// entry), traps once, and returns the ready count and one revents
+    /// word per fd — bit 0 readable, bit 1 hang-up. The table and the
+    /// revents live in buffers this environment reuses, so the returned
+    /// slice is valid until the next call.
+    pub fn poll(&mut self, scratch_va: u64, fds: &[i64]) -> (i64, &[u64]) {
+        let mut table = std::mem::take(&mut self.table);
+        table.clear();
         for &fd in fds {
             table.extend_from_slice(&(fd as u64).to_le_bytes());
             table.extend_from_slice(&0u64.to_le_bytes());
         }
         self.write_mem(scratch_va, &table);
         let r = self.syscall(SYS_POLL, [scratch_va, fds.len() as u64, 0, 0, 0, 0]);
-        let back = self.read_mem(scratch_va, fds.len() * 16);
-        let revents = (0..fds.len())
-            .map(|i| u64::from_le_bytes(back[i * 16 + 8..i * 16 + 16].try_into().expect("8 bytes")))
-            .collect();
-        (r, revents)
+        table.clear();
+        self.read_mem_into(scratch_va, fds.len() * 16, &mut table);
+        self.revents.clear();
+        self.revents.extend(
+            table
+                .chunks_exact(16)
+                .map(|e| u64::from_le_bytes(e[8..].try_into().expect("8 bytes"))),
+        );
+        self.table = table;
+        (r, &self.revents)
     }
 
     /// Writes an iovec table (`(base, len)` entries, 16 bytes each) at
     /// `iov_va` for [`readv`](Self::readv) / [`writev`](Self::writev).
     fn write_iovs(&mut self, iov_va: u64, iovs: &[(u64, usize)]) {
-        let mut table = Vec::with_capacity(iovs.len() * 16);
+        let mut table = std::mem::take(&mut self.table);
+        table.clear();
         for &(base, len) in iovs {
             table.extend_from_slice(&base.to_le_bytes());
             table.extend_from_slice(&(len as u64).to_le_bytes());
         }
         self.write_mem(iov_va, &table);
+        self.table = table;
     }
 
     /// `readv(fd, iovs)`: gather-read into the iovecs in one trap. The iov

@@ -429,7 +429,10 @@ impl System {
         costs::RW_BASE.charge(&mut self.machine);
         match self.fd_of(pid, fd) {
             Some(Fd::File { ino, off }) => {
-                let mut data = vec![0u8; len];
+                // No file holds more than MAX_FILE_BYTES, so the cap never
+                // shortens a read; it keeps a hostile `len` from aborting
+                // the host on an impossible allocation.
+                let mut data = vec![0u8; len.min(crate::fs::MAX_FILE_BYTES as usize)];
                 let mut w = FsWork::default();
                 let r = {
                     let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
@@ -700,6 +703,9 @@ impl System {
     fn sys_select(&mut self, pid: Pid, nfds: usize) -> i64 {
         costs::SELECT_BASE.charge(&mut self.machine);
         self.pump();
+        // Slots past the fd table are empty and cost nothing, so a hostile
+        // `nfds` stops at the table instead of spinning the host.
+        let nfds = nfds.min(self.procs.get(&pid).map_or(0, |p| p.fds.len()));
         let mut ready = 0;
         for i in 0..nfds {
             // Charge only fds actually polled: empty slots in the 0..nfds

@@ -387,6 +387,13 @@ pub struct System {
     pub(crate) pending_child: Option<ChildKind>,
     next_tid: u64,
     pub(crate) syscall_path: Option<String>,
+    /// Kernel scratch the readiness and vectored-I/O syscalls reuse: the
+    /// user bytes they copy in (a poll table, an iovec table, one `writev`
+    /// iovec) and the decoded iovecs. A syscall takes a buffer with
+    /// `mem::take` and puts it back before it returns, so once the buffers
+    /// have grown a request allocates nothing.
+    pub(crate) io_bytes: Vec<u8>,
+    pub(crate) io_iovs: Vec<(u64, usize)>,
     mode_name: &'static str,
 }
 
@@ -480,6 +487,8 @@ impl System {
             pending_child: None,
             next_tid: 0,
             syscall_path: None,
+            io_bytes: Vec::new(),
+            io_iovs: Vec::new(),
             mode_name,
         }
     }
@@ -742,7 +751,7 @@ impl System {
         // Everything the program body charges that is not claimed by a more
         // specific frame (syscalls, faults, traps) is user time.
         self.machine.prof_push(Domain::User, "user");
-        let mut code = program(&mut UserEnv { sys: self, pid });
+        let mut code = program(&mut UserEnv::new(self, pid));
         self.machine.prof_pop();
         // A process the kernel fault-killed mid-run finished only because
         // its syscalls and memory accesses were degraded to errors; its
@@ -1186,17 +1195,32 @@ impl System {
 
     /// Copies bytes from user memory into kernel space (copyin).
     pub(crate) fn copyin(&mut self, pid: Pid, va: u64, len: usize) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        self.copyin_into(pid, va, len, &mut out).then_some(out)
+    }
+
+    /// [`Self::copyin`] onto the end of `out`. Returns false on an
+    /// unmapped source page. `len` comes from user space, so the up-front
+    /// reservation is capped at simulated physical memory: a hostile
+    /// length fails at its first unmapped page instead of aborting the
+    /// host on an impossible allocation.
+    pub(crate) fn copyin_into(&mut self, pid: Pid, va: u64, len: usize, out: &mut Vec<u8>) -> bool {
         let va = self.sandbox_mask(va);
         copy_cost(&mut self.machine, len as u64);
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            let cur = va + out.len() as u64;
-            let pa = self.user_resolve(pid, cur, AccessKind::Read)?;
+        let phys_bytes = self.machine.phys.total_frames() * PAGE_SIZE as usize;
+        out.reserve(len.min(phys_bytes));
+        let mut done = 0;
+        while done < len {
+            let cur = va + done as u64;
+            let Some(pa) = self.user_resolve(pid, cur, AccessKind::Read) else {
+                return false;
+            };
             let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - out.len());
+            let take = in_page.min(len - done);
             out.extend_from_slice(self.machine.phys.bytes(pa.pfn(), pa.frame_offset(), take));
+            done += take;
         }
-        Some(out)
+        true
     }
 
     /// Charges accumulated filesystem work. The data path (buffer-cache
@@ -1499,7 +1523,7 @@ impl System {
     /// through the interpreter *with user privileges*.
     pub(crate) fn dispatch_to_user(&mut self, pid: Pid, addr: u64, arg: i32) {
         if let Some(f) = self.procs[&pid].handlers.get(&addr).cloned() {
-            f(&mut UserEnv { sys: self, pid }, arg);
+            f(&mut UserEnv::new(self, pid), arg);
             return;
         }
         if self.vm.code.resolve(vg_ir::CodeAddr(addr)).is_some() {

@@ -74,7 +74,7 @@ fn run_echo(mode: NetMode, trains: &[Vec<u8>]) -> EchoRun {
             assert_eq!(conns.len(), n, "every pre-queued client accepted");
             let mut eof = vec![false; conns.len()];
             while !conns.is_empty() {
-                let (_ready, events) = env.poll(scratch, &conns);
+                let events = env.poll(scratch, &conns).1.to_vec();
                 for i in 0..conns.len() {
                     if events[i] & POLLIN == 0 {
                         if events[i] & POLLHUP != 0 {
