@@ -177,11 +177,13 @@ mod tests {
 
     #[test]
     fn postmark_overhead_ratio_near_paper() {
-        // Paper Table 5: 4.72× slowdown.
+        // Paper Table 5: 4.72× slowdown. At `small_cfg` scale the model
+        // gives 4.128×, 12.5% below the paper; the band is that value ±5%,
+        // so drift shows.
         let n = run(&mut System::boot(Mode::Native), small_cfg()).seconds;
         let v = run(&mut System::boot(Mode::VirtualGhost), small_cfg()).seconds;
         let ratio = v / n;
-        assert!((3.0..7.0).contains(&ratio), "postmark ratio {ratio}");
+        assert!((3.92..4.34).contains(&ratio), "postmark ratio {ratio}");
     }
 
     #[test]

@@ -17,14 +17,20 @@
 //! buffer-cache state (hits, misses, evictions, LRU ticks, dirty blocks).
 //! Those are the contract; how the host computes them is free to change:
 //!
-//! - Directories are scanned in place: lookup, create and unlink walk the
-//!   raw record image, append or cut one record, and write it back. Only
+//! - Directories are read into one retained buffer and answered from a
+//!   name index per directory, keyed by the directory's bytes: lookup and
+//!   create compare the image just read with the indexed one and then ask
+//!   the index; unlink walks only up to its record. Create appends one
+//!   record, unlink cuts one, and the image goes back through the same
+//!   truncate+write. A directory the index cannot cover exactly (holes,
+//!   non-UTF-8 names, a truncated tail) is walked record by record. Only
 //!   `readdir` builds owned entries ([`VgFs::readdir`]).
 //! - Inode allocation charges per inode but touches per block: one cache
 //!   access per inode-table block, then the remaining per-inode charges and
 //!   LRU ticks in bulk, exactly as one access per inode would have.
 //! - The buffer cache is one map; each block carries its own LRU tick.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use vg_machine::layout::PAGE_SIZE;
 use vg_machine::IntMap;
@@ -235,6 +241,67 @@ pub struct VgFs {
     cache: IntMap<u32, CachedBlock>,
     cache_cap: usize,
     clock: u64, // LRU tick
+    /// The buffer every directory image is read into, kept across calls.
+    dir_buf: Vec<u8>,
+    /// Name indexes by directory inode (see [`DirMemo`]).
+    memos: IntMap<u32, DirMemo>,
+}
+
+/// The name index of one directory, exact for one record image: the one it
+/// holds. Callers compare the image they just read with `image` and use
+/// `names` only when the two are equal byte for byte, so nothing that
+/// changes a directory behind the index (a raw `write` or truncate of its
+/// inode, a failed rewrite, a device fault) needs to invalidate it.
+///
+/// Only a canonical image is indexed ([`is_canonical`]): every record
+/// live, every name valid UTF-8, no truncated tail. Lossy decoding is then
+/// the identity, so a byte-equal name is exactly [`find_dirent`]'s match.
+#[derive(Debug, Default)]
+struct DirMemo {
+    /// The canonical image `names` indexes.
+    image: Vec<u8>,
+    /// The inode of the first record of each name.
+    names: HashMap<Box<[u8]>, Ino>,
+    /// Whether some record repeats an earlier record's name. vgfs never
+    /// writes one; only a directory rewritten with hostile bytes has it.
+    shadowed: bool,
+}
+
+impl DirMemo {
+    /// Indexes `raw`, which must be canonical.
+    fn rebuild(&mut self, raw: &[u8]) {
+        self.image.clear();
+        self.image.extend_from_slice(raw);
+        self.names.clear();
+        self.shadowed = false;
+        for (_, ino, name) in dir_records(raw) {
+            if self.names.contains_key(name) {
+                self.shadowed = true;
+            } else {
+                self.names.insert(name.into(), Ino(ino));
+            }
+        }
+    }
+
+    /// Appends a record for a name the image does not hold.
+    fn push(&mut self, ino: Ino, name: &str) {
+        push_dirent(&mut self.image, ino, name);
+        self.names.insert(name.as_bytes().into(), ino);
+    }
+
+    /// Cuts the record at `rec`, the first one named `name`. A later record
+    /// of the same name, if any, becomes the first.
+    fn cut(&mut self, rec: Range<usize>, name: &str) {
+        let at = rec.start;
+        self.image.drain(rec);
+        self.names.remove(name.as_bytes());
+        if self.shadowed {
+            let next = dir_records(&self.image[at..]).find(|&(_, _, n)| n == name.as_bytes());
+            if let Some((_, ino, _)) = next {
+                self.names.insert(name.as_bytes().into(), Ino(ino));
+            }
+        }
+    }
 }
 
 impl VgFs {
@@ -251,6 +318,8 @@ impl VgFs {
             cache: IntMap::default(),
             cache_cap: 4096,
             clock: 0,
+            dir_buf: Vec::new(),
+            memos: IntMap::default(),
         };
         let mut w = FsWork::default();
         // mkfs runs at boot, before any fault plan can be armed, so the
@@ -286,6 +355,8 @@ impl VgFs {
             cache: IntMap::default(),
             cache_cap: 4096,
             clock: 0,
+            dir_buf: Vec::new(),
+            memos: IntMap::default(),
         }
     }
 
@@ -707,25 +778,52 @@ impl VgFs {
 
     // ---- directories & paths ----------------------------------------------
 
-    /// Reads directory `dir`'s raw record image (see [`dir_records`]),
-    /// charging the record-by-record kernel walk over it.
+    /// Reads directory `dir`'s raw record image (see [`dir_records`]) into
+    /// `raw`, charging the record-by-record kernel walk over it.
     fn dir_image(
         &mut self,
         dev: &mut dyn BlockDev,
         dir: Ino,
+        raw: &mut Vec<u8>,
         w: &mut FsWork,
-    ) -> Result<Vec<u8>, FsError> {
+    ) -> Result<(), FsError> {
         let (size, kind) = self.stat(dev, dir, w)?;
         if kind != InodeKind::Dir {
             return Err(FsError::WrongKind);
         }
-        let mut raw = vec![0u8; size as usize];
-        self.read(dev, dir, 0, &mut raw, w)?;
+        raw.clear();
+        raw.resize(size as usize, 0);
+        self.read(dev, dir, 0, raw, w)?;
         // Directory-entry iteration is byte-granular kernel work — each
         // record's fields are individually loaded (and thus individually
         // instrumented under Virtual Ghost).
         w.acc(raw.len() as u64 / 4 + 8);
-        Ok(raw)
+        Ok(())
+    }
+
+    /// Runs `f` on the retained directory buffer, which it takes for the
+    /// call and puts back whatever `f` returns.
+    fn with_dir_buf<R>(&mut self, f: impl FnOnce(&mut Self, &mut Vec<u8>) -> R) -> R {
+        let mut raw = std::mem::take(&mut self.dir_buf);
+        let out = f(self, &mut raw);
+        self.dir_buf = raw;
+        out
+    }
+
+    /// The name index of `dir` for the image `raw` just read from it: the
+    /// memo if it holds exactly `raw`, else rebuilt from `raw`. `None` when
+    /// `raw` is not canonical, and the caller walks it instead.
+    fn memo(&mut self, dir: Ino, raw: &[u8]) -> Option<&mut DirMemo> {
+        let fresh = self.memos.get(&dir.0).is_some_and(|m| m.image == raw);
+        if !fresh && !is_canonical(raw) {
+            self.memos.remove(&dir.0);
+            return None;
+        }
+        let memo = self.memos.entry(dir.0).or_default();
+        if !fresh {
+            memo.rebuild(raw);
+        }
+        Some(memo)
     }
 
     /// Replaces directory `dir`'s contents with `raw`.
@@ -749,10 +847,14 @@ impl VgFs {
         w: &mut FsWork,
     ) -> Result<Ino, FsError> {
         w.acc(24); // name comparison work
-        let raw = self.dir_image(dev, dir, w)?;
-        find_dirent(&raw, name)
-            .map(|(_, ino)| ino)
-            .ok_or(FsError::NotFound)
+        self.with_dir_buf(|fs, raw| {
+            fs.dir_image(dev, dir, raw, w)?;
+            let found = match fs.memo(dir, raw) {
+                Some(memo) => memo.names.get(name.as_bytes()).copied(),
+                None => find_dirent(raw, name).map(|(_, ino)| ino),
+            };
+            found.ok_or(FsError::NotFound)
+        })
     }
 
     /// Resolves an absolute path to an inode.
@@ -789,15 +891,35 @@ impl VgFs {
     ) -> Result<Ino, FsError> {
         let (parent_path, name) = Self::split_path(path)?;
         let parent = self.lookup(dev, parent_path, w)?;
-        let mut raw = self.dir_image(dev, parent, w)?;
-        if find_dirent(&raw, name).is_some() {
-            return Err(FsError::Exists);
-        }
-        let ino = self.alloc_inode(dev, kind, w)?;
-        compact_dir(&mut raw, None);
-        push_dirent(&mut raw, ino, name);
-        self.write_dir_image(dev, parent, &raw, w)?;
-        Ok(ino)
+        self.with_dir_buf(|fs, raw| {
+            fs.dir_image(dev, parent, raw, w)?;
+            let indexed = match fs.memo(parent, raw) {
+                Some(memo) => {
+                    if memo.names.contains_key(name.as_bytes()) {
+                        return Err(FsError::Exists);
+                    }
+                    true
+                }
+                None => {
+                    if find_dirent(raw, name).is_some() {
+                        return Err(FsError::Exists);
+                    }
+                    false
+                }
+            };
+            let ino = fs.alloc_inode(dev, kind, w)?;
+            if indexed {
+                fs.memos
+                    .get_mut(&parent.0)
+                    .expect("indexed")
+                    .push(ino, name);
+            } else {
+                compact_dir(raw, None);
+            }
+            push_dirent(raw, ino, name);
+            fs.write_dir_image(dev, parent, raw, w)?;
+            Ok(ino)
+        })
     }
 
     /// Removes the file or (empty) directory at `path`.
@@ -809,19 +931,35 @@ impl VgFs {
     ) -> Result<(), FsError> {
         let (parent_path, name) = Self::split_path(path)?;
         let parent = self.lookup(dev, parent_path, w)?;
-        let mut raw = self.dir_image(dev, parent, w)?;
-        let (rec, ino) = find_dirent(&raw, name).ok_or(FsError::NotFound)?;
-        let (_, kind) = self.stat(dev, ino, w)?;
-        if kind == InodeKind::Dir
-            && dir_records(&self.dir_image(dev, ino, w)?).any(|(_, i, _)| i != 0)
-        {
-            return Err(FsError::NotEmpty);
-        }
-        self.truncate(dev, ino, w)?;
-        self.write_inode(dev, ino, &DiskInode::default(), w)?;
-        compact_dir(&mut raw, Some(rec));
-        self.write_dir_image(dev, parent, &raw, w)?;
-        Ok(())
+        self.with_dir_buf(|fs, raw| {
+            fs.dir_image(dev, parent, raw, w)?;
+            let indexed = match fs.memo(parent, raw) {
+                Some(memo) if !memo.names.contains_key(name.as_bytes()) => {
+                    return Err(FsError::NotFound)
+                }
+                memo => memo.is_some(),
+            };
+            let (rec, ino) = find_dirent(raw, name).ok_or(FsError::NotFound)?;
+            let (_, kind) = fs.stat(dev, ino, w)?;
+            if kind == InodeKind::Dir {
+                let mut child = Vec::new();
+                fs.dir_image(dev, ino, &mut child, w)?;
+                if dir_records(&child).any(|(_, i, _)| i != 0) {
+                    return Err(FsError::NotEmpty);
+                }
+                fs.memos.remove(&ino.0);
+            }
+            fs.truncate(dev, ino, w)?;
+            fs.write_inode(dev, ino, &DiskInode::default(), w)?;
+            if indexed {
+                let memo = fs.memos.get_mut(&parent.0).expect("indexed");
+                memo.cut(rec.clone(), name);
+                raw.drain(rec);
+            } else {
+                compact_dir(raw, Some(rec));
+            }
+            fs.write_dir_image(dev, parent, raw, w)
+        })
     }
 
     /// Lists the entries of the directory at `path`.
@@ -832,7 +970,10 @@ impl VgFs {
         w: &mut FsWork,
     ) -> Result<Vec<(String, Ino)>, FsError> {
         let dir = self.lookup(dev, path, w)?;
-        Ok(parse_dir(&self.dir_image(dev, dir, w)?))
+        self.with_dir_buf(|fs, raw| {
+            fs.dir_image(dev, dir, raw, w)?;
+            Ok(parse_dir(raw))
+        })
     }
 }
 
@@ -872,11 +1013,13 @@ fn parse_dir(raw: &[u8]) -> Vec<(String, Ino)> {
 /// The first live record named `name`: its byte range and inode. Names are
 /// compared as `parse_dir` decodes them. Lossy decoding yields U+FFFD for
 /// every invalid sequence, so unless `name` holds one, a decoded match is
-/// exactly a byte match. The byte compare is worth its branch: with the
-/// lossy compare alone, Postmark `ops_per_host_s` fell 21% (`vg-perf
-/// compare`, 10 alternated 20 s pairs, 2-core Intel Xeon KVM guest, on a
-/// build that rebuilt every image in `compact_dir`: 31.2k to 24.6k, 0/10
-/// pairs faster).
+/// exactly a byte match. Lookups and creates in an indexed directory never
+/// walk; this walk serves unlink, which stops at its record, and the
+/// directories the index does not cover. The byte compare was worth its
+/// branch while every lookup walked: with the lossy compare alone,
+/// Postmark `ops_per_host_s` fell 21% (`vg-perf compare`, 10 alternated
+/// 20 s pairs, 2-core Intel Xeon KVM guest, on a build that rebuilt every
+/// image in `compact_dir`: 31.2k to 24.6k, 0/10 pairs faster).
 fn find_dirent(raw: &[u8], name: &str) -> Option<(Range<usize>, Ino)> {
     let bytewise = !name.contains(char::REPLACEMENT_CHARACTER);
     dir_records(raw)
@@ -900,19 +1043,29 @@ fn push_dirent(raw: &mut Vec<u8>, ino: Ino, name: &str) {
     raw.extend_from_slice(name.as_bytes());
 }
 
+/// Whether `raw` is exactly what serializing `parse_dir(raw)` gives back:
+/// every record live, every name valid UTF-8, no truncated tail. vgfs
+/// itself writes only such images. An ASCII name is valid without
+/// `str::from_utf8`: called on every name, it took 21% of Postmark's host
+/// time in a frame-pointer sample taken before directories were indexed.
+fn is_canonical(raw: &[u8]) -> bool {
+    let mut end = 0;
+    dir_records(raw).all(|(at, ino, name)| {
+        end = at + DIRENT_HEADER + name.len();
+        ino != 0 && (name.is_ascii() || std::str::from_utf8(name).is_ok())
+    }) && end == raw.len()
+}
+
 /// Rewrites `raw` into the bytes that serializing `parse_dir(raw)` gives —
 /// holes and a truncated tail dropped, non-UTF-8 names re-encoded lossily —
-/// leaving out the record at `skip`. An image already in that form, the
-/// only kind vgfs itself writes, is edited in place: rebuilding it instead
+/// leaving out the record at `skip`. A canonical image is edited in place:
+/// while every create and unlink came through here, rebuilding it instead
 /// cost Postmark 11% of `ops_per_host_s` (measured as for `find_dirent`:
-/// 35.3k in place vs 31.5k rebuilt, 10/10 pairs).
+/// 35.3k in place vs 31.5k rebuilt, 10/10 pairs). Indexed directories,
+/// which are canonical, now skip this check; it serves the directories the
+/// index does not cover.
 fn compact_dir(raw: &mut Vec<u8>, skip: Option<Range<usize>>) {
-    let mut end = 0;
-    let canonical = dir_records(raw).all(|(at, ino, name)| {
-        end = at + DIRENT_HEADER + name.len();
-        ino != 0 && std::str::from_utf8(name).is_ok()
-    }) && end == raw.len();
-    if canonical {
+    if is_canonical(raw) {
         if let Some(rec) = skip {
             raw.drain(rec);
         }

@@ -4,8 +4,10 @@
 //! checked against `parse_dir` plus the pre-fast-path serializer, and the
 //! block-batched `alloc_inode` against a loop of per-inode `read_inode`
 //! calls — same inode, same [`FsWork`], same cache contents and LRU ticks,
-//! same device traffic. The golden pins then fix the whole simulated
-//! contract of a Postmark-style run.
+//! same device traffic. The indexed `lookup`, `create` and `unlink` run
+//! random scripts, hostile directory rewrites included, against the
+//! walk-only calls they replaced. The golden pins then fix the whole
+//! simulated contract of a Postmark-style run.
 
 use super::*;
 use proptest::prelude::*;
@@ -189,7 +191,7 @@ fn canonical_images_are_edited_in_place() {
         fs.unlink(&mut dev, &format!("/d/n{i}"), &mut w).unwrap();
     }
     let d = fs.lookup(&mut dev, "/d", &mut w).unwrap();
-    let raw = fs.dir_image(&mut dev, d, &mut w).unwrap();
+    let raw = fs.dir_image_owned(&mut dev, d, &mut w).unwrap();
     assert_eq!(raw, serialize_entries(&parse_dir(&raw)));
     assert_eq!(parse_dir(&raw).len(), 40 - 14);
 
@@ -221,7 +223,7 @@ fn malformed_directory_is_rewritten_like_the_parse() {
     let y = fs
         .create(&mut dev, "/d/y", InodeKind::File, &mut w)
         .unwrap();
-    let raw = fs.dir_image(&mut dev, d, &mut w).unwrap();
+    let raw = fs.dir_image_owned(&mut dev, d, &mut w).unwrap();
     let mut expect = before.clone();
     expect.push(("y".to_string(), y));
     assert_eq!(raw, serialize_entries(&expect));
@@ -373,6 +375,388 @@ fn alloc_inode_exhaustion_charges_every_inode() {
     );
     assert_eq!(fs.clock - clock, 39);
     assert_eq!(wa, wb);
+}
+
+// ---- directory name index vs walk-only oracles -----------------------------
+
+/// The directory calls as they were before the name index: every lookup,
+/// create and unlink walks the image it reads, in a fresh buffer.
+impl VgFs {
+    /// [`VgFs::dir_image`] into a new buffer.
+    fn dir_image_owned(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        dir: Ino,
+        w: &mut FsWork,
+    ) -> Result<Vec<u8>, FsError> {
+        let mut raw = Vec::new();
+        self.dir_image(dev, dir, &mut raw, w)?;
+        Ok(raw)
+    }
+
+    fn lookup_in_walk(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        dir: Ino,
+        name: &str,
+        w: &mut FsWork,
+    ) -> Result<Ino, FsError> {
+        w.acc(24);
+        let raw = self.dir_image_owned(dev, dir, w)?;
+        find_dirent(&raw, name)
+            .map(|(_, ino)| ino)
+            .ok_or(FsError::NotFound)
+    }
+
+    fn lookup_walk(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        path: &str,
+        w: &mut FsWork,
+    ) -> Result<Ino, FsError> {
+        let mut cur = ROOT_INO;
+        for comp in path.split('/').filter(|c| !c.is_empty()) {
+            cur = self.lookup_in_walk(dev, cur, comp, w)?;
+        }
+        Ok(cur)
+    }
+
+    fn create_walk(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        path: &str,
+        kind: InodeKind,
+        w: &mut FsWork,
+    ) -> Result<Ino, FsError> {
+        let (parent_path, name) = Self::split_path(path)?;
+        let parent = self.lookup_walk(dev, parent_path, w)?;
+        let mut raw = self.dir_image_owned(dev, parent, w)?;
+        if find_dirent(&raw, name).is_some() {
+            return Err(FsError::Exists);
+        }
+        let ino = self.alloc_inode(dev, kind, w)?;
+        compact_dir(&mut raw, None);
+        push_dirent(&mut raw, ino, name);
+        self.write_dir_image(dev, parent, &raw, w)?;
+        Ok(ino)
+    }
+
+    fn unlink_walk(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        path: &str,
+        w: &mut FsWork,
+    ) -> Result<(), FsError> {
+        let (parent_path, name) = Self::split_path(path)?;
+        let parent = self.lookup_walk(dev, parent_path, w)?;
+        let mut raw = self.dir_image_owned(dev, parent, w)?;
+        let (rec, ino) = find_dirent(&raw, name).ok_or(FsError::NotFound)?;
+        let (_, kind) = self.stat(dev, ino, w)?;
+        if kind == InodeKind::Dir
+            && dir_records(&self.dir_image_owned(dev, ino, w)?).any(|(_, i, _)| i != 0)
+        {
+            return Err(FsError::NotEmpty);
+        }
+        self.truncate(dev, ino, w)?;
+        self.write_inode(dev, ino, &DiskInode::default(), w)?;
+        compact_dir(&mut raw, Some(rec));
+        self.write_dir_image(dev, parent, &raw, w)?;
+        Ok(())
+    }
+
+    fn readdir_walk(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        path: &str,
+        w: &mut FsWork,
+    ) -> Result<Vec<(String, Ino)>, FsError> {
+        let dir = self.lookup_walk(dev, path, w)?;
+        Ok(parse_dir(&self.dir_image_owned(dev, dir, w)?))
+    }
+}
+
+/// The three directories a script works in; `/x` and `/y` are made by
+/// the script's first two ops and may be removed, or shadowed by a file.
+const SCRIPT_DIRS: [&str; 3] = ["/", "/x", "/y"];
+
+/// Entry names: colliding short names, the directory names, and names
+/// that hold U+FFFD or other non-ASCII text.
+const SCRIPT_NAMES: [&str; 9] = ["a", "b", "ab", "x", "y", "\u{FFFD}", "é", "a\u{FFFD}", "c"];
+
+/// Raw name bytes for hostile records: every script name plus bytes that
+/// are not UTF-8 (which decode to names holding U+FFFD).
+fn hostile_name(pick: u8) -> Vec<u8> {
+    match pick % 12 {
+        9 => vec![0xff],
+        10 => vec![b'a', 0xc3],
+        11 => vec![0xfe, 0xfe, b'b'],
+        i => SCRIPT_NAMES[i as usize].as_bytes().to_vec(),
+    }
+}
+
+/// One scripted call. `dir` and `name` index [`SCRIPT_DIRS`] and
+/// [`SCRIPT_NAMES`] modulo their lengths.
+#[derive(Debug, Clone)]
+enum Op {
+    Create {
+        dir: u8,
+        name: u8,
+    },
+    Mkdir {
+        dir: u8,
+        name: u8,
+    },
+    Unlink {
+        dir: u8,
+        name: u8,
+    },
+    Rmdir {
+        dir: u8,
+    },
+    Lookup {
+        dir: u8,
+        name: u8,
+    },
+    Readdir {
+        dir: u8,
+    },
+    Sync,
+    /// A raw `write` of hostile records (inodes 0..=13; 0 makes a hole) to
+    /// the directory's inode: at offset 0 (`at % 3 == 0`), at its end, or
+    /// past its end (zero-filled holes). `cut` bytes come off the end, so
+    /// the last record can end inside its header or name.
+    RawWrite {
+        dir: u8,
+        at: u8,
+        records: Vec<(u8, u8)>,
+        cut: u8,
+    },
+    /// A raw truncate of the directory's inode to empty.
+    RawTruncate {
+        dir: u8,
+    },
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let pair = (any::<u8>(), any::<u8>());
+    prop_oneof![
+        pair.prop_map(|(dir, name)| Op::Create { dir, name }),
+        pair.prop_map(|(dir, name)| Op::Create { dir, name }),
+        pair.prop_map(|(dir, name)| Op::Mkdir { dir, name }),
+        pair.prop_map(|(dir, name)| Op::Unlink { dir, name }),
+        pair.prop_map(|(dir, name)| Op::Unlink { dir, name }),
+        any::<u8>().prop_map(|dir| Op::Rmdir { dir }),
+        pair.prop_map(|(dir, name)| Op::Lookup { dir, name }),
+        pair.prop_map(|(dir, name)| Op::Lookup { dir, name }),
+        any::<u8>().prop_map(|dir| Op::Readdir { dir }),
+        Just(Op::Sync),
+        (
+            any::<u8>(),
+            any::<u8>(),
+            proptest::collection::vec((2u8..17, any::<u8>()), 0..5),
+            0u8..16,
+        )
+            .prop_map(|(dir, at, records, cut)| Op::RawWrite {
+                dir,
+                at,
+                records,
+                cut,
+            }),
+        any::<u8>().prop_map(|dir| Op::RawTruncate { dir }),
+    ]
+}
+
+fn dir_path(dir: u8) -> &'static str {
+    SCRIPT_DIRS[dir as usize % SCRIPT_DIRS.len()]
+}
+
+fn entry_path(dir: u8, name: u8) -> String {
+    let name = SCRIPT_NAMES[name as usize % SCRIPT_NAMES.len()];
+    format!("{}/{name}", dir_path(dir).trim_end_matches('/'))
+}
+
+/// What one call returned, in a form both sides can be compared in.
+type Outcome = Result<Vec<(String, Ino)>, FsError>;
+
+/// Runs `op` on `fs`: through the indexed calls, or through the walk-only
+/// oracles when `oracle` is set.
+fn apply(fs: &mut VgFs, dev: &mut LogDisk, op: &Op, oracle: bool, w: &mut FsWork) -> Outcome {
+    let ino = |r: Result<Ino, FsError>| r.map(|i| vec![(String::new(), i)]);
+    let unit = |r: Result<(), FsError>| r.map(|()| Vec::new());
+    let lookup = |fs: &mut VgFs, dev: &mut LogDisk, path: &str, w: &mut FsWork| {
+        if oracle {
+            fs.lookup_walk(dev, path, w)
+        } else {
+            fs.lookup(dev, path, w)
+        }
+    };
+    let create = |fs: &mut VgFs, dev: &mut LogDisk, path: &str, kind, w: &mut FsWork| {
+        if oracle {
+            fs.create_walk(dev, path, kind, w)
+        } else {
+            fs.create(dev, path, kind, w)
+        }
+    };
+    let unlink = |fs: &mut VgFs, dev: &mut LogDisk, path: &str, w: &mut FsWork| {
+        if oracle {
+            fs.unlink_walk(dev, path, w)
+        } else {
+            fs.unlink(dev, path, w)
+        }
+    };
+    match op {
+        Op::Create { dir, name } => ino(create(
+            fs,
+            dev,
+            &entry_path(*dir, *name),
+            InodeKind::File,
+            w,
+        )),
+        Op::Mkdir { dir, name } => {
+            ino(create(fs, dev, &entry_path(*dir, *name), InodeKind::Dir, w))
+        }
+        Op::Unlink { dir, name } => unit(unlink(fs, dev, &entry_path(*dir, *name), w)),
+        Op::Rmdir { dir } => unit(unlink(fs, dev, dir_path(*dir), w)),
+        Op::Lookup { dir, name } => ino(lookup(fs, dev, &entry_path(*dir, *name), w)),
+        Op::Readdir { dir } if oracle => fs.readdir_walk(dev, dir_path(*dir), w),
+        Op::Readdir { dir } => fs.readdir(dev, dir_path(*dir), w),
+        Op::Sync => fs.sync(dev).map(|n| vec![(String::new(), Ino(n as u32))]),
+        Op::RawWrite {
+            dir,
+            at,
+            records,
+            cut,
+        } => {
+            let d = lookup(fs, dev, dir_path(*dir), w)?;
+            let mut bytes = Vec::new();
+            for &(pick, name) in records {
+                // One record in five is a hole.
+                let ino = u32::from(pick.saturating_sub(3));
+                record(&mut bytes, ino, &hostile_name(name));
+            }
+            bytes.truncate(bytes.len().saturating_sub(usize::from(*cut / 2)));
+            let (size, _) = fs.stat(dev, d, w)?;
+            let off = match at % 3 {
+                0 => 0,
+                1 => size,
+                _ => size + u64::from(*at % 13),
+            };
+            unit(fs.write(dev, d, off, &bytes, w).map(|_| ()))
+        }
+        Op::RawTruncate { dir } => {
+            let d = lookup(fs, dev, dir_path(*dir), w)?;
+            unit(fs.truncate(dev, d, w))
+        }
+    }
+}
+
+fn script_fs(cache_cap: Option<usize>) -> (LogDisk, VgFs) {
+    let mut dev = LogDisk {
+        disk: MemDisk::new(1024),
+        log: Vec::new(),
+    };
+    let mut fs = VgFs::mkfs(&mut dev, 64);
+    if let Some(cap) = cache_cap {
+        fs.cache_cap = cap;
+    }
+    (dev, fs)
+}
+
+/// Runs `ops` on an indexed and an oracle `VgFs`, comparing each call's
+/// result, [`FsWork`] and cache state, then every directory listing, the
+/// device traffic and the synced disk image.
+fn check_script(cache_cap: Option<usize>, ops: &[Op]) -> Result<(), TestCaseError> {
+    let (mut dev_a, mut fast) = script_fs(cache_cap);
+    let (mut dev_b, mut slow) = script_fs(cache_cap);
+    let setup = [Op::Mkdir { dir: 0, name: 3 }, Op::Mkdir { dir: 0, name: 4 }];
+    for (i, op) in setup.iter().chain(ops).enumerate() {
+        let (mut wa, mut wb) = (FsWork::default(), FsWork::default());
+        let a = apply(&mut fast, &mut dev_a, op, false, &mut wa);
+        let b = apply(&mut slow, &mut dev_b, op, true, &mut wb);
+        prop_assert_eq!(&a, &b, "op {} {:?}", i, op);
+        prop_assert_eq!(wa, wb, "op {} {:?}", i, op);
+        prop_assert_eq!(cache_state(&fast), cache_state(&slow), "op {} {:?}", i, op);
+    }
+    for dir in 0..3 {
+        let (mut wa, mut wb) = (FsWork::default(), FsWork::default());
+        let a = fast.readdir(&mut dev_a, dir_path(dir), &mut wa);
+        let b = slow.readdir_walk(&mut dev_b, dir_path(dir), &mut wb);
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(wa, wb);
+    }
+    prop_assert_eq!(fast.sync(&mut dev_a), slow.sync(&mut dev_b));
+    prop_assert_eq!(&dev_a.log, &dev_b.log);
+    prop_assert_eq!(disk_hash(&dev_a.disk), disk_hash(&dev_b.disk));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn indexed_directory_calls_match_the_walk(
+        ops in proptest::collection::vec(op_strategy(), 0..48),
+    ) {
+        check_script(None, &ops)?;
+    }
+
+    #[test]
+    fn indexed_directory_calls_match_the_walk_under_an_8_block_cache(
+        ops in proptest::collection::vec(op_strategy(), 0..48),
+    ) {
+        check_script(Some(8), &ops)?;
+    }
+}
+
+/// A directory rewritten behind its index, to an image of the same length
+/// that swaps two entries' inodes, answers from the new bytes.
+#[test]
+fn lookup_after_a_rewrite_behind_the_index_reads_the_new_bytes() {
+    let mut dev = MemDisk::new(2048);
+    let mut fs = VgFs::mkfs(&mut dev, 256);
+    let mut w = FsWork::default();
+    let d = fs.create(&mut dev, "/d", InodeKind::Dir, &mut w).unwrap();
+    let a = fs
+        .create(&mut dev, "/d/a", InodeKind::File, &mut w)
+        .unwrap();
+    let b = fs
+        .create(&mut dev, "/d/b", InodeKind::File, &mut w)
+        .unwrap();
+    assert_eq!(fs.lookup(&mut dev, "/d/a", &mut w), Ok(a));
+    assert!(fs.memos[&d.0].names.contains_key(&b"a"[..]), "indexed");
+
+    let mut swapped = Vec::new();
+    record(&mut swapped, b.0, b"a");
+    record(&mut swapped, a.0, b"c");
+    let before = fs.dir_image_owned(&mut dev, d, &mut w).unwrap();
+    assert_eq!(swapped.len(), before.len());
+    fs.write(&mut dev, d, 0, &swapped, &mut w).unwrap();
+
+    assert_eq!(fs.lookup(&mut dev, "/d/a", &mut w), Ok(b));
+    assert_eq!(fs.lookup(&mut dev, "/d/b", &mut w), Err(FsError::NotFound));
+    assert_eq!(fs.lookup(&mut dev, "/d/c", &mut w), Ok(a));
+    assert_eq!(fs.memos[&d.0].image, swapped);
+}
+
+/// Unlinking the first of two records with one name, in a canonical image
+/// written behind vgfs, leaves the second one found.
+#[test]
+fn unlink_of_a_shadowing_record_uncovers_the_next() {
+    let mut dev = MemDisk::new(2048);
+    let mut fs = VgFs::mkfs(&mut dev, 256);
+    let mut w = FsWork::default();
+    let d = fs.create(&mut dev, "/d", InodeKind::Dir, &mut w).unwrap();
+    let a = fs.create(&mut dev, "/a", InodeKind::File, &mut w).unwrap();
+    let b = fs.create(&mut dev, "/b", InodeKind::File, &mut w).unwrap();
+    let mut dup = Vec::new();
+    record(&mut dup, a.0, b"n");
+    record(&mut dup, 5, b"m");
+    record(&mut dup, b.0, b"n");
+    fs.write_dir_image(&mut dev, d, &dup, &mut w).unwrap();
+    assert_eq!(fs.lookup(&mut dev, "/d/n", &mut w), Ok(a));
+    assert!(fs.memos[&d.0].shadowed);
+    fs.unlink(&mut dev, "/d/n", &mut w).unwrap();
+    assert_eq!(fs.lookup(&mut dev, "/d/n", &mut w), Ok(b));
 }
 
 // ---- golden accounting pins -------------------------------------------------

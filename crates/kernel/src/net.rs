@@ -864,6 +864,18 @@ mod tests {
         });
     }
 
+    /// `usize::MAX` lengths fail `write`, `send` and `writev` before the
+    /// copy is charged; the charge used to overflow (a panic in a debug
+    /// build, a wrapped clock in a release one).
+    #[test]
+    fn usize_max_lengths_fail_write_send_and_writev() {
+        with_fd_and_socket(5206, |env, file, sock, page| {
+            assert_eq!(env.write(file, page, usize::MAX), -1);
+            assert_eq!(env.send(sock, page, usize::MAX), -1);
+            assert_eq!(env.writev(sock, page + 2048, &[(page, usize::MAX)]), -1);
+        });
+    }
+
     /// A `read` of a hostile length is a short read of what the file
     /// holds, not a terabyte reservation.
     #[test]

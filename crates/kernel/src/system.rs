@@ -1200,15 +1200,19 @@ impl System {
     }
 
     /// [`Self::copyin`] onto the end of `out`. Returns false on an
-    /// unmapped source page. `len` comes from user space, so the up-front
-    /// reservation is capped at simulated physical memory: a hostile
-    /// length fails at its first unmapped page instead of aborting the
-    /// host on an impossible allocation.
+    /// unmapped source page, and, before anything is charged, on a length
+    /// past simulated physical memory, which the kernel could never stage:
+    /// `len` comes from user space, and a hostile one would otherwise
+    /// overflow the copy charge or abort the host on an impossible
+    /// reservation.
     pub(crate) fn copyin_into(&mut self, pid: Pid, va: u64, len: usize, out: &mut Vec<u8>) -> bool {
         let va = self.sandbox_mask(va);
-        copy_cost(&mut self.machine, len as u64);
         let phys_bytes = self.machine.phys.total_frames() * PAGE_SIZE as usize;
-        out.reserve(len.min(phys_bytes));
+        if len > phys_bytes {
+            return false;
+        }
+        copy_cost(&mut self.machine, len as u64);
+        out.reserve(len);
         let mut done = 0;
         while done < len {
             let cur = va + done as u64;

@@ -111,7 +111,7 @@ fn postmark_allocations_per_transaction() {
         transactions: 62,
         ..Default::default()
     };
-    assert_ceiling("postmark", 62, 35.726, || {
+    assert_ceiling("postmark", 62, 28.21, || {
         assert_eq!(postmark::run(&mut sys, cfg).transactions, 62);
     });
 }

@@ -5,6 +5,20 @@
 //! iterations) the widest gap is signal delivery, 1.75× against the
 //! paper's 1.61× (+8.4%).
 //!
+//! Tables 3–4 (LMBench file deletion and creation) run
+//! `lmbench::file_rates` at `paper-tables --fast` scale (60 files) for 0,
+//! 1, 4 and 10 KB files; each overhead is native files/sec over Virtual
+//! Ghost files/sec.
+//! - Table 3: each deletion overhead stays within ±12% of the paper's
+//!   (today: 4.41–4.42× against the paper's 4.43–4.61×).
+//! - Table 4: the 0 KB creation overhead matches the paper's 4.63×
+//!   (today: 4.62×), but the model's overhead falls as files grow while
+//!   the paper's rises: 4.03×, 3.85× and 3.28× at 1, 4 and 10 KB against
+//!   5.21×, 5.19× and 4.72×, 23–31% low, because the model charges the
+//!   data copy the same under both modes. Each band holds today's value
+//!   ±5% so drift shows, and states the gap rather than hiding it in a
+//!   wide band, as the Figure 3 mean does.
+//!
 //! Table 5 (Postmark, §8.5): Virtual Ghost runs the mail-server mix 4.72×
 //! slower than native FreeBSD. At test scale (50 base files, 200
 //! transactions) the simulator gives ~4.1–4.2×; the band accepts the
@@ -53,6 +67,27 @@ const PAPER_TABLE2: [(&str, f64, f64); 9] = [
 
 /// Allowed relative distance of a Table 2 ratio from the paper's.
 const TABLE2_BAND: f64 = 0.12;
+
+/// `paper-tables --fast` scale for Tables 3–4: files per size.
+const LMBENCH_FILES: u64 = 60;
+
+/// Tables 3 and 4 as the paper reports them, per file size: (bytes,
+/// deletions/sec native, Virtual Ghost, creations/sec native, Virtual
+/// Ghost).
+const PAPER_TABLE34: [(usize, f64, f64, f64, f64); 4] = [
+    (0, 166_846.0, 36_164.0, 156_276.0, 33_777.0),
+    (1024, 116_668.0, 25_817.0, 97_839.0, 18_796.0),
+    (4096, 116_657.0, 25_806.0, 97_102.0, 18_725.0),
+    (10_240, 110_842.0, 25_042.0, 85_319.0, 18_095.0),
+];
+
+/// Allowed relative distance of a Table 3 deletion overhead from the
+/// paper's.
+const TABLE3_BAND: f64 = 0.12;
+
+/// Table 4's creation overheads this model reproduces at `--fast` scale,
+/// in [`PAPER_TABLE34`] order.
+const MODEL_TABLE4: [f64; 4] = [4.62, 4.03, 3.85, 3.28];
 
 /// Table 5's Virtual Ghost / native Postmark ratio.
 const PAPER_TABLE5_RATIO: f64 = 4.72;
@@ -149,6 +184,53 @@ fn table5_postmark_ratio_within_band_of_paper() {
             "seed {seed}: Postmark VG/native {ratio:.3} outside {band:?}"
         );
     }
+}
+
+/// Per Tables 3–4 file size: (bytes, deletion overhead, creation
+/// overhead), each native files/sec over Virtual Ghost files/sec.
+fn table34_overheads() -> Vec<(usize, f64, f64)> {
+    PAPER_TABLE34
+        .iter()
+        .map(|&(bytes, ..)| {
+            let rates = |mode| lmbench::file_rates(&mut System::boot(mode), bytes, LMBENCH_FILES);
+            let (create_n, delete_n) = rates(Mode::Native);
+            let (create_v, delete_v) = rates(Mode::VirtualGhost);
+            (bytes, delete_n / delete_v, create_n / create_v)
+        })
+        .collect()
+}
+
+#[test]
+fn table3_deletion_overheads_within_band_of_paper() {
+    let mut outside = Vec::new();
+    for ((bytes, delete, _), paper) in table34_overheads().into_iter().zip(PAPER_TABLE34) {
+        let paper = paper.1 / paper.2;
+        let band = paper * (1.0 - TABLE3_BAND)..paper * (1.0 + TABLE3_BAND);
+        if !band.contains(&delete) {
+            outside.push(format!(
+                "{bytes} B: deletion {delete:.3}x outside {band:.3?}"
+            ));
+        }
+    }
+    assert!(outside.is_empty(), "{outside:#?}");
+}
+
+#[test]
+fn table4_creation_overheads_pinned_below_paper() {
+    let mut outside = Vec::new();
+    let rows = table34_overheads().into_iter().zip(PAPER_TABLE34);
+    for (((bytes, _, create), paper), model) in rows.zip(MODEL_TABLE4) {
+        // The gap to the paper is stated in the module docs; the band pins
+        // today's value so it cannot drift unnoticed.
+        let band = model * 0.95..model * 1.05;
+        if !band.contains(&create) {
+            let paper = paper.3 / paper.4;
+            outside.push(format!(
+                "{bytes} B: creation {create:.3}x outside {band:.3?} (paper: {paper:.2}x)"
+            ));
+        }
+    }
+    assert!(outside.is_empty(), "{outside:#?}");
 }
 
 #[test]
