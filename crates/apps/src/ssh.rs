@@ -15,13 +15,18 @@
 //!   encrypted under the session key; the ghosting client stages received
 //!   data through traditional memory into its ghost heap.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use vg_crypto::aes::Aes128;
-use vg_crypto::Sha256;
+use vg_crypto::{Aes128Ctr, Sha256};
 use vg_kernel::syscall::O_CREAT;
 use vg_kernel::{ChildKind, System, UserEnv};
+use vg_machine::IntMap;
 use vg_runtime::{Heap, SecureFiles, Wrappers};
+
+/// Plaintext bytes per CTR chunk of a transfer: both ends move a file
+/// 8 KiB at a time, chunk `i` encrypted under nonce `i`.
+const CHUNK: usize = 8192;
 
 /// The suite's shared application key (what the trusted admin installs).
 pub fn suite_key() -> [u8; 16] {
@@ -206,11 +211,11 @@ fn stream_encrypted_file(env: &mut UserEnv, conn: i64, path: &str) -> u64 {
     if fd < 0 {
         return 0;
     }
-    let buf = env.mmap_anon(8192);
+    let buf = env.mmap_anon(CHUNK);
     let mut nonce = 0u64;
     let mut total = 0u64;
     loop {
-        let n = env.read(fd, buf, 8192);
+        let n = env.read(fd, buf, CHUNK);
         if n <= 0 {
             break;
         }
@@ -272,8 +277,65 @@ pub fn install_sshd(sys: &mut System) {
     });
 }
 
+/// The scp clients at the far end of sshd's downloads: every flow must
+/// carry the file encrypted under the session key, one [`CHUNK`] per
+/// nonce. Bytes are decrypted and compared as each send goes out, so no
+/// download waits whole in the NIC.
+struct DownloadCheck {
+    cipher: Aes128,
+    file: Vec<u8>,
+    /// Per expected flow, the plaintext bytes checked so far, or `None`
+    /// once the flow has carried a wrong byte. Bytes misrouted to another
+    /// flow leave some expected flow short.
+    flows: IntMap<u64, Option<usize>>,
+    /// The chunk piece being decrypted, reused.
+    plain: Vec<u8>,
+}
+
+impl DownloadCheck {
+    fn new(file: Vec<u8>, flows: &[u64]) -> Self {
+        DownloadCheck {
+            cipher: Aes128::new(&session_key()),
+            file,
+            flows: flows.iter().map(|&f| (f, Some(0))).collect(),
+            plain: Vec::with_capacity(CHUNK),
+        }
+    }
+
+    /// Checks `bytes`, the next ones sent on `flow`.
+    fn feed(&mut self, flow: u64, mut bytes: &[u8]) {
+        let Some(state) = self.flows.get_mut(&flow) else {
+            return;
+        };
+        while !bytes.is_empty() {
+            let Some(at) = *state else {
+                return;
+            };
+            // Decrypt up to the end of the chunk `at` falls in, starting
+            // mid-keystream when an earlier send ended inside it.
+            let off = at % CHUNK;
+            let (piece, rest) = bytes.split_at(bytes.len().min(CHUNK - off));
+            self.plain.clear();
+            self.plain.extend_from_slice(piece);
+            let mut ks =
+                Aes128Ctr::with_counter(&self.cipher, (at / CHUNK) as u64, (off / 16) as u64);
+            ks.xor(&mut [0u8; 16][..off % 16]);
+            ks.xor(&mut self.plain);
+            let end = at + piece.len();
+            *state = (self.file.get(at..end) == Some(&self.plain[..])).then_some(end);
+            bytes = rest;
+        }
+    }
+
+    /// Whether every flow carried exactly the whole file.
+    fn complete(&self) -> bool {
+        self.flows.values().all(|&got| got == Some(self.file.len()))
+    }
+}
+
 /// Figure 3 driver: queues `transfers` scp-style downloads of a
-/// `file_size`-byte file against `sshd` and returns payload KB/s.
+/// `file_size`-byte file against `sshd` and returns payload KB/s. Each
+/// download is checked as it goes out: it must decrypt to the file.
 pub fn sshd_bandwidth(sys: &mut System, file_size: usize, transfers: u32) -> f64 {
     install_sshd(sys);
     let data: Vec<u8> = (0..file_size).map(|i| (i * 17 % 251) as u8).collect();
@@ -284,6 +346,13 @@ pub fn sshd_bandwidth(sys: &mut System, file_size: usize, transfers: u32) -> f64
         sys.wire_send(flow, b"get /srv.dat");
         flows.push(flow);
     }
+    let check = Rc::new(RefCell::new(DownloadCheck::new(data, &flows)));
+    let peer = check.clone();
+    let previous = sys
+        .remote_responder
+        .replace(Box::new(move |flow, sent, _reply| {
+            peer.borrow_mut().feed(flow, sent);
+        }));
     let t0 = sys.machine.clock.cycles();
     let w0 = sys.machine.nic_time.cycles();
     let pid = sys.spawn("sshd");
@@ -291,14 +360,8 @@ pub fn sshd_bandwidth(sys: &mut System, file_size: usize, transfers: u32) -> f64
     // CPU and wire overlap (DMA + pipelined peer): elapsed is the longer
     // of the two timelines.
     let cycles = (sys.machine.clock.cycles() - t0).max(sys.machine.nic_time.cycles() - w0);
-    // Spot-check a transfer decrypts to the original.
-    let mut got = sys.wire_recv(flows[0]);
-    assert_eq!(got.len(), file_size, "full file arrived");
-    let cipher = Aes128::new(&session_key());
-    for (i, chunk) in got.chunks_mut(8192).enumerate() {
-        cipher.ctr_xor(i as u64, chunk);
-    }
-    assert_eq!(got, data, "scp payload decrypts");
+    sys.remote_responder = previous;
+    assert!(check.borrow().complete(), "every scp payload decrypts");
     let secs = cycles as f64 / vg_machine::cost::CYCLES_PER_US / 1e6;
     (file_size as f64 * transfers as f64 / 1024.0) / secs
 }
@@ -318,14 +381,12 @@ pub fn ssh_client_bandwidth(
     let payload: Vec<u8> = (0..file_size).map(|i| (i * 13 % 251) as u8).collect();
     let mut wire = payload.clone();
     let cipher = Aes128::new(&session_key());
-    for (i, chunk) in wire.chunks_mut(8192).enumerate() {
+    for (i, chunk) in wire.chunks_mut(CHUNK).enumerate() {
         cipher.ctr_xor(i as u64, chunk);
     }
-    sys.remote_responder = Some(Box::new(move |msg| {
+    sys.remote_responder = Some(Box::new(move |_flow, msg, reply| {
         if msg.starts_with(b"get") {
-            wire.clone()
-        } else {
-            Vec::new()
+            reply.extend_from_slice(&wire);
         }
     }));
 
@@ -343,6 +404,8 @@ pub fn ssh_client_bandwidth(
             let mut heap = Heap::new(env, ghost);
             let t0 = env.sys.machine.clock.cycles();
             let w0 = env.sys.machine.nic_time.cycles();
+            // The decrypted download, one buffer for every fetch.
+            let mut data = Vec::new();
             for _ in 0..transfers {
                 let conn = connect_ssh(env);
                 env.sys.machine.charge(KEX_CYCLES);
@@ -362,8 +425,9 @@ pub fn ssh_client_bandwidth(
                     }
                     got += n as usize;
                 }
-                let mut data = env.read_mem(buf, got);
-                for (i, chunk) in data.chunks_mut(8192).enumerate() {
+                data.clear();
+                env.read_mem_into(buf, got, &mut data);
+                for (i, chunk) in data.chunks_mut(CHUNK).enumerate() {
                     cipher.ctr_xor(i as u64, chunk);
                 }
                 let blocks = (got as u64).div_ceil(16);
@@ -471,6 +535,56 @@ mod tests {
         let mut sys = System::boot(Mode::VirtualGhost);
         let kbps = sshd_bandwidth(&mut sys, 16 * 1024, 2);
         assert!(kbps > 0.0);
+    }
+
+    /// The file encrypted as sshd sends it, one CTR chunk per nonce.
+    fn encrypted(file: &[u8]) -> Vec<u8> {
+        let cipher = Aes128::new(&session_key());
+        let mut wire = file.to_vec();
+        for (i, chunk) in wire.chunks_mut(CHUNK).enumerate() {
+            cipher.ctr_xor(i as u64, chunk);
+        }
+        wire
+    }
+
+    #[test]
+    fn download_check_rejects_a_flipped_byte_in_a_later_chunk_of_a_later_flow() {
+        let file: Vec<u8> = (0..3 * CHUNK + 100).map(|i| (i % 253) as u8).collect();
+        let wire = encrypted(&file);
+        let run = |flip: Option<usize>| {
+            let mut check = DownloadCheck::new(file.clone(), &[4, 9]);
+            for flow in [4, 9] {
+                let mut sent = wire.clone();
+                if let (9, Some(at)) = (flow, flip) {
+                    sent[at] ^= 0x20;
+                }
+                for send in sent.chunks(CHUNK) {
+                    check.feed(flow, send);
+                }
+            }
+            check.complete()
+        };
+        assert!(run(None), "honest downloads pass");
+        assert!(!run(Some(CHUNK + 17)), "second chunk of the second flow");
+        assert!(!run(Some(3 * CHUNK + 99)), "last byte of the second flow");
+    }
+
+    #[test]
+    fn download_check_follows_sends_that_split_chunks() {
+        let file: Vec<u8> = (0..2 * CHUNK + 5).map(|i| (i * 7 % 251) as u8).collect();
+        let wire = encrypted(&file);
+        let mut check = DownloadCheck::new(file.clone(), &[1]);
+        for send in wire.chunks(1000) {
+            check.feed(1, send);
+        }
+        assert!(check.complete(), "odd split points decrypt mid-keystream");
+        let mut short = DownloadCheck::new(file.clone(), &[1]);
+        short.feed(1, &wire[..CHUNK]);
+        assert!(!short.complete(), "a partial download is not complete");
+        let mut long = DownloadCheck::new(file, &[1]);
+        long.feed(1, &wire);
+        long.feed(1, b"x");
+        assert!(!long.complete(), "a byte past the file fails");
     }
 
     #[test]

@@ -83,6 +83,8 @@ pub enum FsError {
     TooBig,
     /// Directory not empty.
     NotEmpty,
+    /// A call that changes a regular file's data found a directory.
+    IsDir,
     /// The backing device failed the transfer (after the driver exhausted
     /// its retries). Surfaces as `EIO` at the syscall boundary.
     Io,
@@ -98,6 +100,7 @@ impl std::fmt::Display for FsError {
             FsError::BadName => "invalid file name",
             FsError::TooBig => "file too large",
             FsError::NotEmpty => "directory not empty",
+            FsError::IsDir => "is a directory",
             FsError::Io => "I/O error",
         };
         f.write_str(s)
@@ -685,7 +688,28 @@ impl VgFs {
         Ok(n)
     }
 
-    /// Writes `data` at `off`, growing the file as needed.
+    /// Reads inode `ino` for a call that changes its data: a free inode is
+    /// [`FsError::NotFound`], and a directory is [`FsError::IsDir`] unless
+    /// `dir_ok`.
+    fn inode_to_change(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        ino: Ino,
+        dir_ok: bool,
+        w: &mut FsWork,
+    ) -> Result<DiskInode, FsError> {
+        let inode = self.read_inode(dev, ino, w)?;
+        match inode.kind {
+            0 => Err(FsError::NotFound),
+            2 if !dir_ok => Err(FsError::IsDir),
+            _ => Ok(inode),
+        }
+    }
+
+    /// Writes `data` at `off`, growing the file as needed. A directory's
+    /// record image is written like file data (the kernel rewrites
+    /// directories this way, and tests forge records with it); the syscall
+    /// layer uses `write_file`, which refuses directories.
     pub fn write(
         &mut self,
         dev: &mut dyn BlockDev,
@@ -694,13 +718,35 @@ impl VgFs {
         data: &[u8],
         w: &mut FsWork,
     ) -> Result<usize, FsError> {
+        self.write_as(dev, ino, off, data, true, w)
+    }
+
+    /// [`Self::write`] to a regular file: a directory fails with
+    /// [`FsError::IsDir`] once its inode is read, before any change.
+    pub(crate) fn write_file(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        ino: Ino,
+        off: u64,
+        data: &[u8],
+        w: &mut FsWork,
+    ) -> Result<usize, FsError> {
+        self.write_as(dev, ino, off, data, false, w)
+    }
+
+    fn write_as(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        ino: Ino,
+        off: u64,
+        data: &[u8],
+        dir_ok: bool,
+        w: &mut FsWork,
+    ) -> Result<usize, FsError> {
         if off + data.len() as u64 > MAX_FILE_BYTES {
             return Err(FsError::TooBig);
         }
-        let mut inode = self.read_inode(dev, ino, w)?;
-        if inode.kind == 0 {
-            return Err(FsError::NotFound);
-        }
+        let mut inode = self.inode_to_change(dev, ino, dir_ok, w)?;
         let mut done = 0;
         while done < data.len() {
             let pos = off as usize + done;
@@ -740,17 +786,37 @@ impl VgFs {
         }
     }
 
-    /// Truncates a file to zero length, freeing its blocks.
+    /// Truncates a file (or a directory's record image) to zero length,
+    /// freeing its blocks; the syscall layer uses `truncate_file`, which
+    /// refuses directories.
     pub fn truncate(
         &mut self,
         dev: &mut dyn BlockDev,
         ino: Ino,
         w: &mut FsWork,
     ) -> Result<(), FsError> {
-        let mut inode = self.read_inode(dev, ino, w)?;
-        if inode.kind == 0 {
-            return Err(FsError::NotFound);
-        }
+        self.truncate_as(dev, ino, true, w)
+    }
+
+    /// [`Self::truncate`] of a regular file: a directory fails with
+    /// [`FsError::IsDir`] once its inode is read, before any change.
+    pub(crate) fn truncate_file(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        ino: Ino,
+        w: &mut FsWork,
+    ) -> Result<(), FsError> {
+        self.truncate_as(dev, ino, false, w)
+    }
+
+    fn truncate_as(
+        &mut self,
+        dev: &mut dyn BlockDev,
+        ino: Ino,
+        dir_ok: bool,
+        w: &mut FsWork,
+    ) -> Result<(), FsError> {
+        let mut inode = self.inode_to_change(dev, ino, dir_ok, w)?;
         for d in inode.direct {
             if d != 0 {
                 self.free_block(dev, d, w)?;

@@ -8,8 +8,9 @@
 //! tiny transfers are syscall-limited — the shape behind Figures 2–4.
 
 use crate::costs;
-use crate::syscall::EAGAIN;
-use crate::system::{Fd, Pid, System};
+use crate::fs::{FsError, FsWork, Ino, InodeKind};
+use crate::syscall::{EAGAIN, EIO, EISDIR};
+use crate::system::{DmaDisk, Fd, Pid, System};
 use std::collections::VecDeque;
 use vg_core::{DescRing, RingDesc, RingDir};
 use vg_machine::devices::{Packet, MTU};
@@ -86,9 +87,18 @@ pub struct FlowBuf {
 pub struct NetStack {
     /// Pending (un-accepted) connections per port.
     pub pending: IntMap<u16, VecDeque<u64>>,
-    /// Active flows.
+    /// Active flows. A flow leaves when its socket is destroyed.
     pub flows: IntMap<u64, FlowBuf>,
     next_flow: u64,
+    /// The emptied receive buffer of the last destroyed flow, handed to the
+    /// next flow opened: sequential connections reuse one allocation, and
+    /// closed ones keep none.
+    spare_rx: VecDeque<u8>,
+    /// What the remote responder was last shown and what it last replied,
+    /// kept so a peer that answers every send allocates nothing once they
+    /// have grown.
+    peer_sent: Vec<u8>,
+    peer_reply: Vec<u8>,
     /// Ports with listeners.
     pub listeners: IntMap<u16, u64>, // port -> socket id
     /// Transmit descriptor ring (the batched data plane's TX queue).
@@ -103,6 +113,9 @@ impl Default for NetStack {
             pending: IntMap::default(),
             flows: IntMap::default(),
             next_flow: 0,
+            spare_rx: VecDeque::new(),
+            peer_sent: Vec::new(),
+            peer_reply: Vec::new(),
             listeners: IntMap::default(),
             tx_ring: DescRing::new(RingDir::ToDevice, 1024),
             rx_ring: DescRing::new(RingDir::FromDevice, 256),
@@ -115,6 +128,25 @@ impl NetStack {
     pub fn new() -> Self {
         NetStack::default()
     }
+
+    /// Opens a flow with an empty receive buffer (the spare, if one is
+    /// kept) and returns its id.
+    fn open_flow(&mut self) -> u64 {
+        self.next_flow += 1;
+        let rx = std::mem::take(&mut self.spare_rx);
+        self.flows
+            .insert(self.next_flow, FlowBuf { rx, closed: false });
+        self.next_flow
+    }
+
+    /// Drops a flow whose socket is gone, keeping its emptied receive
+    /// buffer as the spare for the next flow.
+    fn close_flow(&mut self, flow: u64) {
+        if let Some(mut fb) = self.flows.remove(&flow) {
+            fb.rx.clear();
+            self.spare_rx = fb.rx;
+        }
+    }
 }
 
 impl System {
@@ -124,9 +156,7 @@ impl System {
     /// harness or a registered remote responder). Returns a connected fd.
     pub(crate) fn sys_connect(&mut self, pid: Pid, _port: u16) -> i64 {
         costs::SOCK_SETUP.charge(&mut self.machine);
-        self.net.next_flow += 1;
-        let flow = self.net.next_flow;
-        self.net.flows.insert(flow, FlowBuf::default());
+        let flow = self.net.open_flow();
         let id = self.next_socket_id();
         self.machine.charge_wire(CONN_WIRE_CYCLES);
         self.sockets.insert(
@@ -174,7 +204,8 @@ impl System {
         id
     }
 
-    /// Drops one fd reference to a socket, destroying it at zero.
+    /// Drops one fd reference to a socket, destroying it (and its flow,
+    /// which no other socket names) at zero.
     pub(crate) fn release_socket(&mut self, id: u64) {
         if let Some(s) = self.sockets.get_mut(&id) {
             s.refs = s.refs.saturating_sub(1);
@@ -183,6 +214,9 @@ impl System {
                     if s.listening {
                         self.net.listeners.remove(&port);
                     }
+                }
+                if let Some(flow) = s.flow {
+                    self.net.close_flow(flow);
                 }
                 self.sockets.remove(&id);
             }
@@ -441,17 +475,25 @@ impl System {
 
     /// Hands freshly transmitted bytes on `flow` to the registered remote
     /// responder (the harness's model of the peer) and injects its reply.
+    /// Both pass through the stack's two reused peer buffers.
     fn run_remote_responder(&mut self, flow: u64) {
-        if let Some(mut responder) = self.remote_responder.take() {
-            let sent = self.wire_recv(flow);
-            if !sent.is_empty() {
-                let reply = responder(&sent);
-                if !reply.is_empty() {
-                    self.wire_send(flow, &reply);
-                }
+        let Some(mut responder) = self.remote_responder.take() else {
+            return;
+        };
+        let mut sent = std::mem::take(&mut self.net.peer_sent);
+        let mut reply = std::mem::take(&mut self.net.peer_reply);
+        sent.clear();
+        reply.clear();
+        self.machine.nic.wire_take_into(flow, &mut sent);
+        if !sent.is_empty() {
+            responder(flow, &sent, &mut reply);
+            if !reply.is_empty() {
+                self.wire_send(flow, &reply);
             }
-            self.remote_responder = Some(responder);
         }
+        self.net.peer_sent = sent;
+        self.net.peer_reply = reply;
+        self.remote_responder = Some(responder);
     }
 
     // ---- readiness + vectored I/O syscalls -----------------------------------
@@ -636,8 +678,10 @@ impl System {
     /// ring path copies each iovec into the kernel's scratch byte buffer
     /// and stages it from there.
     fn writev_from(&mut self, pid: Pid, fd: u64, iovs: &[(u64, usize)]) -> i64 {
-        let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) else {
-            return -1;
+        let id = match self.proc_fd(pid, fd) {
+            Some(Fd::Sock { id }) => id,
+            Some(Fd::File { ino, .. }) => return self.writev_file(ino),
+            _ => return -1,
         };
         match self.net_mode {
             NetMode::Reference => {
@@ -682,15 +726,30 @@ impl System {
         }
     }
 
+    /// `writev` on a file fd: unsupported (-1), and [`EISDIR`] on a
+    /// directory, told apart by one charged inode read.
+    fn writev_file(&mut self, ino: Ino) -> i64 {
+        let mut w = FsWork::default();
+        let kind = {
+            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
+            let mut dev = DmaDisk { machine, vm };
+            fs.stat(&mut dev, ino, &mut w).map(|(_, kind)| kind)
+        };
+        self.charge_fswork(&w);
+        match kind {
+            Ok(InodeKind::Dir) => EISDIR,
+            Err(FsError::Io) => EIO,
+            _ => -1,
+        }
+    }
+
     // ---- wire (harness) side --------------------------------------------------
 
     /// Opens a connection to `port` from the outside world. Returns the flow
     /// id. Connections may be queued before the listener starts (SYN
     /// backlog); `accept` picks them up once a socket listens on the port.
     pub fn wire_connect(&mut self, port: u16) -> Option<u64> {
-        self.net.next_flow += 1;
-        let flow = self.net.next_flow;
-        self.net.flows.insert(flow, FlowBuf::default());
+        let flow = self.net.open_flow();
         self.net.pending.entry(port).or_default().push_back(flow);
         Some(flow)
     }
@@ -830,6 +889,104 @@ mod tests {
         });
         let pid = sys.spawn("poll");
         assert_eq!(sys.run_until_exit(pid), 0);
+    }
+
+    /// With two connections open at once, each responder call is handed
+    /// its own flow and the bytes sent on it, and each reply lands on the
+    /// flow it answers.
+    #[test]
+    fn remote_responder_sees_each_connections_own_flow() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut sys = System::boot_virtual_ghost();
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let seen = calls.clone();
+        sys.remote_responder = Some(Box::new(move |flow, sent, reply| {
+            seen.borrow_mut().push((flow, sent.to_vec()));
+            reply.extend_from_slice(format!("{flow}:").as_bytes());
+            reply.extend_from_slice(sent);
+        }));
+        let flows = Rc::new(RefCell::new(Vec::new()));
+        let opened = flows.clone();
+        sys.install_app("two", false, move || {
+            let opened = opened.clone();
+            Box::new(move |env| {
+                let buf = env.mmap_anon(4096);
+                let (a, b) = (connect(env), connect(env));
+                let fa = env.sys.flow_of_fd(env.pid, a as u64).expect("flow");
+                let fb = env.sys.flow_of_fd(env.pid, b as u64).expect("flow");
+                opened.borrow_mut().extend([fa, fb]);
+                env.write_mem(buf, b"alpha");
+                assert_eq!(env.send(a, buf, 5), 5);
+                env.write_mem(buf, b"be");
+                assert_eq!(env.send(b, buf, 2), 2);
+                let n = env.recv(b, buf, 64);
+                assert_eq!(env.read_mem(buf, n as usize), format!("{fb}:be").as_bytes());
+                let n = env.recv(a, buf, 64);
+                assert_eq!(
+                    env.read_mem(buf, n as usize),
+                    format!("{fa}:alpha").as_bytes()
+                );
+                0
+            })
+        });
+        let pid = sys.spawn("two");
+        assert_eq!(sys.run_until_exit(pid), 0);
+        let (fa, fb) = (flows.borrow()[0], flows.borrow()[1]);
+        assert_ne!(fa, fb);
+        assert_eq!(
+            *calls.borrow(),
+            [(fa, b"alpha".to_vec()), (fb, b"be".to_vec())]
+        );
+    }
+
+    /// `connect` to the remote peer.
+    fn connect(env: &mut UserEnv) -> i64 {
+        env.syscall(crate::syscall::SYS_CONNECT, [22, 0, 0, 0, 0, 0])
+    }
+
+    /// Receive capacity held by every flow, and by the spare.
+    fn flow_rx_capacity(net: &NetStack) -> usize {
+        let held: usize = net.flows.values().map(|f| f.rx.capacity()).sum();
+        held + net.spare_rx.capacity()
+    }
+
+    /// A closed connection gives its receive buffer to the next one: 64
+    /// sequential connect/fetch/close cycles of 64 KiB each end holding at
+    /// most two fetches' worth of flow receive capacity (every closed flow
+    /// used to keep its own).
+    #[test]
+    fn sequential_connections_reuse_one_flow_receive_buffer() {
+        const FETCH: usize = 64 << 10;
+        let mut sys = System::boot_virtual_ghost();
+        sys.remote_responder = Some(Box::new(|_, sent, reply| {
+            if sent == b"get" {
+                reply.resize(FETCH, 0x5a);
+            }
+        }));
+        sys.install_app("fetch", false, || {
+            Box::new(|env| {
+                let buf = env.mmap_anon(FETCH);
+                for _ in 0..64 {
+                    let c = connect(env);
+                    env.write_mem(buf, b"get");
+                    assert_eq!(env.send(c, buf, 3), 3);
+                    let mut got = 0;
+                    while got < FETCH {
+                        let n = env.recv(c, buf + got as u64, FETCH - got);
+                        assert!(n > 0, "recv returned {n}");
+                        got += n as usize;
+                    }
+                    env.close(c);
+                }
+                0
+            })
+        });
+        let pid = sys.spawn("fetch");
+        assert_eq!(sys.run_until_exit(pid), 0);
+        let held = flow_rx_capacity(&sys.net);
+        assert!(held >= FETCH, "the spare is kept: {held}");
+        assert!(held <= 2 * FETCH, "{held} bytes of flow receive capacity");
     }
 
     /// Runs `body` in a process that has a file, a connected socket and one

@@ -51,6 +51,8 @@ pub struct UserEnv<'a> {
     table: Vec<u8>,
     /// The revents [`poll`](Self::poll) decoded last.
     revents: Vec<u64>,
+    /// The bytes [`copy_mem`](Self::copy_mem) moves, reused across calls.
+    copy: Vec<u8>,
 }
 
 impl<'a> UserEnv<'a> {
@@ -61,6 +63,7 @@ impl<'a> UserEnv<'a> {
             pid,
             table: Vec::new(),
             revents: Vec::new(),
+            copy: Vec::new(),
         }
     }
 }
@@ -258,6 +261,21 @@ impl UserEnv<'_> {
             );
             done += take;
         }
+    }
+
+    /// Copies `len` bytes from `src` to `dst` in this process: a
+    /// [`read_mem`](Self::read_mem) then a [`write_mem`](Self::write_mem),
+    /// charged as those two are, through a buffer the environment keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is not mappable — the simulation's SIGSEGV.
+    pub fn copy_mem(&mut self, dst: u64, src: u64, len: usize) {
+        let mut buf = std::mem::take(&mut self.copy);
+        buf.clear();
+        self.read_mem_into(src, len, &mut buf);
+        self.write_mem(dst, &buf);
+        self.copy = buf;
     }
 
     // ---- SVA application instructions (no kernel trap) -------------------------

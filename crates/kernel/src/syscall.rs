@@ -20,6 +20,9 @@ pub const ENOMEM: i64 = -12;
 /// `EIO` as a syscall return: the device stayed broken through the
 /// driver's bounded retries.
 pub const EIO: i64 = -5;
+/// `EISDIR` as a syscall return: `write`, `writev` or `open(O_TRUNC)`
+/// named a directory, whose records only the kernel may change.
+pub const EISDIR: i64 = -21;
 
 /// Would-block: no data (or pending connection) available right now. The
 /// simulated kernel is run-to-completion and can never sleep, so would-block
@@ -259,7 +262,9 @@ impl System {
             let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
             let mut dev = DmaDisk { machine, vm };
             match fs.lookup(&mut dev, &path, &mut w) {
-                Ok(ino) if flags & O_TRUNC != 0 => fs.truncate(&mut dev, ino, &mut w).map(|()| ino),
+                Ok(ino) if flags & O_TRUNC != 0 => {
+                    fs.truncate_file(&mut dev, ino, &mut w).map(|()| ino)
+                }
                 Ok(ino) => Ok(ino),
                 Err(FsError::NotFound) if flags & O_CREAT != 0 => {
                     fs.create(&mut dev, &path, InodeKind::File, &mut w)
@@ -284,6 +289,7 @@ impl System {
                 }
             }
             Err(FsError::Io) => EIO,
+            Err(FsError::IsDir) => EISDIR,
             Err(_) => -1,
         }
     }
@@ -498,12 +504,13 @@ impl System {
                 let r = {
                     let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
                     let mut dev = DmaDisk { machine, vm };
-                    fs.write(&mut dev, ino, off, &data, &mut w)
+                    fs.write_file(&mut dev, ino, off, &data, &mut w)
                 };
                 self.charge_fswork(&w);
                 let n = match r {
                     Ok(n) => n as i64,
                     Err(FsError::Io) => EIO,
+                    Err(FsError::IsDir) => EISDIR,
                     Err(_) => -1,
                 };
                 if n > 0 {

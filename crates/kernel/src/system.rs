@@ -45,8 +45,9 @@ use vg_machine::{
 pub type Pid = u64;
 
 /// Harness-side model of a remote network peer (see
-/// [`System::remote_responder`]).
-pub type RemoteResponder = Box<dyn FnMut(&[u8]) -> Vec<u8>>;
+/// [`System::remote_responder`]): called with the flow, the bytes the host
+/// just transmitted on it, and an empty buffer to append the reply to.
+pub type RemoteResponder = Box<dyn FnMut(u64, &[u8], &mut Vec<u8>)>;
 
 /// Default signal number used by the test workloads (SIGUSR1-ish).
 pub const SIGUSR1: i32 = 30;
@@ -371,9 +372,9 @@ pub struct System {
     pub(crate) next_pipe: u64,
     /// Exit codes of all processes ever exited.
     pub exited: IntMap<Pid, i32>,
-    /// Harness-side model of a remote peer: sees bytes the host transmits
-    /// on a flow, returns the reply to inject. `None` when no peer model is
-    /// registered.
+    /// Harness-side model of a remote peer: sees the bytes the host
+    /// transmits on a flow as each send goes out, and appends the reply to
+    /// inject. `None` when no peer model is registered.
     pub remote_responder: Option<RemoteResponder>,
     pub(crate) boot_root: Pfn,
     pub(crate) cur: Option<Pid>,

@@ -1,7 +1,7 @@
 //! System-call edge cases: bad descriptors, bad arguments, and boundary
 //! conditions must return errors, never panic the kernel.
 
-use vg_kernel::syscall::{O_CREAT, SYS_READ};
+use vg_kernel::syscall::{EISDIR, O_CREAT, O_TRUNC, SYS_READ};
 use vg_kernel::{Mode, System, UserEnv};
 
 fn run(body: impl Fn(&mut UserEnv) -> i32 + 'static) -> i32 {
@@ -297,4 +297,43 @@ fn mmap_past_eof_reads_zeros() {
     });
     let pid = sys.spawn("m");
     assert_eq!(sys.run_until_exit(pid), 0);
+}
+
+/// Regression: a user process could `open` a directory and then `write`
+/// over its records or `O_TRUNC` it, wiping every name in it (a write of 64
+/// zero bytes to `/` made `/victim` unreachable). `write`, `writev` and
+/// `open(O_TRUNC)` on a directory now fail with `EISDIR`, and the directory
+/// keeps its records.
+#[test]
+fn writes_and_truncation_of_a_directory_fail_with_eisdir() {
+    let code = run(|env| {
+        let victim = env.open("/victim", O_CREAT);
+        env.close(victim);
+        env.mkdir("/d");
+        let buf = env.mmap_anon(4096);
+        env.write_mem(buf, &[0u8; 64]);
+        let root = env.open("/", 0);
+        if root < 0 {
+            return 1;
+        }
+        if env.write(root, buf, 64) != EISDIR {
+            return 2;
+        }
+        if env.writev(root, buf + 2048, &[(buf, 64)]) != EISDIR {
+            return 3;
+        }
+        if env.open("/", O_TRUNC) != EISDIR || env.open("/d", O_TRUNC) != EISDIR {
+            return 4;
+        }
+        // The records survive, and a regular file still truncates.
+        let v = env.open("/victim", O_TRUNC);
+        if v < 0 || env.stat("/d") < 0 {
+            return 5;
+        }
+        if env.write(v, buf, 64) != 64 {
+            return 6;
+        }
+        0
+    });
+    assert_eq!(code, 0);
 }

@@ -118,12 +118,12 @@ pub const MTU: usize = 1500;
 ///
 /// The far end of the wire is driven by the benchmark harness (the paper's
 /// client machines were separate hosts), which calls [`Nic::wire_inject`],
-/// [`Nic::wire_take`] and [`Nic::wire_drain`]. Transmitted payloads wait in
-/// one byte buffer per flow, each packet marked by its global transmit
-/// sequence number and end offset. Transmitting appends to the buffer, so
-/// no packet gets an allocation of its own; reading back one flow hands
-/// over its buffer whole, while a full drain still sees global transmit
-/// order.
+/// [`Nic::wire_take`] (or [`Nic::wire_take_into`]) and [`Nic::wire_drain`].
+/// Transmitted payloads wait in one byte buffer per flow, each packet
+/// marked by its global transmit sequence number and end offset.
+/// Transmitting appends to the buffer, so no packet gets an allocation of
+/// its own; reading back one flow hands over its buffer whole (or copies it
+/// out and keeps it), while a full drain still sees global transmit order.
 #[derive(Debug, Default)]
 pub struct Nic {
     rx: VecDeque<Packet>,
@@ -197,6 +197,17 @@ impl Nic {
     /// concatenated in transmit order. Other flows' packets are untouched.
     pub fn wire_take(&mut self, flow: u64) -> Vec<u8> {
         self.tx.remove(&flow).map(|q| q.bytes).unwrap_or_default()
+    }
+
+    /// Wire side: [`Nic::wire_take`] onto the end of `out`. The flow keeps
+    /// its emptied queue, so a peer that takes each send as it goes out
+    /// reuses one allocation per flow instead of handing over a fresh one.
+    pub fn wire_take_into(&mut self, flow: u64, out: &mut Vec<u8>) {
+        if let Some(q) = self.tx.get_mut(&flow) {
+            out.extend_from_slice(&q.bytes);
+            q.bytes.clear();
+            q.marks.clear();
+        }
     }
 
     /// Wire side: drain everything the host transmitted, in global transmit
@@ -469,6 +480,65 @@ mod tests {
             }
             prop_assert_eq!(nic.wire_drain(), oracle.wire_drain());
         }
+
+        /// `wire_take_into` appends exactly what `wire_take` returns, and a
+        /// flow it emptied (queue kept) is invisible to later takes and
+        /// drains: random transmit/take/take_into/drain scripts on 1–6
+        /// flows, against a NIC that only ever uses `wire_take`.
+        #[test]
+        fn wire_take_into_matches_wire_take(
+            flows in 1u64..7,
+            ops in proptest::collection::vec((0u8..10, any::<u64>(), 0usize..MTU + 1), 1..120),
+        ) {
+            let mut nic = Nic::new();
+            let mut oracle = Nic::new();
+            let mut out = Vec::new();
+            for (i, (op, pick, len)) in ops.into_iter().enumerate() {
+                let flow = pick % flows;
+                match op {
+                    0..=5 => {
+                        let len = if op == 0 { len } else { len % 40 };
+                        let data: Vec<u8> = (0..len).map(|b| (i * 7 + b) as u8).collect();
+                        nic.transmit_bytes(flow, &data);
+                        oracle.transmit_bytes(flow, &data);
+                    }
+                    6 | 7 => {
+                        // Appends after whatever the buffer already holds.
+                        let start = out.len();
+                        nic.wire_take_into(flow, &mut out);
+                        prop_assert_eq!(&out[start..], &oracle.wire_take(flow)[..]);
+                        if pick & 0x100 != 0 {
+                            out.clear();
+                        }
+                    }
+                    8 => prop_assert_eq!(nic.wire_take(flow), oracle.wire_take(flow)),
+                    _ => prop_assert_eq!(nic.wire_drain(), oracle.wire_drain()),
+                }
+                prop_assert_eq!(nic.tx_bytes, oracle.tx_bytes);
+            }
+            prop_assert_eq!(nic.wire_drain(), oracle.wire_drain());
+        }
+    }
+
+    #[test]
+    fn wire_drain_order_survives_a_take_into() {
+        let mut nic = Nic::new();
+        for (flow, byte) in [(1, 1), (2, 2), (3, 3), (2, 4), (1, 5)] {
+            send(&mut nic, flow, &[byte]);
+        }
+        let mut out = vec![9];
+        nic.wire_take_into(2, &mut out);
+        assert_eq!(out, [9, 2, 4], "appended after the caller's bytes");
+        send(&mut nic, 2, &[6]);
+        send(&mut nic, 3, &[7]);
+        let order: Vec<(u64, u8)> = nic
+            .wire_drain()
+            .into_iter()
+            .map(|p| (p.flow, p.data[0]))
+            .collect();
+        assert_eq!(order, [(1, 1), (3, 3), (1, 5), (2, 6), (3, 7)]);
+        nic.wire_take_into(2, &mut out);
+        assert_eq!(out, [9, 2, 4], "a drained flow appends nothing");
     }
 
     #[test]

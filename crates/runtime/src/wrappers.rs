@@ -66,8 +66,7 @@ impl Wrappers {
         while done < len {
             let take = (len - done).min(STAGING_LEN);
             // Ghost → staging copy runs as application code (full access).
-            let chunk = env.read_mem(buf + done as u64, take);
-            env.write_mem(self.staging, &chunk);
+            env.copy_mem(self.staging, buf + done as u64, take);
             let n = env.write(fd, self.staging, take);
             if overclaims(n, take) {
                 return -1;
@@ -98,8 +97,7 @@ impl Wrappers {
             if n <= 0 {
                 return if done > 0 { done as i64 } else { n };
             }
-            let chunk = env.read_mem(self.staging, n as usize);
-            env.write_mem(buf + done as u64, &chunk);
+            env.copy_mem(buf + done as u64, self.staging, n as usize);
             done += n as usize;
             if (n as usize) < take {
                 break;
@@ -114,8 +112,7 @@ impl Wrappers {
             return env.send(fd, buf, len);
         }
         let take = len.min(STAGING_LEN);
-        let chunk = env.read_mem(buf, take);
-        env.write_mem(self.staging, &chunk);
+        env.copy_mem(self.staging, buf, take);
         let n = env.send(fd, self.staging, take);
         if overclaims(n, take) {
             return -1;
@@ -134,8 +131,7 @@ impl Wrappers {
             return -1;
         }
         if n > 0 {
-            let chunk = env.read_mem(self.staging, n as usize);
-            env.write_mem(buf, &chunk);
+            env.copy_mem(buf, self.staging, n as usize);
         }
         n
     }

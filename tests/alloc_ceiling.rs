@@ -3,12 +3,13 @@
 //!
 //! The simulated machine allocates nothing per request, and the host
 //! should not either. A counting global allocator counts the allocations
-//! (`alloc`, `alloc_zeroed` and `realloc` calls) each thread makes, so
-//! tests running in parallel do not see each other's. Each test boots its
-//! system uncounted, then counts one driver call at 1/16 of the repo
-//! benchmark's size. Allocation counts follow from the inputs alone, not
-//! from timing, so every ceiling is the exact count per op measured when
-//! it was set. A ceiling may only go down.
+//! (`alloc`, `alloc_zeroed` and `realloc` calls) each thread makes, and
+//! the bytes they request, so tests running in parallel do not see each
+//! other's. Each test boots its system uncounted, then counts one
+//! workload call at 1/16 of the repo benchmark's size. Allocation counts and bytes
+//! follow from the inputs alone, not from timing, so every ceiling is the
+//! exact figure per op measured when it was set. A ceiling may only go
+//! down.
 
 use std::alloc::{GlobalAlloc, Layout, System as Host};
 use std::cell::Cell;
@@ -21,13 +22,16 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one allocation of `bytes` requested bytes.
+fn count(bytes: usize) {
     // A const-initialized `Cell` has no destructor, so the slot is live for
     // the thread's whole life; `try_with` still keeps the allocator from
     // ever panicking.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards to the system allocator with the caller's
@@ -35,19 +39,19 @@ fn count() {
 // never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { Host.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { Host.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
         // `ptr` came from this allocator, that is from `Host`.
         unsafe { Host.realloc(ptr, layout, new_size) }
@@ -64,17 +68,31 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// Runs `f` and checks that it made at most `ceiling` allocations per op
-/// over its `ops` ops. Each ceiling below is its measured count per op,
-/// rounded up in the third decimal.
-fn assert_ceiling(what: &str, ops: u64, ceiling: f64, f: impl FnOnce()) {
-    let before = ALLOCS.with(Cell::get);
+/// over its `ops` ops; returns the bytes they requested per op. Each
+/// ceiling below is its measured figure per op, rounded up in the third
+/// decimal (allocations) or to the byte (bytes).
+fn assert_ceiling(what: &str, ops: u64, ceiling: f64, f: impl FnOnce()) -> f64 {
+    let (allocs0, bytes0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = ALLOCS.with(Cell::get) - allocs0;
+    let bytes = BYTES.with(Cell::get) - bytes0;
     let per_op = allocs as f64 / ops as f64;
-    println!("{what}: {allocs} allocations, {per_op:.3} per op");
+    let bytes_per_op = bytes as f64 / ops as f64;
+    println!(
+        "{what}: {allocs} allocations, {per_op:.3} per op; {bytes} bytes, {bytes_per_op:.3} per op"
+    );
     assert!(
         per_op <= ceiling,
         "{what}: {allocs} allocations over {ops} ops = {per_op:.3} per op, ceiling {ceiling}"
+    );
+    bytes_per_op
+}
+
+/// Checks a workload's requested bytes per op against its ceiling.
+fn assert_bytes_ceiling(what: &str, bytes_per_op: f64, ceiling: f64) {
+    assert!(
+        bytes_per_op <= ceiling,
+        "{what}: {bytes_per_op:.3} bytes requested per op, ceiling {ceiling}"
     );
 }
 
@@ -116,20 +134,27 @@ fn postmark_allocations_per_transaction() {
     });
 }
 
-/// `ssh` at 1/16, server side: 8 transfers of a 64 KiB file.
+/// `ssh` at 1/16, server side: 8 transfers of a 64 KiB file. The wire
+/// peer checks each flow as it arrives, so no transfer's ciphertext
+/// waits in the NIC (was 78.25 allocations and 437,461 bytes).
 #[test]
 fn sshd_allocations_per_transfer() {
     let mut sys = System::boot(Mode::VirtualGhost);
-    assert_ceiling("sshd_bandwidth", 8, 78.625, || {
+    let bytes = assert_ceiling("sshd_bandwidth", 8, 72.875, || {
         assert!(ssh::sshd_bandwidth(&mut sys, 64 << 10, 8) > 0.0);
     });
+    assert_bytes_ceiling("sshd_bandwidth", bytes, 269_850.0);
 }
 
-/// `ssh` at 1/16, client side: 8 ghosting fetches of a 64 KiB file.
+/// `ssh` at 1/16, client side: 8 ghosting fetches of a 64 KiB file. The
+/// peer's reply, the flow's receive buffer, the wrapper's staging copy
+/// and the decrypted download are reused across fetches (was 94.5
+/// allocations and 547,357 bytes).
 #[test]
 fn ssh_client_allocations_per_transfer() {
     let mut sys = System::boot(Mode::VirtualGhost);
-    assert_ceiling("ssh_client_bandwidth", 8, 94.75, || {
+    let bytes = assert_ceiling("ssh_client_bandwidth", 8, 85.875, || {
         assert!(ssh::ssh_client_bandwidth(&mut sys, 64 << 10, 8, true) > 0.0);
     });
+    assert_bytes_ceiling("ssh_client_bandwidth", bytes, 208_663.0);
 }
