@@ -20,7 +20,7 @@
 //!   identical instruction index), loop headers run as fused
 //!   compare-and-branch, and loop bodies absorb their back-edge jump.
 //! * **Reference** is the original tree-walker, kept as the executable
-//!   specification (the `Machine::byte_granular_bus` precedent). The two are
+//!   specification: the one oracle of the fused engine. The two are
 //!   property-tested to produce bit-identical results, faults,
 //!   [`InterpStats`], and fuel consumption on arbitrary programs.
 //!

@@ -458,3 +458,136 @@ mod rusage_tests {
         );
     }
 }
+
+#[cfg(test)]
+mod walk_tests {
+    //! Every caller of the user-span walker over the span shapes that move
+    //! its page arithmetic. Each must return the right bytes and result and
+    //! charge exactly its own cost: `copy_cost` for the kernel copies,
+    //! `len / 8 + 1` for the user's own accesses, nothing for `peek_user`,
+    //! plus, for a span that runs into unmapped memory, the one failed page
+    //! fault that ends the walk.
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use vg_machine::{FaultClass, PAGE_SIZE};
+
+    const P: u64 = PAGE_SIZE;
+
+    /// `(shape, offset into a two-page mapping, length, bytes before the
+    /// walk stops)`. `mmap` leaves an unmapped guard page after the
+    /// mapping, so the last shape runs 100 bytes and then fails.
+    const SHAPES: [(&str, u64, usize, usize); 4] = [
+        ("mid-page start", 100, 200, 200),
+        ("page crossing", P - 100, 300, 300),
+        ("end at a page end", 2 * P - 256, 256, 256),
+        ("crossing into unmapped", 2 * P - 100, 300, 100),
+    ];
+
+    fn pattern(i: u64) -> u8 {
+        (i.wrapping_mul(31) + 7) as u8
+    }
+
+    /// The payload of a panic `catch_unwind` caught.
+    fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
+        *e.downcast::<String>().expect("formatted panic")
+    }
+
+    #[test]
+    fn walker_callers_over_four_span_shapes() {
+        let mut sys = System::boot_virtual_ghost();
+        sys.install_app("walk", false, || {
+            Box::new(|env| {
+                let pid = env.pid;
+                let base = env.mmap_anon(2 * P as usize);
+                let fill: Vec<u8> = (0..2 * P).map(pattern).collect();
+                env.write_mem(base, &fill);
+                let costs = &env.sys.machine.costs;
+                let (mask_memcpy, per_byte) = (costs.mask_memcpy, costs.copy_per_byte);
+                let clock = |env: &UserEnv| env.sys.machine.clock.cycles();
+
+                // What one failed fault costs: `peek_user` charges nothing else.
+                let t = clock(env);
+                assert_eq!(env.sys.peek_user(pid, base + 2 * P, 1), None);
+                let fault = clock(env) - t;
+                assert!(fault > 0);
+
+                for (shape, off, len, reach) in SHAPES {
+                    let va = base + off;
+                    let whole = reach == len;
+                    let extra = if whole { 0 } else { fault };
+                    let span = off as usize..off as usize + reach;
+                    let src: Vec<u8> = (0..len as u64).map(|i| !pattern(i)).collect();
+                    let mut after_write = fill.clone();
+                    after_write[span.clone()].copy_from_slice(&src[..reach]);
+                    let copy = mask_memcpy + len as u64 * per_byte;
+                    let user = len as u64 / 8 + 1;
+
+                    // copyin_into appends what it walked; false on failure.
+                    let mut out = vec![0xee];
+                    let t = clock(env);
+                    assert_eq!(
+                        env.sys.copyin_into(pid, va, len, &mut out),
+                        whole,
+                        "{shape}"
+                    );
+                    assert_eq!(clock(env) - t, copy + extra, "{shape}: copyin cycles");
+                    assert_eq!(out[1..], fill[span.clone()], "{shape}: copyin bytes");
+
+                    // copyout writes what it walked; false on failure.
+                    let t = clock(env);
+                    assert_eq!(env.sys.copyout(pid, va, &src), whole, "{shape}");
+                    assert_eq!(clock(env) - t, copy + extra, "{shape}: copyout cycles");
+                    let got = env.sys.peek_user(pid, base, 2 * P as usize);
+                    assert_eq!(got.as_ref(), Some(&after_write), "{shape}: copyout bytes");
+                    env.write_mem(base, &fill);
+
+                    // peek_user: the bytes, or None.
+                    let t = clock(env);
+                    let got = env.sys.peek_user(pid, va, len);
+                    assert_eq!(clock(env) - t, extra, "{shape}: peek cycles");
+                    assert_eq!(got, whole.then(|| fill[span.clone()].to_vec()), "{shape}");
+
+                    // The user's own accesses: the bytes, or a segfault at
+                    // the first byte the walk could not reach.
+                    let stop = va + reach as u64;
+                    let mut out = vec![0xee];
+                    let t = clock(env);
+                    let r = catch_unwind(AssertUnwindSafe(|| env.read_mem_into(va, len, &mut out)));
+                    assert_eq!(clock(env) - t, user + extra, "{shape}: read_mem cycles");
+                    assert_eq!(out[1..], fill[span.clone()], "{shape}: read_mem bytes");
+                    let t = clock(env);
+                    let w = catch_unwind(AssertUnwindSafe(|| env.write_mem(va, &src)));
+                    assert_eq!(clock(env) - t, user + extra, "{shape}: write_mem cycles");
+                    let got = env.sys.peek_user(pid, base, 2 * P as usize);
+                    assert_eq!(got.as_ref(), Some(&after_write), "{shape}: write_mem bytes");
+                    env.write_mem(base, &fill);
+                    if whole {
+                        assert!(r.is_ok() && w.is_ok(), "{shape}");
+                    } else {
+                        let r = panic_text(r.unwrap_err());
+                        assert_eq!(r, format!("segfault: read of {stop:#x} by pid {pid}"));
+                        let w = panic_text(w.unwrap_err());
+                        assert_eq!(w, format!("segfault: write to {stop:#x} by pid {pid}"));
+                    }
+                }
+
+                // A fault-killed process's accesses degrade instead: the
+                // read zero-fills what it could not reach, the write stops.
+                let (_, off, len, reach) = SHAPES[3];
+                let va = base + off;
+                env.sys
+                    .fault_kill(pid, FaultClass::FrameExhaust, va, "test kill");
+                let mut want = fill[off as usize..off as usize + reach].to_vec();
+                want.resize(len, 0);
+                assert_eq!(env.read_mem(va, len), want);
+                env.write_mem(va, &vec![1u8; len]);
+                let got = env.sys.peek_user(pid, va, reach);
+                assert_eq!(got, Some(vec![1u8; reach]));
+                0
+            })
+        });
+        let pid = sys.spawn("walk");
+        sys.run_until_exit(pid);
+        assert!(sys.is_fault_killed(pid), "the body ran to its end");
+    }
+}

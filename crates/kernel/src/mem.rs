@@ -1,5 +1,6 @@
-//! Kernel memory machinery: work charging, user address spaces, demand
-//! paging, copyin/copyout, and the memory buses handed to executing code.
+//! Kernel memory machinery: work and copyin/copyout charging, user address
+//! spaces for demand paging, and the byte-wise memory buses handed to
+//! executing code.
 //!
 //! The charging helpers are where the cost model meets the kernel: every
 //! kernel path reports how many instrumentable memory accesses and
@@ -12,7 +13,7 @@ use vg_ir::inst::Width;
 use vg_ir::interp::{MemBus, MemFault};
 use vg_machine::layout::{KERNEL_BASE, PAGE_SIZE, SVA_INTERNAL_BASE};
 use vg_machine::mmu::AccessKind;
-use vg_machine::{Machine, Pfn, VAddr};
+use vg_machine::{Machine, PAddr, Pfn, VAddr};
 
 /// Charges one unit of kernel work: `accesses` instrumentable memory
 /// accesses and `branches` returns/indirect calls.
@@ -166,22 +167,6 @@ impl AddressSpace {
     }
 }
 
-/// Whether `[addr, addr + n)` straddles a page boundary.
-///
-/// Word-granular bus fast paths only fire for accesses this returns `false`
-/// for; everything else takes the byte-wise reference path. `n` must be
-/// non-zero.
-#[inline]
-pub fn crosses_page(addr: u64, n: u64) -> bool {
-    (addr % PAGE_SIZE) + n > PAGE_SIZE
-}
-
-/// Whether `[a, a + len)` and `[b, b + len)` overlap (virtually).
-#[inline]
-fn ranges_overlap(a: u64, b: u64, len: u64) -> bool {
-    len != 0 && a < b.wrapping_add(len) && b < a.wrapping_add(len)
-}
-
 /// The memory bus kernel-mode code (including loaded kernel modules) sees.
 ///
 /// * User-space addresses translate through the current page tables with
@@ -194,14 +179,11 @@ fn ranges_overlap(a: u64, b: u64, len: u64) -> bool {
 ///   makes "the kernel simply read unknown data out of its own address
 ///   space" rather than crash.
 ///
-/// Accesses that stay within one page translate **once** and move whole
-/// words/chunks through physical memory; page-crossing accesses (and all
-/// accesses when [`Machine::byte_granular_bus`] is set) take the byte-wise
-/// reference path. Both paths produce identical values, faults, charged
-/// cycles and counters — see DESIGN.md §6 and the equivalence property
-/// tests. Which byte an access faults on follows the reference path: loads
-/// probe high-to-low (fault address `addr + n - 1`), stores low-to-high
-/// (fault address `addr`).
+/// Accesses move one byte per translation, so a wide access faults on the
+/// exact byte the hardware would: loads probe high-to-low (a page-crossing
+/// load into an unmapped page faults at `addr + n - 1`), stores low-to-high
+/// (a page-crossing store writes its mapped prefix, then faults at the
+/// boundary). `memcpy` is the trait's byte copy. See DESIGN.md §6.1.
 #[derive(Debug)]
 pub struct KernelMem<'a> {
     /// The machine (page tables + physical memory).
@@ -211,7 +193,7 @@ pub struct KernelMem<'a> {
 }
 
 impl KernelMem<'_> {
-    fn user_pa(&mut self, addr: u64, write: bool) -> Result<u64, MemFault> {
+    fn user_pa(&mut self, addr: u64, write: bool) -> Result<PAddr, MemFault> {
         let kind = if write {
             AccessKind::Write
         } else {
@@ -220,7 +202,6 @@ impl KernelMem<'_> {
         self.machine
             .mmu
             .translate(&self.machine.phys, VAddr(addr), kind, false)
-            .map(|pa| pa.0)
             .map_err(|_| MemFault { addr, write })
     }
 
@@ -235,28 +216,24 @@ impl KernelMem<'_> {
             .copied()
             .unwrap_or_else(|| (addr.wrapping_mul(0x9e3779b1) >> 16) as u8)
     }
+}
 
-    /// Byte-wise reference load (the original implementation; also the
-    /// fallback for page-crossing accesses).
-    fn load_bytewise(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
-        let n = width.bytes();
-        if addr >= KERNEL_BASE {
-            let mut v = 0u64;
-            for i in (0..n).rev() {
-                v = (v << 8) | self.kernel_byte(addr.wrapping_add(i)) as u64;
-            }
-            return Ok(v);
-        }
+impl MemBus for KernelMem<'_> {
+    fn load(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
         let mut v = 0u64;
-        for i in (0..n).rev() {
-            let pa = self.user_pa(addr + i, false)?;
-            v = (v << 8) | self.machine.phys.read_u8_at(vg_machine::PAddr(pa)) as u64;
+        for i in (0..width.bytes()).rev() {
+            let byte = if addr >= KERNEL_BASE {
+                self.kernel_byte(addr.wrapping_add(i))
+            } else {
+                let pa = self.user_pa(addr + i, false)?;
+                self.machine.phys.read_u8_at(pa)
+            };
+            v = (v << 8) | byte as u64;
         }
         Ok(v)
     }
 
-    /// Byte-wise reference store.
-    fn store_bytewise(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
+    fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
         let n = width.bytes();
         if (SVA_INTERNAL_BASE..vg_machine::layout::SVA_INTERNAL_END).contains(&addr) {
             // Writes into SVA internal memory silently vanish for native
@@ -275,140 +252,7 @@ impl KernelMem<'_> {
         }
         for i in 0..n {
             let pa = self.user_pa(addr + i, true)?;
-            self.machine
-                .phys
-                .write_u8_at(vg_machine::PAddr(pa), (value >> (8 * i)) as u8);
-        }
-        Ok(())
-    }
-
-    /// Reads a page-local chunk starting at `addr` (same segment dispatch as
-    /// the reference path, one translation for user memory).
-    fn read_chunk(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
-        if addr >= KERNEL_BASE {
-            let off = addr.wrapping_sub(KERNEL_BASE) as usize;
-            if let Some(src) = off
-                .checked_add(buf.len())
-                .and_then(|end| self.kernel_heap.get(off..end))
-            {
-                buf.copy_from_slice(src);
-            } else {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = self.kernel_byte(addr.wrapping_add(i as u64));
-                }
-            }
-            return Ok(());
-        }
-        let pa = vg_machine::PAddr(self.user_pa(addr, false)?);
-        self.machine
-            .phys
-            .read_bytes(pa.pfn(), pa.frame_offset(), buf);
-        Ok(())
-    }
-
-    /// Writes a page-local chunk starting at `addr`.
-    fn write_chunk(&mut self, addr: u64, buf: &[u8]) -> Result<(), MemFault> {
-        if (SVA_INTERNAL_BASE..vg_machine::layout::SVA_INTERNAL_END).contains(&addr) {
-            return Ok(());
-        }
-        if addr >= KERNEL_BASE {
-            let off = addr.wrapping_sub(KERNEL_BASE) as usize;
-            for (i, &b) in buf.iter().enumerate() {
-                if let Some(slot) = self.kernel_heap.get_mut(off + i) {
-                    *slot = b;
-                }
-            }
-            return Ok(());
-        }
-        let pa = vg_machine::PAddr(self.user_pa(addr, true)?);
-        self.machine
-            .phys
-            .write_bytes(pa.pfn(), pa.frame_offset(), buf);
-        Ok(())
-    }
-}
-
-impl MemBus for KernelMem<'_> {
-    fn load(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
-        let n = width.bytes();
-        if self.machine.byte_granular_bus || crosses_page(addr, n) {
-            return self.load_bytewise(addr, width);
-        }
-        if addr >= KERNEL_BASE {
-            let off = addr.wrapping_sub(KERNEL_BASE) as usize;
-            let Some(bytes) = off
-                .checked_add(n as usize)
-                .and_then(|end| self.kernel_heap.get(off..end))
-            else {
-                // Partially or fully outside the segment: garbage path.
-                return self.load_bytewise(addr, width);
-            };
-            let mut le = [0u8; 8];
-            le[..n as usize].copy_from_slice(bytes);
-            return Ok(u64::from_le_bytes(le));
-        }
-        // The reference path probes high-to-low, so translate the top byte:
-        // same page, same physical frame, and the matching fault address.
-        let pa_top = self.user_pa(addr + n - 1, false)?;
-        let pa = vg_machine::PAddr(pa_top - (n - 1));
-        let mut le = [0u8; 8];
-        self.machine
-            .phys
-            .read_bytes(pa.pfn(), pa.frame_offset(), &mut le[..n as usize]);
-        Ok(u64::from_le_bytes(le))
-    }
-
-    fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
-        let n = width.bytes();
-        if self.machine.byte_granular_bus || crosses_page(addr, n) {
-            return self.store_bytewise(addr, width, value);
-        }
-        if (SVA_INTERNAL_BASE..vg_machine::layout::SVA_INTERNAL_END).contains(&addr) {
-            return Ok(());
-        }
-        if addr >= KERNEL_BASE {
-            let off = addr.wrapping_sub(KERNEL_BASE) as usize;
-            let le = value.to_le_bytes();
-            if let Some(dst) = off
-                .checked_add(n as usize)
-                .and_then(|end| self.kernel_heap.get_mut(off..end))
-            {
-                dst.copy_from_slice(&le[..n as usize]);
-            } else {
-                // Partially or fully out of segment: swallow per byte.
-                return self.store_bytewise(addr, width, value);
-            }
-            return Ok(());
-        }
-        let pa = vg_machine::PAddr(self.user_pa(addr, true)?);
-        let le = value.to_le_bytes();
-        self.machine
-            .phys
-            .write_bytes(pa.pfn(), pa.frame_offset(), &le[..n as usize]);
-        Ok(())
-    }
-
-    fn memcpy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), MemFault> {
-        // Overlapping ranges keep the reference path's interleaved forward
-        // byte copy (chunking would change the result); so does the
-        // reference mode flag.
-        if self.machine.byte_granular_bus || ranges_overlap(dst, src, len) {
-            for i in 0..len {
-                let b = self.load(src + i, Width::W1)?;
-                self.store(dst + i, Width::W1, b)?;
-            }
-            return Ok(());
-        }
-        let mut buf = [0u8; PAGE_SIZE as usize];
-        let mut copied = 0;
-        while copied < len {
-            let (s, d) = (src + copied, dst + copied);
-            let chunk = (len - copied)
-                .min(PAGE_SIZE - s % PAGE_SIZE)
-                .min(PAGE_SIZE - d % PAGE_SIZE) as usize;
-            self.read_chunk(s, &mut buf[..chunk])?;
-            self.write_chunk(d, &buf[..chunk])?;
-            copied += chunk as u64;
+            self.machine.phys.write_u8_at(pa, (value >> (8 * i)) as u8);
         }
         Ok(())
     }
@@ -420,8 +264,8 @@ impl MemBus for KernelMem<'_> {
 /// a native system) can read ghost memory — which is why Virtual Ghost must
 /// stop the dispatch itself.
 ///
-/// Same word-granular fast path / byte-wise reference structure as
-/// [`KernelMem`] (see there for the fault-address convention).
+/// Byte-wise like [`KernelMem`] (see there for the fault-address
+/// convention).
 #[derive(Debug)]
 pub struct UserMem<'a> {
     /// The machine (page tables + physical memory).
@@ -429,7 +273,7 @@ pub struct UserMem<'a> {
 }
 
 impl UserMem<'_> {
-    fn pa(&mut self, addr: u64, write: bool) -> Result<vg_machine::PAddr, MemFault> {
+    fn pa(&mut self, addr: u64, write: bool) -> Result<PAddr, MemFault> {
         let kind = if write {
             AccessKind::Write
         } else {
@@ -440,9 +284,10 @@ impl UserMem<'_> {
             .translate(&self.machine.phys, VAddr(addr), kind, true)
             .map_err(|_| MemFault { addr, write })
     }
+}
 
-    /// Byte-wise reference load (the original implementation).
-    fn load_bytewise(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
+impl MemBus for UserMem<'_> {
+    fn load(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
         let mut v = 0u64;
         for i in (0..width.bytes()).rev() {
             let pa = self.pa(addr + i, false)?;
@@ -451,71 +296,10 @@ impl UserMem<'_> {
         Ok(v)
     }
 
-    /// Byte-wise reference store.
-    fn store_bytewise(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
+    fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
         for i in 0..width.bytes() {
             let pa = self.pa(addr + i, true)?;
             self.machine.phys.write_u8_at(pa, (value >> (8 * i)) as u8);
-        }
-        Ok(())
-    }
-}
-
-impl MemBus for UserMem<'_> {
-    fn load(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
-        let n = width.bytes();
-        if self.machine.byte_granular_bus || crosses_page(addr, n) {
-            return self.load_bytewise(addr, width);
-        }
-        // Translate the top byte: same page, matching fault address.
-        let pa_top = self.pa(addr + n - 1, false)?;
-        let pa = vg_machine::PAddr(pa_top.0 - (n - 1));
-        let mut le = [0u8; 8];
-        self.machine
-            .phys
-            .read_bytes(pa.pfn(), pa.frame_offset(), &mut le[..n as usize]);
-        Ok(u64::from_le_bytes(le))
-    }
-
-    fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
-        let n = width.bytes();
-        if self.machine.byte_granular_bus || crosses_page(addr, n) {
-            return self.store_bytewise(addr, width, value);
-        }
-        let pa = self.pa(addr, true)?;
-        let le = value.to_le_bytes();
-        self.machine
-            .phys
-            .write_bytes(pa.pfn(), pa.frame_offset(), &le[..n as usize]);
-        Ok(())
-    }
-
-    fn memcpy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), MemFault> {
-        if self.machine.byte_granular_bus || ranges_overlap(dst, src, len) {
-            for i in 0..len {
-                let b = self.load(src + i, Width::W1)?;
-                self.store(dst + i, Width::W1, b)?;
-            }
-            return Ok(());
-        }
-        let mut buf = [0u8; PAGE_SIZE as usize];
-        let mut copied = 0;
-        while copied < len {
-            let (s, d) = (src + copied, dst + copied);
-            let chunk = (len - copied)
-                .min(PAGE_SIZE - s % PAGE_SIZE)
-                .min(PAGE_SIZE - d % PAGE_SIZE) as usize;
-            let pa = self.pa(s, false)?;
-            // Borrow dance: read into the stack buffer, then translate and
-            // write — `phys` cannot be borrowed for both at once.
-            self.machine
-                .phys
-                .read_bytes(pa.pfn(), pa.frame_offset(), &mut buf[..chunk]);
-            let pa = self.pa(d, true)?;
-            self.machine
-                .phys
-                .write_bytes(pa.pfn(), pa.frame_offset(), &buf[..chunk]);
-            copied += chunk as u64;
         }
         Ok(())
     }
@@ -636,5 +420,123 @@ mod tests {
             kernel_heap: &mut heap,
         };
         assert!(km.load(0x4000, Width::W8).is_err());
+    }
+
+    /// Base of the user window [`bus_machine`] maps.
+    const USER: u64 = 0x10_0000;
+
+    /// A machine whose user window at [`USER`] is: page 0 read-write,
+    /// page 1 unmapped, page 2 read-only, page 3 supervisor-only. Every
+    /// mapped byte starts at `0x5a`.
+    fn bus_machine() -> Machine {
+        use vg_machine::mmu::map_page_raw;
+        use vg_machine::pte::{Pte, PteFlags};
+        let mut m = Machine::new(MachineConfig::default());
+        let root = m.phys.alloc_frame().unwrap();
+        m.mmu.set_root(root);
+        let read_only = PteFlags(PteFlags::user_rw().0 & !PteFlags::WRITE);
+        for (page, flags) in [
+            (0, PteFlags::user_rw()),
+            (2, read_only),
+            (3, PteFlags::kernel_rw()),
+        ] {
+            let frame = m.phys.alloc_frame().unwrap();
+            m.phys.write_bytes(frame, 0, &[0x5a; PAGE_SIZE as usize]);
+            let va = VAddr(USER + page * PAGE_SIZE);
+            map_page_raw(&mut m.phys, root, va, Pte::new(frame, flags)).unwrap();
+        }
+        m
+    }
+
+    fn read_fault(addr: u64) -> Result<u64, MemFault> {
+        Err(MemFault { addr, write: false })
+    }
+
+    fn write_fault(addr: u64) -> Result<(), MemFault> {
+        Err(MemFault { addr, write: true })
+    }
+
+    /// Runs `check` on a kernel bus, then on a user bus, each over a fresh
+    /// [`bus_machine`].
+    fn on_both_buses(check: impl Fn(&mut dyn MemBus)) {
+        check(&mut KernelMem {
+            machine: &mut bus_machine(),
+            kernel_heap: &mut Vec::new(),
+        });
+        check(&mut UserMem {
+            machine: &mut bus_machine(),
+        });
+    }
+
+    /// Loads probe high-to-low, so a load running from a mapped page into
+    /// an unmapped one faults at its last byte.
+    #[test]
+    fn page_crossing_load_into_unmapped_page_faults_at_its_last_byte() {
+        on_both_buses(|bus| {
+            let addr = USER + PAGE_SIZE - 3;
+            assert_eq!(bus.load(addr, Width::W8), read_fault(addr + 7));
+            assert_eq!(bus.load(addr, Width::W2).unwrap(), 0x5a5a);
+        });
+    }
+
+    /// Stores go low-to-high: the mapped prefix lands, then the first byte
+    /// of the unmapped page faults.
+    #[test]
+    fn page_crossing_store_writes_its_prefix_then_faults_at_the_boundary() {
+        on_both_buses(|bus| {
+            let addr = USER + PAGE_SIZE - 3;
+            let r = bus.store(addr, Width::W8, 0x8877_6655_4433_2211);
+            assert_eq!(r, write_fault(USER + PAGE_SIZE));
+            assert_eq!(bus.load(addr - 1, Width::W4).unwrap(), 0x3322_115a);
+        });
+    }
+
+    #[test]
+    fn store_to_read_only_page_faults_as_a_write() {
+        on_both_buses(|bus| {
+            let addr = USER + 2 * PAGE_SIZE + 8;
+            assert_eq!(bus.store(addr, Width::W4, 1), write_fault(addr));
+            assert_eq!(bus.load(addr, Width::W4).unwrap(), 0x5a5a_5a5a);
+        });
+    }
+
+    /// The kernel bus swallows stores into SVA-internal memory: nothing is
+    /// mapped there for the OS, and what it reads there is unchanged.
+    #[test]
+    fn kernel_stores_to_sva_internal_memory_are_swallowed() {
+        let mut m = bus_machine();
+        let mut heap = vec![0u8; 64];
+        let km = &mut KernelMem {
+            machine: &mut m,
+            kernel_heap: &mut heap,
+        };
+        let addr = SVA_INTERNAL_BASE + 0x40;
+        let before = km.load(addr, Width::W8).unwrap();
+        assert_eq!(km.store(addr, Width::W8, !before), Ok(()));
+        assert_eq!(km.load(addr, Width::W8).unwrap(), before);
+        assert_eq!(heap, vec![0u8; 64]);
+    }
+
+    /// Only the kernel bus reaches a supervisor-only page or a kernel
+    /// address; the user bus faults on both.
+    #[test]
+    fn user_bus_faults_on_supervisor_pages_and_kernel_addresses() {
+        let sup = USER + 3 * PAGE_SIZE + 16;
+        let mut m = bus_machine();
+        let mut heap = vec![0x11u8; 64];
+        let km = &mut KernelMem {
+            machine: &mut m,
+            kernel_heap: &mut heap,
+        };
+        assert_eq!(km.load(sup, Width::W1).unwrap(), 0x5a);
+        assert_eq!(km.load(KERNEL_BASE, Width::W1).unwrap(), 0x11);
+        let um = &mut UserMem { machine: &mut m };
+        assert_eq!(um.load(sup, Width::W1), read_fault(sup));
+        assert_eq!(um.store(sup, Width::W1, 0), write_fault(sup));
+        assert_eq!(um.load(KERNEL_BASE, Width::W1), read_fault(KERNEL_BASE));
+        assert_eq!(
+            um.store(KERNEL_BASE, Width::W1, 0),
+            write_fault(KERNEL_BASE)
+        );
     }
 }

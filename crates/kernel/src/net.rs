@@ -279,10 +279,7 @@ impl System {
         let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) else {
             return -1;
         };
-        match self.net_mode {
-            NetMode::Ring => self.sock_send_ring(id, &data),
-            NetMode::Reference => self.sock_send(id, &data),
-        }
+        self.sock_write(id, &data)
     }
 
     pub(crate) fn sys_recv(&mut self, pid: Pid, fd: u64, buf: u64, len: usize) -> i64 {
@@ -299,7 +296,17 @@ impl System {
 
     // ---- kernel-side data movement -------------------------------------------
 
-    pub(crate) fn sock_send(&mut self, sock: u64, data: &[u8]) -> i64 {
+    /// Transmits `data` on socket `sock` through whichever data plane
+    /// [`NetMode`] selects: the one send path of `write`, `send` and
+    /// reference-mode `writev`.
+    pub(crate) fn sock_write(&mut self, sock: u64, data: &[u8]) -> i64 {
+        match self.net_mode {
+            NetMode::Ring => self.sock_send_ring(sock, data),
+            NetMode::Reference => self.sock_send(sock, data),
+        }
+    }
+
+    fn sock_send(&mut self, sock: u64, data: &[u8]) -> i64 {
         let Some(flow) = self.sockets.get(&sock).and_then(|s| s.flow) else {
             return -1;
         };
@@ -690,7 +697,7 @@ impl System {
                     let Some(data) = self.copyin(pid, base, len) else {
                         return -1;
                     };
-                    let r = self.sock_send(id, &data);
+                    let r = self.sock_write(id, &data);
                     if r < 0 {
                         return r;
                     }
@@ -787,6 +794,7 @@ mod tests {
     use crate::program::UserEnv;
     use crate::syscall::O_CREAT;
     use crate::system::System;
+    use vg_machine::cost::Counters;
 
     /// Satellite regression: `recv`/`accept` return values distinguish
     /// would-block ([`EAGAIN`]) from EOF (0) and error (-1) — the contract
@@ -1114,6 +1122,54 @@ mod tests {
         assert_eq!(sys.run_until_exit(pid), 0);
         let want: Vec<u8> = (0..LEN).map(|i| i as u8).collect();
         assert_eq!(sys.wire_recv(flow), want);
+    }
+
+    /// `write` on a socket takes the same data plane as `send`: in each
+    /// mode the two put the same bytes on the wire for the same cycles and
+    /// counters, and in ring mode both ring the TX doorbell.
+    #[test]
+    fn socket_write_takes_the_same_data_plane_as_send() {
+        fn run(mode: NetMode, use_write: bool) -> (Vec<u8>, u64, Counters) {
+            let mut sys = System::boot_virtual_ghost();
+            sys.net_mode = mode;
+            let flow = sys.wire_connect(5000).unwrap();
+            sys.install_app("tx", false, move || {
+                Box::new(move |env| {
+                    let l = env.socket();
+                    env.bind(l, 5000);
+                    env.listen(l);
+                    let c = env.accept(l);
+                    let buf = env.mmap_anon(4096);
+                    let data: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
+                    env.write_mem(buf, &data);
+                    let n = if use_write {
+                        env.write(c, buf, 3000)
+                    } else {
+                        env.send(c, buf, 3000)
+                    };
+                    assert_eq!(n, 3000);
+                    0
+                })
+            });
+            let pid = sys.spawn("tx");
+            assert_eq!(sys.run_until_exit(pid), 0);
+            (
+                sys.wire_recv(flow),
+                sys.machine.clock.cycles(),
+                sys.machine.counters,
+            )
+        }
+        for mode in [NetMode::Ring, NetMode::Reference] {
+            let sent = run(mode, false);
+            let written = run(mode, true);
+            assert_eq!(sent.0.len(), 3000);
+            assert_eq!(written, sent, "{mode:?}: write and send diverged");
+            assert_eq!(
+                written.2.ring_doorbells > 0,
+                mode == NetMode::Ring,
+                "{mode:?}: doorbells"
+            );
+        }
     }
 
     /// The ring and reference data planes serve byte-identical traffic with

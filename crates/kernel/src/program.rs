@@ -201,23 +201,18 @@ impl UserEnv<'_> {
     pub fn write_mem(&mut self, va: u64, data: &[u8]) {
         // Userspace stores cost ~1 cycle per 8 bytes (cache-friendly copy).
         self.sys.machine.charge(data.len() as u64 / 8 + 1);
-        let mut done = 0;
-        while done < data.len() {
-            let cur = va + done as u64;
-            let Some(pa) = self.sys.user_resolve(self.pid, cur, AccessKind::Write) else {
-                if self.sys.is_fault_killed(self.pid) {
-                    return;
-                }
+        let walked = self.sys.walk_user(
+            self.pid,
+            va,
+            data.len(),
+            AccessKind::Write,
+            |phys, pfn, off, range| phys.write_bytes(pfn, off, &data[range]),
+        );
+        if let Err(done) = walked {
+            if !self.sys.is_fault_killed(self.pid) {
+                let cur = va + done as u64;
                 panic!("segfault: write to {cur:#x} by pid {}", self.pid);
-            };
-            let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(data.len() - done);
-            self.sys.machine.phys.write_bytes(
-                pa.pfn(),
-                pa.frame_offset(),
-                &data[done..done + take],
-            );
-            done += take;
+            }
         }
     }
 
@@ -241,25 +236,21 @@ impl UserEnv<'_> {
     pub fn read_mem_into(&mut self, va: u64, len: usize, out: &mut Vec<u8>) {
         self.sys.machine.charge(len as u64 / 8 + 1);
         out.reserve(len);
-        let mut done = 0;
-        while done < len {
-            let cur = va + done as u64;
-            let Some(pa) = self.sys.user_resolve(self.pid, cur, AccessKind::Read) else {
-                if self.sys.is_fault_killed(self.pid) {
-                    out.resize(out.len() + len - done, 0);
-                    return;
-                }
+        let walked = self.sys.walk_user(
+            self.pid,
+            va,
+            len,
+            AccessKind::Read,
+            |phys, pfn, off, range| {
+                out.extend_from_slice(phys.bytes(pfn, off, range.len()));
+            },
+        );
+        if let Err(done) = walked {
+            if !self.sys.is_fault_killed(self.pid) {
+                let cur = va + done as u64;
                 panic!("segfault: read of {cur:#x} by pid {}", self.pid);
-            };
-            let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - done);
-            out.extend_from_slice(
-                self.sys
-                    .machine
-                    .phys
-                    .bytes(pa.pfn(), pa.frame_offset(), take),
-            );
-            done += take;
+            }
+            out.resize(out.len() + len - done, 0);
         }
     }
 

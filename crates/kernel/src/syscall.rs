@@ -524,7 +524,7 @@ impl System {
                 }
                 n
             }
-            Some(Fd::Sock { id }) => self.sock_send(id, &data),
+            Some(Fd::Sock { id }) => self.sock_write(id, &data),
             Some(Fd::PipeW { id }) => {
                 let Some(p) = self.pipes.get_mut(&id) else {
                     return -1;
@@ -798,22 +798,14 @@ impl System {
         self.user_resolve(pid, va, AccessKind::Read)
     }
 
-    /// Resolves a user VA to inspect memory — used by tests asserting on
-    /// simulated user state. Resolves once per page and copies page-local
-    /// chunks rather than translating every byte.
+    /// Reads `len` bytes of user memory at `va` — used by tests asserting
+    /// on simulated user state. `None` if any page will not resolve.
     pub fn peek_user(&mut self, pid: Pid, va: u64, len: usize) -> Option<Vec<u8>> {
-        use vg_machine::PAGE_SIZE;
         let mut out = vec![0u8; len];
-        let mut done = 0usize;
-        while done < len {
-            let addr = va + done as u64;
-            let chunk = ((len - done) as u64).min(PAGE_SIZE - addr % PAGE_SIZE) as usize;
-            let pa = self.user_resolve(pid, addr, AccessKind::Read)?;
-            self.machine
-                .phys
-                .read_bytes(pa.pfn(), pa.frame_offset(), &mut out[done..done + chunk]);
-            done += chunk;
-        }
+        self.walk_user(pid, va, len, AccessKind::Read, |phys, pfn, off, range| {
+            phys.read_bytes(pfn, off, &mut out[range]);
+        })
+        .ok()?;
         Some(out)
     }
 }

@@ -1163,35 +1163,19 @@ impl System {
         ok
     }
 
-    /// The copyout loop: charges one copy of `len` bytes, then resolves
-    /// each destination page in order and has `put` write source bytes
-    /// `range` at frame `pfn` offset `off`.
+    /// The copyout path: charges one copy of `len` bytes, then walks the
+    /// destination span and has `put` write source bytes `range` at frame
+    /// `pfn` offset `off`.
     fn copyout_with(
         &mut self,
         pid: Pid,
         va: u64,
         len: usize,
-        mut put: impl FnMut(&mut PhysMem, Pfn, u64, Range<usize>),
+        put: impl FnMut(&mut PhysMem, Pfn, u64, Range<usize>),
     ) -> bool {
         let va = self.sandbox_mask(va);
         copy_cost(&mut self.machine, len as u64);
-        let mut done = 0;
-        while done < len {
-            let cur = va + done as u64;
-            let Some(pa) = self.user_resolve(pid, cur, AccessKind::Write) else {
-                return false;
-            };
-            let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - done);
-            put(
-                &mut self.machine.phys,
-                pa.pfn(),
-                pa.frame_offset(),
-                done..done + take,
-            );
-            done += take;
-        }
-        true
+        self.walk_user(pid, va, len, AccessKind::Write, put).is_ok()
     }
 
     /// Copies bytes from user memory into kernel space (copyin).
@@ -1214,18 +1198,44 @@ impl System {
         }
         copy_cost(&mut self.machine, len as u64);
         out.reserve(len);
+        self.walk_user(pid, va, len, AccessKind::Read, |phys, pfn, off, range| {
+            out.extend_from_slice(phys.bytes(pfn, off, range.len()));
+        })
+        .is_ok()
+    }
+
+    /// The one user-span walker: every copy between a user span and frame
+    /// bytes goes through it. Resolves `[va, va + len)` of `pid` page by
+    /// page for `access` (demand-faulting through
+    /// [`user_resolve`](Self::user_resolve)) and hands each page-local
+    /// segment to `seg` as frame `pfn`, offset `off` and the segment's
+    /// `range` within the span. On a page that will not resolve it returns
+    /// `Err(done)`, the bytes walked before it. It charges nothing and masks
+    /// nothing: each caller keeps its own charge and failure policy, and
+    /// only kernel callers apply [`sandbox_mask`](Self::sandbox_mask).
+    pub(crate) fn walk_user(
+        &mut self,
+        pid: Pid,
+        va: u64,
+        len: usize,
+        access: AccessKind,
+        mut seg: impl FnMut(&mut PhysMem, Pfn, u64, Range<usize>),
+    ) -> Result<(), usize> {
         let mut done = 0;
         while done < len {
-            let cur = va + done as u64;
-            let Some(pa) = self.user_resolve(pid, cur, AccessKind::Read) else {
-                return false;
+            let Some(pa) = self.user_resolve(pid, va + done as u64, access) else {
+                return Err(done);
             };
-            let in_page = (PAGE_SIZE - pa.frame_offset()) as usize;
-            let take = in_page.min(len - done);
-            out.extend_from_slice(self.machine.phys.bytes(pa.pfn(), pa.frame_offset(), take));
+            let take = ((PAGE_SIZE - pa.frame_offset()) as usize).min(len - done);
+            seg(
+                &mut self.machine.phys,
+                pa.pfn(),
+                pa.frame_offset(),
+                done..done + take,
+            );
             done += take;
         }
-        true
+        Ok(())
     }
 
     /// Charges accumulated filesystem work. The data path (buffer-cache

@@ -122,12 +122,6 @@ pub struct Machine {
     /// counters, no cycles — disarmed runs stay bit-identical to builds
     /// without the layer (see `vg-faults`).
     pub faults: FaultState,
-    /// When set, the memory buses built on this machine take their byte-wise
-    /// reference paths instead of the word-granular fast paths. The two are
-    /// observationally identical (same values, faults, cycles and counters
-    /// apart from TLB statistics); the flag exists so equivalence tests can
-    /// run both. See DESIGN.md §6.
-    pub byte_granular_bus: bool,
     /// Index of the active core (the one `cpu`/`mmu` belong to).
     cur_cpu: usize,
     /// Per-core parked state, one slot per core; the active core's slot
@@ -169,8 +163,6 @@ pub struct MachineConfig {
     pub disk_blocks: usize,
     /// Cost model (defaults to the calibrated native model).
     pub costs: CostModel,
-    /// Force byte-granular memory buses (reference mode; default off).
-    pub byte_granular_bus: bool,
     /// Number of simulated cores (default 1). A `cpus: 1` machine is
     /// bit-identical to the historical single-core machine: the shootdown
     /// broadcast loop is empty, no core switches happen, and no IPI cycles
@@ -184,7 +176,6 @@ impl Default for MachineConfig {
             phys_frames: 16 * 1024, // 64 MiB
             disk_blocks: 64 * 1024, // 256 MiB
             costs: CostModel::native(),
-            byte_granular_bus: false,
             cpus: 1,
         }
     }
@@ -210,7 +201,6 @@ impl Machine {
             metrics: MetricsRegistry::new(),
             profiler: CycleProfiler::new(),
             faults: FaultState::disarmed(),
-            byte_granular_bus: config.byte_granular_bus,
             cur_cpu: 0,
             parked: (0..cpus).map(|_| (Cpu::new(), Mmu::new())).collect(),
             parked_tlb: TlbStats::default(),
