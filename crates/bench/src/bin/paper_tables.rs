@@ -12,7 +12,6 @@
 use std::collections::BTreeMap;
 use vg_apps::{ghostkv, lmbench, postmark, ssh, thttpd};
 use vg_bench::{ratio, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5};
-use vg_core::Protections;
 use vg_kernel::{Mode, System};
 use vg_machine::cost::CostModel;
 use vg_machine::Domain;
@@ -667,21 +666,9 @@ fn security() {
 fn ablation(scale: &Scale) {
     println!("\n== Ablation: LMBench overhead by protection mechanism ==");
     let modes: [(&str, Mode); 4] = [
-        (
-            "sandbox-only",
-            Mode::Custom(Protections::virtual_ghost(), CostModel::sandbox_only()),
-        ),
-        (
-            "cfi-only",
-            Mode::Custom(Protections::virtual_ghost(), CostModel::cfi_only()),
-        ),
-        (
-            "ic-only",
-            Mode::Custom(
-                Protections::virtual_ghost(),
-                CostModel::ic_protection_only(),
-            ),
-        ),
+        ("sandbox-only", Mode::Custom(CostModel::sandbox_only())),
+        ("cfi-only", Mode::Custom(CostModel::cfi_only())),
+        ("ic-only", Mode::Custom(CostModel::ic_protection_only())),
         ("full-vg", Mode::VirtualGhost),
     ];
     let native = lmbench::table2(Mode::Native, scale.lm_iters);

@@ -192,49 +192,56 @@ fn list<T>(items: impl IntoIterator<Item = T>, fmt: impl Fn(T) -> String) -> Str
 
 // ---- measurement ------------------------------------------------------------
 
-/// Minimum mean-per-iteration microseconds over several rounds, after a
-/// ~25 ms warm-up. The warm-up matters: shapes are measured back to back in
-/// one process, and without it the branch predictor and the engines' lazy
-/// caches carry the previous shape's state into the first rounds. Rounds
-/// are calibrated to ~10 ms so fast and slow benches get comparable noise;
-/// taking the minimum of the round means discards scheduler and
-/// frequency-scaling spikes, which is what a lower-bound ratio gate wants.
-fn measure_us(mut f: impl FnMut()) -> f64 {
-    let warm = Instant::now();
-    let mut est = f64::MAX;
-    while warm.elapsed().as_millis() < 25 {
-        let t = Instant::now();
-        f();
-        est = est.min((t.elapsed().as_secs_f64() * 1e6).max(0.5));
-    }
-    let iters = (10_000.0 / est).clamp(1.0, 50_000.0) as u32;
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        let t = Instant::now();
-        for _ in 0..iters {
+/// Minimum mean-per-iteration microseconds of `a` and of `b` over several
+/// rounds, after a ~25 ms warm-up of each. The warm-up matters: shapes are
+/// measured back to back in one process, and without it the branch
+/// predictor and the engines' lazy caches carry the previous shape's state
+/// into the first rounds. Rounds are calibrated to ~10 ms so fast and slow
+/// benches get comparable noise; taking the minimum of the round means
+/// discards scheduler and frequency-scaling spikes, which is what a
+/// lower-bound ratio gate wants. The two sides alternate round by round,
+/// so host drift during the measurement lands on both sides of their ratio
+/// rather than on one.
+fn measure_pair<'a>(a: &'a mut dyn FnMut(), b: &'a mut dyn FnMut()) -> (f64, f64) {
+    let mut sides = [(a, 0u32, f64::INFINITY), (b, 0, f64::INFINITY)];
+    for (f, iters, _) in &mut sides {
+        let warm = Instant::now();
+        let mut est = f64::MAX;
+        while warm.elapsed().as_millis() < 25 {
+            let t = Instant::now();
             f();
+            est = est.min((t.elapsed().as_secs_f64() * 1e6).max(0.5));
         }
-        best = best.min(t.elapsed().as_secs_f64() * 1e6 / f64::from(iters));
+        *iters = (10_000.0 / est).clamp(1.0, 50_000.0) as u32;
     }
-    best
+    for _ in 0..7 {
+        for (f, iters, best) in &mut sides {
+            let t = Instant::now();
+            for _ in 0..*iters {
+                f();
+            }
+            *best = best.min(t.elapsed().as_secs_f64() * 1e6 / f64::from(*iters));
+        }
+    }
+    (sides[0].2, sides[1].2)
 }
 
-/// Wall-clock for one engine shape, interpreter construction hoisted out of
-/// the timed loop.
-fn time_shape(shape: &PreparedShape, engine: Engine) -> f64 {
+/// One run of `shape` under `engine`, interpreter construction hoisted out
+/// of the timed closure.
+fn shape_runner(shape: &PreparedShape, engine: Engine) -> impl FnMut() + '_ {
     let mut interp = vg_ir::Interp::new(&shape.registry)
         .with_engine(engine)
         .with_fuel(u64::MAX);
     let mut mem = FlatMem::new(64);
     let mut host = BenchHost::for_registry(&shape.registry);
     let args = [shape.leaf.0 as i64, shape.iters];
-    measure_us(|| {
+    move || {
         let mut env = Pair {
             mem: &mut mem,
             host: &mut host,
         };
         std::hint::black_box(interp.run(shape.entry, &args, &mut env).unwrap());
-    })
+    }
 }
 
 /// One measured row.
@@ -256,8 +263,10 @@ fn engine_rows(_doc: &str, _record: bool) -> Result<Vec<Row>, String> {
     Ok(prepared_shapes()
         .iter()
         .map(|shape| {
-            let fused = time_shape(shape, Engine::Fused);
-            let reference = time_shape(shape, Engine::Reference);
+            let (fused, reference) = measure_pair(
+                &mut shape_runner(shape, Engine::Fused),
+                &mut shape_runner(shape, Engine::Reference),
+            );
             let at = |field: &str| format!("shapes.{}.{field}", shape.name);
             let key = at("fused_vs_reference");
             Row {
@@ -349,8 +358,7 @@ fn crypto_rows(_doc: &str, _record: bool) -> Result<Vec<Row>, String> {
     Ok(benches
         .into_iter()
         .map(|(name, mut optimized, mut scalar)| {
-            let opt_us = measure_us(&mut optimized);
-            let scalar_us = measure_us(&mut scalar);
+            let (opt_us, scalar_us) = measure_pair(&mut optimized, &mut scalar);
             let at = |field: &str| format!("benches.{name}.{field}");
             let key = at("speedup");
             Row {

@@ -26,11 +26,21 @@ pub enum FrameKind {
 }
 
 /// Per-frame metadata: kind plus mapping reference count.
+///
+/// Kinds are a dense table indexed by pfn (frames past its end are
+/// `Regular`), so the kernel's direct-map check on every access is one
+/// index. It grows only up to [`MAX_FRAMES`].
 #[derive(Debug, Default)]
 pub struct FrameTable {
-    kinds: IntMap<u64, FrameKind>,
+    kinds: Vec<FrameKind>,
     map_counts: IntMap<u64, u32>,
 }
+
+/// More frames than any simulated machine has: `PhysMem`'s own per-frame
+/// table would take gigabytes of host memory. A pfn at or past it is no
+/// frame, so marking it records nothing (and a hostile pfn cannot make the
+/// table huge).
+pub const MAX_FRAMES: u64 = 1 << 26;
 
 impl FrameTable {
     /// An empty table (all frames Regular, unmapped).
@@ -39,17 +49,22 @@ impl FrameTable {
     }
 
     /// The kind of `pfn`.
+    #[inline]
     pub fn kind(&self, pfn: Pfn) -> FrameKind {
-        self.kinds.get(&pfn.0).copied().unwrap_or_default()
+        let i = usize::try_from(pfn.0).unwrap_or(usize::MAX);
+        self.kinds.get(i).copied().unwrap_or_default()
     }
 
-    /// Sets the kind of `pfn`.
+    /// Sets the kind of `pfn` (see [`MAX_FRAMES`]).
     pub fn set_kind(&mut self, pfn: Pfn, kind: FrameKind) {
-        if kind == FrameKind::Regular {
-            self.kinds.remove(&pfn.0);
-        } else {
-            self.kinds.insert(pfn.0, kind);
+        let i = usize::try_from(pfn.0).unwrap_or(usize::MAX);
+        if i >= self.kinds.len() {
+            if kind == FrameKind::Regular || pfn.0 >= MAX_FRAMES {
+                return;
+            }
+            self.kinds.resize(i + 1, FrameKind::Regular);
         }
+        self.kinds[i] = kind;
     }
 
     /// Number of virtual mappings currently referencing `pfn` (as tracked
@@ -99,6 +114,16 @@ mod tests {
         assert_eq!(t.kind(Pfn(1)), FrameKind::Ghost);
         t.set_kind(Pfn(1), FrameKind::Regular);
         assert_eq!(t.kind(Pfn(1)), FrameKind::Regular);
+    }
+
+    #[test]
+    fn pfns_past_any_machine_are_never_marked() {
+        let mut t = FrameTable::new();
+        t.set_kind(Pfn(MAX_FRAMES), FrameKind::Code);
+        t.set_kind(Pfn(u64::MAX), FrameKind::Ghost);
+        assert_eq!(t.kind(Pfn(MAX_FRAMES)), FrameKind::Regular);
+        assert_eq!(t.kind(Pfn(u64::MAX)), FrameKind::Regular);
+        assert!(t.kinds.is_empty());
     }
 
     #[test]

@@ -72,26 +72,14 @@ impl std::fmt::Display for IcError {
 impl std::error::Error for IcError {}
 
 /// Storage for interrupt contexts and signal-handler permits.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IcStore {
-    protected: bool,
     stacks: IntMap<ThreadId, Vec<InterruptContext>>,
     saved: IntMap<ThreadId, Vec<InterruptContext>>,
     permits: IntMap<ProcId, IntSet<u64>>,
 }
 
 impl IcStore {
-    /// Creates the store; `protected` mirrors
-    /// [`Protections::ic_protect`](crate::Protections::ic_protect).
-    pub fn new(protected: bool) -> Self {
-        IcStore {
-            protected,
-            stacks: IntMap::default(),
-            saved: IntMap::default(),
-            permits: IntMap::default(),
-        }
-    }
-
     /// Depth of the trap stack for a thread (0 = running in user mode).
     pub fn depth(&self, thread: ThreadId) -> usize {
         self.stacks.get(&thread).map_or(0, |s| s.len())
@@ -143,7 +131,7 @@ impl SvaVm {
             .entry(thread)
             .or_default()
             .push(InterruptContext { frame });
-        if self.ic.protected {
+        if self.protections.enforced {
             match kind {
                 TrapKind::Syscall(_) => machine.cpu.scrub_registers(&SYSCALL_REGS),
                 _ => machine.cpu.scrub_registers(&[]),
@@ -207,7 +195,7 @@ impl SvaVm {
     /// stack in the baseline system, where a hostile kernel may read or
     /// rewrite interrupted registers and the saved PC at will.
     pub fn native_ic_mut(&mut self, thread: ThreadId) -> Option<&mut InterruptContext> {
-        if self.ic.protected {
+        if self.protections.enforced {
             return None;
         }
         self.ic.stacks.get_mut(&thread).and_then(|s| s.last_mut())
@@ -297,7 +285,7 @@ impl SvaVm {
         machine.prof_push(Domain::Sva, "sva.ipush.function");
         machine.charge(machine.costs.ic_save / 2 + 60);
         machine.prof_pop();
-        if self.ic.protected {
+        if self.protections.enforced {
             let permitted = self
                 .ic
                 .permits
@@ -370,7 +358,7 @@ impl SvaVm {
         from_thread: ThreadId,
         kernel_entry: u64,
     ) -> Result<(), SvaError> {
-        if self.ic.protected {
+        if self.protections.enforced {
             let valid = kernel_entry >= vg_ir::registry::KERNEL_TEXT_BASE
                 && self
                     .code

@@ -42,7 +42,7 @@ impl SvaVm {
         machine.prof_push(Domain::Sva, "sva.iommu_map");
         machine.charge(machine.costs.io_check + 30);
         machine.prof_pop();
-        if self.protections.dma_checks {
+        if self.protections.enforced {
             match self.frames.kind(pfn) {
                 FrameKind::Ghost | FrameKind::SvaInternal | FrameKind::PageTable => {
                     machine.record_denial(
@@ -87,7 +87,7 @@ impl SvaVm {
         machine.charge(machine.costs.io_check + 20);
         machine.prof_pop();
         if port == IOMMU_CONFIG_PORT {
-            if self.protections.dma_checks {
+            if self.protections.enforced {
                 return Err(SvaError::PortProtected);
             }
             machine.iommu.map(Pfn(value));
@@ -109,7 +109,7 @@ impl SvaVm {
         machine.prof_push(Domain::Sva, "sva.port_read");
         machine.charge(machine.costs.io_check + 20);
         machine.prof_pop();
-        if port == IOMMU_CONFIG_PORT && self.protections.dma_checks {
+        if port == IOMMU_CONFIG_PORT && self.protections.enforced {
             return Err(SvaError::PortProtected);
         }
         Ok(0)

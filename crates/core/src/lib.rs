@@ -16,9 +16,9 @@
 //!
 //! A [`SvaVm`] is constructed in one of two modes: **native** (no
 //! protections — models the baseline FreeBSD kernel; every hostile-kernel
-//! attack succeeds) or **Virtual Ghost** (all protections on). Ablation
-//! subsets of [`Protections`] match the cost-model ablations in
-//! `vg-machine`.
+//! attack succeeds) or **Virtual Ghost** (all protections on). The
+//! ablations run with every protection on and vary only the cost model
+//! (`vg-machine`'s `CostModel`).
 //!
 //! ## Example: ghost memory end to end
 //!
@@ -77,45 +77,27 @@ pub struct ProcId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub u64);
 
-/// Which protections are active — all on for Virtual Ghost, all off for the
-/// native baseline, subsets for ablations.
+/// Whether Virtual Ghost's protections are enforced. They are on or off
+/// together: on for Virtual Ghost, off for the native baseline. The
+/// ablations keep them on and vary only the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Protections {
-    /// Kernel code must be compiled/instrumented and signed (sandboxing +
-    /// loader signature checks).
-    pub sandbox: bool,
-    /// CFI checks are required on kernel indirect control flow.
-    pub cfi: bool,
-    /// Interrupt contexts live in SVA memory; registers are scrubbed;
-    /// modifications only through checked operations.
-    pub ic_protect: bool,
-    /// MMU updates are validated against the ghost/code/page-table rules.
-    pub mmu_checks: bool,
-    /// IOMMU configuration is validated.
-    pub dma_checks: bool,
+    /// Kernel code must be compiled (sandboxing + CFI) and signed;
+    /// interrupt contexts live in SVA memory and change only through
+    /// checked operations; MMU updates, IOMMU configuration and the
+    /// kernel's direct-map accesses are validated.
+    pub enforced: bool,
 }
 
 impl Protections {
     /// Everything off — the native baseline.
     pub fn native() -> Self {
-        Protections {
-            sandbox: false,
-            cfi: false,
-            ic_protect: false,
-            mmu_checks: false,
-            dma_checks: false,
-        }
+        Protections { enforced: false }
     }
 
     /// Everything on — full Virtual Ghost.
     pub fn virtual_ghost() -> Self {
-        Protections {
-            sandbox: true,
-            cfi: true,
-            ic_protect: true,
-            mmu_checks: true,
-            dma_checks: true,
-        }
+        Protections { enforced: true }
     }
 }
 
@@ -245,7 +227,7 @@ impl SvaVm {
             protections,
             frames: FrameTable::new(),
             ghost: ghost::GhostManager::new(),
-            ic: icontext::IcStore::new(protections.ic_protect),
+            ic: icontext::IcStore::default(),
             keys: keys::KeyStore::new(vg_keys, tpm),
             swap: swap::SwapManager::new(swap_enc, swap_mac),
             code: CodeRegistry::new(),
@@ -286,7 +268,7 @@ impl SvaVm {
         &mut self,
         translation: vg_ir::Translation,
     ) -> Result<vg_ir::registry::ModuleHandle, SvaError> {
-        if self.protections.sandbox {
+        if self.protections.enforced {
             if !translation.verify(self.compiler.public_key()) {
                 return Err(SvaError::UntrustedCode);
             }
@@ -327,7 +309,7 @@ impl SvaVm {
         module: vg_ir::registry::ModuleHandle,
         func: u32,
     ) -> Result<(), SvaError> {
-        if self.protections.sandbox && addr.0 >= vg_machine::layout::KERNEL_BASE {
+        if self.protections.enforced && addr.0 >= vg_machine::layout::KERNEL_BASE {
             return Err(SvaError::DeniedByVirtualGhost);
         }
         self.code.register_at(addr, module, func);
@@ -347,9 +329,9 @@ mod tests {
     #[test]
     fn boot_modes() {
         let n = vm(Protections::native());
-        assert!(!n.protections.sandbox);
+        assert!(!n.protections.enforced);
         let v = vm(Protections::virtual_ghost());
-        assert!(v.protections.sandbox && v.protections.cfi && v.protections.ic_protect);
+        assert!(v.protections.enforced);
     }
 
     #[test]

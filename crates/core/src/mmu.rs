@@ -90,7 +90,7 @@ impl SvaVm {
     /// [`DenialKind::DmaViolation`]. Revoking charges nothing, so a benign
     /// claim costs what it always did.
     fn claim_page_table(&mut self, machine: &mut Machine, pfn: Pfn) {
-        if self.protections.dma_checks && machine.iommu.is_mapped(pfn) {
+        if self.protections.enforced && machine.iommu.is_mapped(pfn) {
             machine.iommu.unmap(pfn);
             machine.record_denial(
                 DenialKind::DmaViolation,
@@ -130,7 +130,7 @@ impl SvaVm {
     /// [`MmuCheckError::BadRoot`] if `root` was not created by
     /// [`sva_create_root`](Self::sva_create_root) (checked mode only).
     pub fn sva_load_root(&mut self, machine: &mut Machine, root: Pfn) -> Result<(), SvaError> {
-        if self.protections.mmu_checks && self.frames.kind(root) != FrameKind::PageTable {
+        if self.protections.enforced && self.frames.kind(root) != FrameKind::PageTable {
             return Err(MmuCheckError::BadRoot.into());
         }
         machine.mmu.set_root(root);
@@ -156,7 +156,7 @@ impl SvaVm {
         machine.charge(machine.costs.mmu_update + machine.costs.mmu_check);
         machine.prof_pop();
         machine.counters.pte_updates += 1;
-        if self.protections.mmu_checks {
+        if self.protections.enforced {
             if let Err(e) = self.check_update(machine, root, va, Some((pfn, flags))) {
                 machine.counters.mmu_rejections += 1;
                 self.trace_mmu_rejection(machine, va, e);
@@ -189,7 +189,7 @@ impl SvaVm {
         machine.charge(machine.costs.mmu_update + machine.costs.mmu_check);
         machine.prof_pop();
         machine.counters.pte_updates += 1;
-        if self.protections.mmu_checks {
+        if self.protections.enforced {
             if let Err(e) = self.check_update(machine, root, va, None) {
                 machine.counters.mmu_rejections += 1;
                 self.trace_mmu_rejection(machine, va, e);

@@ -176,7 +176,7 @@ impl SvaVm {
             // One frame-kind check per descriptor — the amortized residue
             // of the classic map/unmap pair.
             machine.charge(5);
-            let protected = self.protections.dma_checks
+            let protected = self.protections.enforced
                 && matches!(
                     self.frames.kind(desc.pfn),
                     FrameKind::Ghost | FrameKind::SvaInternal | FrameKind::PageTable
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn native_ring_exfiltrates_ghost_frames() {
-        // The attack contrast: without dma_checks the same descriptor
+        // The attack contrast: without the IOMMU checks the same descriptor
         // ships the ghost frame's plaintext to the wire.
         let (mut vm, mut machine) = setup(Protections::native());
         let f = machine.phys.alloc_frame().unwrap();

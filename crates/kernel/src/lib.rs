@@ -35,6 +35,7 @@
 //! ```
 
 pub mod costs;
+mod dmap;
 pub mod fs;
 pub mod mem;
 pub mod module;
@@ -589,5 +590,57 @@ mod walk_tests {
         let pid = sys.spawn("walk");
         sys.run_until_exit(pid);
         assert!(sys.is_fault_killed(pid), "the body ran to its end");
+    }
+
+    /// A kernel walk of a ghost address that skipped `sandbox_mask` (the
+    /// copy a kernel bug or a hostile kernel would make) reaches the
+    /// ghost frame only through the direct map. Under Virtual Ghost the
+    /// door refuses it with one recorded denial and no bytes; natively
+    /// the secret comes back.
+    #[test]
+    fn unmasked_kernel_walk_of_ghost_memory_is_refused() {
+        for (mut sys, leaks) in [
+            (System::boot_virtual_ghost(), false),
+            (System::boot_native(), true),
+        ] {
+            sys.install_app("ghosting", true, move || {
+                Box::new(move |env| {
+                    let ghost = env.allocgm(1).expect("ghost page");
+                    env.write_mem(ghost + 8, b"ghost secret");
+                    let pid = env.pid;
+                    let frame = env.sys.user_resolve_pub(pid, ghost).expect("mapped").pfn();
+                    let flight = &env.sys.machine.trace.flight;
+                    let before = flight.total();
+                    let mut out = Vec::new();
+                    let walked = env.sys.walk_user::<dmap::Kernel>(
+                        pid,
+                        ghost + 8,
+                        12,
+                        vg_machine::AccessKind::Read,
+                        |phys, pfn, off, range| {
+                            out.extend_from_slice(phys.bytes(pfn, off, range.len()))
+                        },
+                    );
+                    let flight = &env.sys.machine.trace.flight;
+                    if leaks {
+                        assert_eq!(walked, Ok(()));
+                        assert_eq!(out, b"ghost secret");
+                        assert_eq!(flight.total(), before);
+                    } else {
+                        assert_eq!(walked, Err(0));
+                        assert!(out.is_empty());
+                        assert_eq!(flight.total(), before + 1);
+                        let d = flight.denials().last().expect("a denial");
+                        assert_eq!(
+                            (d.kind, d.addr),
+                            (vg_machine::DenialKind::DirectMap, frame.0)
+                        );
+                    }
+                    0
+                })
+            });
+            let pid = sys.spawn("ghosting");
+            assert_eq!(sys.run_until_exit(pid), 0);
+        }
     }
 }

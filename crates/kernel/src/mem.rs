@@ -8,7 +8,9 @@
 //! each access additionally pays the load/store mask and each branch the CFI
 //! check (see `vg-machine::cost`).
 
+use crate::dmap::DirectMap;
 use std::collections::BTreeMap;
+use vg_core::SvaVm;
 use vg_ir::inst::Width;
 use vg_ir::interp::{MemBus, MemFault};
 use vg_machine::layout::{KERNEL_BASE, PAGE_SIZE, SVA_INTERNAL_BASE};
@@ -155,15 +157,22 @@ impl AddressSpace {
         } else {
             self.regions.remove(&HEAP_BASE);
         }
+        let torn = self.take_pages(HEAP_BASE + len..HEAP_BASE + old_len.max(len));
+        (self.brk, torn)
+    }
+
+    /// Removes the materialized pages in `range` from the bookkeeping and
+    /// returns them in address order; the caller unmaps and frees them.
+    pub fn take_pages(&mut self, range: std::ops::Range<u64>) -> Vec<(u64, Pfn)> {
         let torn: Vec<(u64, Pfn)> = self
             .pages
-            .range(HEAP_BASE + len..HEAP_BASE + old_len.max(len))
+            .range(range)
             .map(|(&va, &pfn)| (va, pfn))
             .collect();
         for (va, _) in &torn {
             self.pages.remove(va);
         }
-        (self.brk, torn)
+        torn
     }
 }
 
@@ -184,25 +193,44 @@ impl AddressSpace {
 /// load into an unmapped page faults at `addr + n - 1`), stores low-to-high
 /// (a page-crossing store writes its mapped prefix, then faults at the
 /// boundary). `memcpy` is the trait's byte copy. See DESIGN.md §6.1.
+///
+/// Each user byte then goes through the kernel's direct map: under Virtual
+/// Ghost a byte in a frame the kernel does not own faults too, with a
+/// flight-recorder entry (`crate::dmap`).
 #[derive(Debug)]
 pub struct KernelMem<'a> {
     /// The machine (page tables + physical memory).
     pub machine: &'a mut Machine,
+    /// The trusted layer, whose frame table the direct map checks.
+    pub vm: &'a SvaVm,
     /// The kernel data segment, modeled as a flat buffer at `KERNEL_BASE`.
     pub kernel_heap: &'a mut Vec<u8>,
 }
 
 impl KernelMem<'_> {
-    fn user_pa(&mut self, addr: u64, write: bool) -> Result<PAddr, MemFault> {
-        let kind = if write {
+    /// The user byte at `addr`, translated with supervisor privilege, then
+    /// read or overwritten with `write` through the direct map.
+    fn user_byte(&mut self, addr: u64, write: Option<u8>) -> Result<u8, MemFault> {
+        let fault = MemFault {
+            addr,
+            write: write.is_some(),
+        };
+        let kind = if write.is_some() {
             AccessKind::Write
         } else {
             AccessKind::Read
         };
-        self.machine
-            .mmu
-            .translate(&self.machine.phys, VAddr(addr), kind, false)
-            .map_err(|_| MemFault { addr, write })
+        let pa = self
+            .machine
+            .translate(VAddr(addr), kind, false)
+            .map_err(|_| fault)?;
+        let mut dmap = DirectMap::new(self.machine, self.vm);
+        let (pfn, off) = (pa.pfn(), pa.frame_offset());
+        match write {
+            Some(b) => dmap.write(pfn, off, &[b]).map(|()| b),
+            None => dmap.bytes(pfn, off, 1).map(|b| b[0]),
+        }
+        .map_err(|_| fault)
     }
 
     /// One byte of the kernel segment: the heap where mapped, deterministic
@@ -225,8 +253,7 @@ impl MemBus for KernelMem<'_> {
             let byte = if addr >= KERNEL_BASE {
                 self.kernel_byte(addr.wrapping_add(i))
             } else {
-                let pa = self.user_pa(addr + i, false)?;
-                self.machine.phys.read_u8_at(pa)
+                self.user_byte(addr + i, None)?
             };
             v = (v << 8) | byte as u64;
         }
@@ -251,8 +278,7 @@ impl MemBus for KernelMem<'_> {
             return Ok(());
         }
         for i in 0..n {
-            let pa = self.user_pa(addr + i, true)?;
-            self.machine.phys.write_u8_at(pa, (value >> (8 * i)) as u8);
+            self.user_byte(addr + i, Some((value >> (8 * i)) as u8))?;
         }
         Ok(())
     }
@@ -280,8 +306,7 @@ impl UserMem<'_> {
             AccessKind::Read
         };
         self.machine
-            .mmu
-            .translate(&self.machine.phys, VAddr(addr), kind, true)
+            .translate(VAddr(addr), kind, true)
             .map_err(|_| MemFault { addr, write })
     }
 }
@@ -291,7 +316,7 @@ impl MemBus for UserMem<'_> {
         let mut v = 0u64;
         for i in (0..width.bytes()).rev() {
             let pa = self.pa(addr + i, false)?;
-            v = (v << 8) | self.machine.phys.read_u8_at(pa) as u64;
+            v = (v << 8) | self.machine.phys.bytes(pa.pfn(), pa.frame_offset(), 1)[0] as u64;
         }
         Ok(v)
     }
@@ -299,7 +324,10 @@ impl MemBus for UserMem<'_> {
     fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
         for i in 0..width.bytes() {
             let pa = self.pa(addr + i, true)?;
-            self.machine.phys.write_u8_at(pa, (value >> (8 * i)) as u8);
+            let byte = [(value >> (8 * i)) as u8];
+            self.machine
+                .phys
+                .write_bytes(pa.pfn(), pa.frame_offset(), &byte);
         }
         Ok(())
     }
@@ -310,6 +338,16 @@ mod tests {
     use super::*;
     use vg_machine::cost::CostModel;
     use vg_machine::MachineConfig;
+
+    /// A Virtual Ghost SVA VM: with nothing claimed in its frame table,
+    /// every allocated frame passes the kernel bus's direct-map check.
+    fn vm() -> SvaVm {
+        vm_with(vg_core::Protections::virtual_ghost())
+    }
+
+    fn vm_with(protections: vg_core::Protections) -> SvaVm {
+        SvaVm::boot_with_key_bits(protections, &vg_crypto::Tpm::new(1), 1, 64)
+    }
 
     #[test]
     fn kwork_charges_more_under_vg() {
@@ -394,6 +432,7 @@ mod tests {
         heap[8] = 0xab;
         let mut km = KernelMem {
             machine: &mut machine,
+            vm: &vm(),
             kernel_heap: &mut heap,
         };
         // In-segment read.
@@ -417,6 +456,7 @@ mod tests {
         let mut heap = Vec::new();
         let mut km = KernelMem {
             machine: &mut machine,
+            vm: &vm(),
             kernel_heap: &mut heap,
         };
         assert!(km.load(0x4000, Width::W8).is_err());
@@ -461,6 +501,7 @@ mod tests {
     fn on_both_buses(check: impl Fn(&mut dyn MemBus)) {
         check(&mut KernelMem {
             machine: &mut bus_machine(),
+            vm: &vm(),
             kernel_heap: &mut Vec::new(),
         });
         check(&mut UserMem {
@@ -506,8 +547,10 @@ mod tests {
     fn kernel_stores_to_sva_internal_memory_are_swallowed() {
         let mut m = bus_machine();
         let mut heap = vec![0u8; 64];
+        let vm = vm();
         let km = &mut KernelMem {
             machine: &mut m,
+            vm: &vm,
             kernel_heap: &mut heap,
         };
         let addr = SVA_INTERNAL_BASE + 0x40;
@@ -517,6 +560,38 @@ mod tests {
         assert_eq!(heap, vec![0u8; 64]);
     }
 
+    /// The kernel bus reaches user bytes through the direct map: under
+    /// Virtual Ghost a byte in a frame the kernel does not own faults, with
+    /// one recorded denial per access; natively the bus reaches it.
+    #[test]
+    fn kernel_bus_faults_on_frames_the_kernel_does_not_own() {
+        use vg_core::Protections;
+        for (protections, refused) in [
+            (Protections::virtual_ghost(), true),
+            (Protections::native(), false),
+        ] {
+            let mut m = bus_machine();
+            let mut vm = vm_with(protections);
+            let pa = m.translate(VAddr(USER), AccessKind::Read, false).unwrap();
+            vm.frames.set_kind(pa.pfn(), vg_core::FrameKind::Ghost);
+            let km = &mut KernelMem {
+                machine: &mut m,
+                vm: &vm,
+                kernel_heap: &mut Vec::new(),
+            };
+            let addr = USER + 8;
+            let load = km.load(addr, Width::W1);
+            let store = km.store(addr, Width::W1, 0);
+            if refused {
+                assert_eq!((load, store), (read_fault(addr), write_fault(addr)));
+                assert_eq!(m.trace.flight.total(), 2);
+            } else {
+                assert_eq!((load, store), (Ok(0x5a), Ok(())));
+                assert_eq!(m.trace.flight.total(), 0);
+            }
+        }
+    }
+
     /// Only the kernel bus reaches a supervisor-only page or a kernel
     /// address; the user bus faults on both.
     #[test]
@@ -524,8 +599,10 @@ mod tests {
         let sup = USER + 3 * PAGE_SIZE + 16;
         let mut m = bus_machine();
         let mut heap = vec![0x11u8; 64];
+        let vm = vm();
         let km = &mut KernelMem {
             machine: &mut m,
+            vm: &vm,
             kernel_heap: &mut heap,
         };
         assert_eq!(km.load(sup, Width::W1).unwrap(), 0x5a);

@@ -36,7 +36,7 @@ impl System {
         module: Module,
     ) -> Result<vg_ir::registry::ModuleHandle, SvaError> {
         crate::costs::MODULE_LOAD.charge(&mut self.machine);
-        let translation = if self.vm.protections.sandbox {
+        let translation = if self.vm.protections.enforced {
             self.vm
                 .compiler
                 .compile(module)
@@ -100,6 +100,7 @@ impl MemBus for KernelCtx<'_> {
     fn load(&mut self, addr: u64, width: Width) -> Result<u64, MemFault> {
         KernelMem {
             machine: &mut self.sys.machine,
+            vm: &self.sys.vm,
             kernel_heap: &mut self.sys.kernel_heap,
         }
         .load(addr, width)
@@ -108,6 +109,7 @@ impl MemBus for KernelCtx<'_> {
     fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), MemFault> {
         KernelMem {
             machine: &mut self.sys.machine,
+            vm: &self.sys.vm,
             kernel_heap: &mut self.sys.kernel_heap,
         }
         .store(addr, width, value)

@@ -8,6 +8,7 @@
 //! tiny transfers are syscall-limited — the shape behind Figures 2–4.
 
 use crate::costs;
+use crate::dmap::DirectMap;
 use crate::fs::{FsError, FsWork, Ino, InodeKind};
 use crate::syscall::{EAGAIN, EIO, EISDIR};
 use crate::system::{DmaDisk, Fd, Pid, System};
@@ -388,7 +389,7 @@ impl System {
             }
             let mut posted = 0usize;
             for _ in 0..pending {
-                let Some(frame) = self.machine.alloc_frame_checked() else {
+                let Some(frame) = self.dmap().alloc() else {
                     break;
                 };
                 let posted_slot = self.net.rx_ring.post(RingDesc {
@@ -398,7 +399,7 @@ impl System {
                     flow: 0,
                 });
                 if posted_slot.is_none() {
-                    self.machine.phys.free_frame(frame);
+                    let _ = self.dmap().free(frame);
                     break; // ring full: retire this batch, then go again
                 }
                 costs::RING_PER_DESC.charge(&mut self.machine);
@@ -414,11 +415,13 @@ impl System {
             self.vm
                 .sva_ring_doorbell(&mut self.machine, &mut self.net.rx_ring);
             while let Some(u) = self.net.rx_ring.pop_used() {
+                let mut dmap = DirectMap::new(&mut self.machine, &self.vm);
                 if u.ok {
-                    let data = self.machine.phys.bytes(u.desc.pfn, 0, u.written as usize);
-                    self.net.flows.entry(u.flow).or_default().rx.extend(data);
+                    if let Ok(data) = dmap.bytes(u.desc.pfn, 0, u.written as usize) {
+                        self.net.flows.entry(u.flow).or_default().rx.extend(data);
+                    }
                 }
-                self.machine.phys.free_frame(u.desc.pfn);
+                let _ = dmap.free(u.desc.pfn);
             }
         }
     }
@@ -443,12 +446,12 @@ impl System {
     /// path, and staging continues with the next chunk: no byte is dropped.
     fn stage_tx(&mut self, sock: u64, flow: u64, data: &[u8]) {
         for chunk in data.chunks(MTU) {
-            let Some(frame) = self.machine.alloc_frame_checked() else {
+            let staged = self.dmap().alloc();
+            let Some(frame) = staged.filter(|&f| self.dmap().write(f, 0, chunk).is_ok()) else {
                 self.flush_tx_ring();
                 self.sock_send(sock, chunk);
                 continue;
             };
-            self.machine.phys.write_bytes(frame, 0, chunk);
             let desc = RingDesc {
                 pfn: frame,
                 off: 0,
@@ -476,7 +479,7 @@ impl System {
         self.vm
             .sva_ring_doorbell(&mut self.machine, &mut self.net.tx_ring);
         while let Some(u) = self.net.tx_ring.pop_used() {
-            self.machine.phys.free_frame(u.desc.pfn);
+            let _ = self.dmap().free(u.desc.pfn);
         }
     }
 

@@ -10,13 +10,14 @@
 //! kernel (paper Figure 1: Virtual Ghost calls do not cross the protection
 //! boundary).
 
+use crate::dmap::Privilege;
 use crate::syscall::*;
 use crate::system::{ChildKind, Pid, System};
 use std::rc::Rc;
-use vg_core::{ProcId, SvaError};
+use vg_core::{ProcId, SvaError, SvaVm};
 use vg_machine::layout::PAGE_SIZE;
 use vg_machine::mmu::AccessKind;
-use vg_machine::VAddr;
+use vg_machine::{Machine, Pfn, PhysMem, VAddr};
 
 /// A program body.
 pub type AppMain = Box<dyn FnMut(&mut UserEnv) -> i32>;
@@ -35,6 +36,17 @@ fn vg_kernel_charge_thread_create(sys: &mut System) {
         fixed: 3_000,
     }
     .charge(&mut sys.machine);
+}
+
+/// The application itself, as a user-span walk's privilege: the walker
+/// resolved each page at user privilege, so the MMU has already checked
+/// the access, and the direct map is not involved.
+pub(crate) enum User {}
+
+impl Privilege for User {
+    fn frames<'m>(machine: &'m mut Machine, _: &SvaVm, _: Pfn) -> Option<&'m mut PhysMem> {
+        Some(&mut machine.phys)
+    }
 }
 
 /// A registered signal-handler body.
@@ -201,7 +213,7 @@ impl UserEnv<'_> {
     pub fn write_mem(&mut self, va: u64, data: &[u8]) {
         // Userspace stores cost ~1 cycle per 8 bytes (cache-friendly copy).
         self.sys.machine.charge(data.len() as u64 / 8 + 1);
-        let walked = self.sys.walk_user(
+        let walked = self.sys.walk_user::<User>(
             self.pid,
             va,
             data.len(),
@@ -236,7 +248,7 @@ impl UserEnv<'_> {
     pub fn read_mem_into(&mut self, va: u64, len: usize, out: &mut Vec<u8>) {
         self.sys.machine.charge(len as u64 / 8 + 1);
         out.reserve(len);
-        let walked = self.sys.walk_user(
+        let walked = self.sys.walk_user::<User>(
             self.pid,
             va,
             len,
@@ -283,12 +295,10 @@ impl UserEnv<'_> {
         // The OS donates frames (it must have unmapped them; fresh ones are).
         let mut frames = Vec::with_capacity(num_pages as usize);
         for _ in 0..num_pages {
-            match self.sys.machine.alloc_frame_checked() {
+            match self.sys.dmap().alloc() {
                 Some(f) => frames.push(f),
                 None => {
-                    for f in frames {
-                        self.sys.machine.phys.free_frame(f);
-                    }
+                    self.sys.dmap().free_all(frames);
                     return Err(SvaError::OutOfFrames);
                 }
             }
@@ -323,9 +333,7 @@ impl UserEnv<'_> {
             VAddr(va),
             num_pages,
         )?;
-        for f in frames {
-            self.sys.machine.phys.free_frame(f);
-        }
+        self.sys.dmap().free_all(frames);
         Ok(())
     }
 

@@ -76,7 +76,7 @@ impl System {
                 .sva_swap_out(&mut self.machine, ProcId(pid), root, VAddr(vpn * PAGE_SIZE))
             {
                 Ok((blob, frame)) => {
-                    self.machine.phys.free_frame(frame);
+                    let _ = self.dmap().free(frame);
                     self.swap.blobs.insert((pid, vpn), blob);
                     evicted += 1;
                 }
@@ -143,10 +143,7 @@ impl System {
             return Err(SvaError::SwapDevice);
         }
         let root = self.procs[&pid].root;
-        let frame = self
-            .machine
-            .alloc_frame_checked()
-            .ok_or(SvaError::OutOfFrames)?;
+        let frame = self.dmap().alloc().ok_or(SvaError::OutOfFrames)?;
         match self.vm.sva_swap_in(
             &mut self.machine,
             ProcId(pid),
@@ -161,7 +158,7 @@ impl System {
                 Ok(true)
             }
             Err(e) => {
-                self.machine.phys.free_frame(frame);
+                let _ = self.dmap().free(frame);
                 self.log
                     .push(format!("swap-in of pid {pid} vpn {vpn:#x} refused: {e}"));
                 Err(e)

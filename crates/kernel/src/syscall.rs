@@ -10,9 +10,10 @@
 use crate::costs;
 use crate::fs::{FsError, FsWork, Ino, InodeKind};
 use crate::mem::RegionKind;
+use crate::program::User;
 use crate::system::{DmaDisk, Fd, Pid, System};
 use vg_machine::mmu::AccessKind;
-use vg_machine::FaultClass;
+use vg_machine::{FaultClass, Pfn};
 
 /// `ENOMEM` as a syscall return: the kernel could not find memory (frame
 /// pool dry, kernel allocation failed). Never a panic.
@@ -669,22 +670,24 @@ impl System {
         else {
             return -1;
         };
-        let root = self.procs[&pid].root;
-        let mut page = region.start;
-        while page < region.start + region.len {
-            let frame = self
-                .procs
-                .get_mut(&pid)
-                .and_then(|p| p.aspace.pages.remove(&page));
-            if let Some(f) = frame {
-                let _ = self
-                    .vm
-                    .sva_unmap_page(&mut self.machine, root, vg_machine::VAddr(page));
-                self.machine.phys.free_frame(f);
-            }
-            page += vg_machine::layout::PAGE_SIZE;
-        }
+        let proc = self.procs.get_mut(&pid).expect("proc exists");
+        let torn = proc
+            .aspace
+            .take_pages(region.start..region.start + region.len);
+        let root = proc.root;
+        self.unmap_and_free(root, torn);
         0
+    }
+
+    /// Unmaps each torn-down `(va, frame)` page from `root` and frees its
+    /// frame: the teardown `munmap` and a shrinking `brk` share.
+    fn unmap_and_free(&mut self, root: Pfn, torn: Vec<(u64, Pfn)>) {
+        for (va, frame) in torn {
+            let _ = self
+                .vm
+                .sva_unmap_page(&mut self.machine, root, vg_machine::VAddr(va));
+            let _ = self.dmap().free(frame);
+        }
     }
 
     fn sys_brk(&mut self, pid: Pid, new_brk: u64) -> i64 {
@@ -697,13 +700,7 @@ impl System {
         };
         let root = proc.root;
         let (brk, torn) = proc.aspace.set_brk(new_brk);
-        // Tear down pages the shrink released, exactly like munmap.
-        for (va, frame) in torn {
-            let _ = self
-                .vm
-                .sva_unmap_page(&mut self.machine, root, vg_machine::VAddr(va));
-            self.machine.phys.free_frame(frame);
-        }
+        self.unmap_and_free(root, torn);
         brk as i64
     }
 
@@ -802,7 +799,7 @@ impl System {
     /// on simulated user state. `None` if any page will not resolve.
     pub fn peek_user(&mut self, pid: Pid, va: u64, len: usize) -> Option<Vec<u8>> {
         let mut out = vec![0u8; len];
-        self.walk_user(pid, va, len, AccessKind::Read, |phys, pfn, off, range| {
+        self.walk_user::<User>(pid, va, len, AccessKind::Read, |phys, pfn, off, range| {
             phys.read_bytes(pfn, off, &mut out[range]);
         })
         .ok()?;

@@ -22,6 +22,7 @@
 //! the paper.
 
 use crate::costs;
+use crate::dmap::{self, DirectMap, Privilege};
 use crate::fs::{BlockDev, FsError, FsWork, Ino, VgFs, BLOCK_SIZE};
 use crate::mem::{copy_cost, kwork, AddressSpace, RegionKind, STACK_TOP};
 use crate::net::{NetStack, Socket};
@@ -60,8 +61,9 @@ pub enum Mode {
     Native,
     /// Full Virtual Ghost.
     VirtualGhost,
-    /// Custom combination (ablations).
-    Custom(Protections, CostModel),
+    /// Virtual Ghost's protections under another cost model (the
+    /// ablations).
+    Custom(CostModel),
 }
 
 impl Mode {
@@ -69,7 +71,7 @@ impl Mode {
         match self {
             Mode::Native => (Protections::native(), CostModel::native()),
             Mode::VirtualGhost => (Protections::virtual_ghost(), CostModel::virtual_ghost()),
-            Mode::Custom(p, c) => (*p, c.clone()),
+            Mode::Custom(c) => (Protections::virtual_ghost(), c.clone()),
         }
     }
 }
@@ -252,38 +254,63 @@ impl DmaDisk<'_> {
     /// bounded, exponentially growing backoff charge before re-issuing.
     const DMA_ATTEMPTS: u32 = 4;
 
-    fn try_read(&mut self, bno: u32) -> Result<Vec<u8>, FsError> {
+    /// One block transfer through a bounce frame: allocates it, stages
+    /// `data` in it for a write, maps it at the IOMMU and DMAs, then, for
+    /// a read, takes the block out of it, and unmaps and frees it. A write
+    /// returns an empty `Vec`.
+    fn transfer(&mut self, bno: u32, data: Option<&[u8]>) -> Result<Vec<u8>, FsError> {
         self.machine.counters.disk_blocks += 1;
-        self.machine.prof_push(Domain::Dma, "disk_read");
+        let label = if data.is_some() {
+            "disk_write"
+        } else {
+            "disk_read"
+        };
+        self.machine.prof_push(Domain::Dma, label);
         self.machine.charge(self.machine.costs.disk_per_block);
         self.machine.prof_pop();
-        let frame = self.machine.alloc_frame_checked().ok_or(FsError::Io)?;
-        if self.vm.sva_iommu_map(self.machine, frame).is_err() {
-            self.machine.phys.free_frame(frame);
-            return Err(FsError::Io);
+        let frame = self.dmap().alloc().ok_or(FsError::Io)?;
+        let staged = data
+            .map_or(Ok(()), |d| self.dmap().write(frame, 0, d))
+            .is_ok()
+            && self.vm.sva_iommu_map(self.machine, frame).is_ok();
+        let mut out = Err(FsError::Io);
+        if staged {
+            let dma = match data {
+                Some(_) => self.machine.disk_dma_write(bno as u64, frame),
+                None => self.machine.disk_dma_read(bno as u64, frame),
+            };
+            if dma.is_ok() {
+                out = match data {
+                    Some(_) => Ok(Vec::new()),
+                    None => self.dmap().bytes(frame, 0, BLOCK_SIZE).map(<[u8]>::to_vec),
+                }
+                .map_err(|_| FsError::Io);
+            }
+            self.vm.sva_iommu_unmap(self.machine, frame);
         }
-        let res = self.machine.disk_dma_read(bno as u64, frame);
-        let data = res.ok().map(|()| self.machine.phys.read_frame(frame));
-        self.vm.sva_iommu_unmap(self.machine, frame);
-        self.machine.phys.free_frame(frame);
-        data.ok_or(FsError::Io)
+        let _ = self.dmap().free(frame);
+        out
     }
 
-    fn try_write(&mut self, bno: u32, data: &[u8]) -> Result<(), FsError> {
-        self.machine.counters.disk_blocks += 1;
-        self.machine.prof_push(Domain::Dma, "disk_write");
-        self.machine.charge(self.machine.costs.disk_per_block);
-        self.machine.prof_pop();
-        let frame = self.machine.alloc_frame_checked().ok_or(FsError::Io)?;
-        self.machine.phys.write_frame(frame, data);
-        if self.vm.sva_iommu_map(self.machine, frame).is_err() {
-            self.machine.phys.free_frame(frame);
-            return Err(FsError::Io);
+    /// [`transfer`](Self::transfer), retried with backoff on a transient
+    /// device error.
+    fn transfer_retrying(&mut self, bno: u32, data: Option<&[u8]>) -> Result<Vec<u8>, FsError> {
+        for attempt in 0..Self::DMA_ATTEMPTS {
+            if attempt > 0 {
+                self.backoff(attempt);
+            }
+            if let Ok(out) = self.transfer(bno, data) {
+                if attempt > 0 {
+                    self.machine.fault_recovered(FaultClass::DeviceIo);
+                }
+                return Ok(out);
+            }
         }
-        let res = self.machine.disk_dma_write(bno as u64, frame);
-        self.vm.sva_iommu_unmap(self.machine, frame);
-        self.machine.phys.free_frame(frame);
-        res.map_err(|_| FsError::Io)
+        Err(FsError::Io)
+    }
+
+    fn dmap(&mut self) -> DirectMap<'_> {
+        DirectMap::new(self.machine, self.vm)
     }
 
     fn backoff(&mut self, attempt: u32) {
@@ -297,33 +324,11 @@ impl DmaDisk<'_> {
 
 impl BlockDev for DmaDisk<'_> {
     fn read_block(&mut self, bno: u32) -> Result<Vec<u8>, FsError> {
-        for attempt in 0..Self::DMA_ATTEMPTS {
-            if attempt > 0 {
-                self.backoff(attempt);
-            }
-            if let Ok(data) = self.try_read(bno) {
-                if attempt > 0 {
-                    self.machine.fault_recovered(FaultClass::DeviceIo);
-                }
-                return Ok(data);
-            }
-        }
-        Err(FsError::Io)
+        self.transfer_retrying(bno, None)
     }
 
     fn write_block(&mut self, bno: u32, data: &[u8]) -> Result<(), FsError> {
-        for attempt in 0..Self::DMA_ATTEMPTS {
-            if attempt > 0 {
-                self.backoff(attempt);
-            }
-            if self.try_write(bno, data).is_ok() {
-                if attempt > 0 {
-                    self.machine.fault_recovered(FaultClass::DeviceIo);
-                }
-                return Ok(());
-            }
-        }
-        Err(FsError::Io)
+        self.transfer_retrying(bno, Some(data)).map(drop)
     }
 
     fn capacity(&self) -> u32 {
@@ -660,13 +665,7 @@ impl System {
         let digest = spec.digest;
         let ghosting = spec.ghosting;
         // Old image's ghost memory is unmapped at reinit (§4.6.2).
-        let root = self.procs[&pid].root;
-        for f in self
-            .vm
-            .sva_release_ghost(&mut self.machine, ProcId(pid), root)
-        {
-            self.machine.phys.free_frame(f);
-        }
+        self.release_ghost(pid);
         self.vm
             .sva_load_app_key(&mut self.machine, ProcId(pid), &binary, digest)?;
         let thread = ThreadId(pid);
@@ -812,20 +811,12 @@ impl System {
         self.machine.prof_push(Domain::Syscall, "exit");
         costs::EXIT.charge(&mut self.machine);
         self.credit_cpu_time();
-        let root = self.procs[&pid].root;
-        // Ghost teardown first (frames zeroed by the VM), then user pages,
-        // then the page tables.
-        for f in self
-            .vm
-            .sva_release_ghost(&mut self.machine, ProcId(pid), root)
-        {
-            self.machine.phys.free_frame(f);
-        }
-        let pages: Vec<Pfn> = self.procs[&pid].aspace.pages.values().copied().collect();
-        self.vm.sva_destroy_root(&mut self.machine, root);
-        for f in pages {
-            self.machine.phys.free_frame(f);
-        }
+        // Ghost teardown first (frames zeroed by the VM), then the page
+        // tables, then the user pages.
+        self.release_ghost(pid);
+        let proc = self.procs.get_mut(&pid).expect("proc exists");
+        let (root, pages) = (proc.root, std::mem::take(&mut proc.aspace.pages));
+        self.free_aspace(root, pages);
         self.vm.ic.remove_thread(ThreadId(pid));
         self.vm.ic.clear_permits(ProcId(pid));
         self.vm.sva_drop_key(ProcId(pid));
@@ -850,6 +841,23 @@ impl System {
                 .expect("boot root");
         }
         self.machine.prof_pop();
+    }
+
+    /// Releases `pid`'s ghost memory (the VM unmaps and zeroes each
+    /// frame) and frees the frames.
+    fn release_ghost(&mut self, pid: Pid) {
+        let root = self.procs[&pid].root;
+        let frames = self
+            .vm
+            .sva_release_ghost(&mut self.machine, ProcId(pid), root);
+        self.dmap().free_all(frames);
+    }
+
+    /// Destroys the page tables under `root`, then frees the user pages
+    /// that were mapped there.
+    fn free_aspace(&mut self, root: Pfn, pages: BTreeMap<u64, Pfn>) {
+        self.vm.sva_destroy_root(&mut self.machine, root);
+        self.dmap().free_all(pages.into_values());
     }
 
     // ---- trap path ---------------------------------------------------------
@@ -948,9 +956,7 @@ impl System {
         let pfn = Pfn(self.machine.faults.entropy() % total);
         let off = self.machine.faults.entropy() % PAGE_SIZE;
         let bit = (self.machine.faults.entropy() % 8) as u8;
-        if self.machine.phys.is_allocated(pfn)
-            && self.vm.frames.kind(pfn) == vg_core::FrameKind::Regular
-        {
+        if dmap::os_owned(&self.machine.phys, &self.vm, pfn) {
             let mut b = [0u8];
             self.machine.phys.read_bytes(pfn, off, &mut b);
             self.machine
@@ -972,11 +978,7 @@ impl System {
     ) -> Option<vg_machine::PAddr> {
         self.switch_to(pid);
         loop {
-            match self
-                .machine
-                .mmu
-                .translate(&self.machine.phys, VAddr(va), access, true)
-            {
+            match self.machine.translate(VAddr(va), access, true) {
                 Ok(pa) => return Some(pa),
                 Err(TranslateError::NotMapped { .. }) => {
                     // A fault in the ghost partition may be a swapped-out
@@ -1043,7 +1045,7 @@ impl System {
         let Some(region) = self.procs[&pid].aspace.region_at(va).cloned() else {
             return false;
         };
-        let Some(frame) = self.machine.alloc_frame_checked() else {
+        let Some(frame) = self.dmap().alloc() else {
             // Out of frames (genuine or injected): an OOM kill, not a
             // kernel panic — the process dies with a flight-recorder entry.
             self.fault_kill(
@@ -1055,68 +1057,67 @@ impl System {
             return false;
         };
         self.machine.charge(self.machine.costs.frame_zero);
-        if let RegionKind::File { ino, offset } = region.kind {
-            // File-backed faults run the whole getpages path (what LMBench's
-            // lat_pagefault measures); anonymous faults are just zero-fill.
-            costs::PAGE_FAULT_FILE_EXTRA.charge(&mut self.machine);
-            let file_off = offset + (page_va - region.start);
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            let mut w = FsWork::default();
-            let read = {
-                let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-                let mut dev = DmaDisk { machine, vm };
-                fs.read(&mut dev, ino, file_off, &mut buf, &mut w)
-            };
-            self.charge_fswork(&w);
-            if read.is_err() {
-                // The backing device stayed dead through the driver's
-                // retries; the page cannot be populated correctly.
-                self.machine.phys.free_frame(frame);
-                self.fault_kill(
-                    pid,
-                    FaultClass::DeviceIo,
-                    va,
-                    "device error reading file-backed page",
-                );
-                return false;
+        // Each failure names the kill it earns, if any; the frame goes back
+        // to the pool on one path below.
+        let kill = 'fail: {
+            if let RegionKind::File { ino, offset } = region.kind {
+                // File-backed faults run the whole getpages path (what
+                // LMBench's lat_pagefault measures); anonymous faults are
+                // just zero-fill.
+                costs::PAGE_FAULT_FILE_EXTRA.charge(&mut self.machine);
+                let file_off = offset + (page_va - region.start);
+                let mut buf = vec![0u8; BLOCK_SIZE];
+                let mut w = FsWork::default();
+                let read = {
+                    let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
+                    let mut dev = DmaDisk { machine, vm };
+                    fs.read(&mut dev, ino, file_off, &mut buf, &mut w)
+                };
+                self.charge_fswork(&w);
+                if read.is_err() {
+                    // The backing device stayed dead through the driver's
+                    // retries; the page cannot be populated correctly.
+                    break 'fail Some((
+                        FaultClass::DeviceIo,
+                        "device error reading file-backed page",
+                    ));
+                }
+                if self.dmap().write(frame, 0, &buf).is_err() {
+                    break 'fail None;
+                }
             }
-            self.machine.phys.write_frame(frame, &buf);
-        }
-        let root = self.procs[&pid].root;
-        match self.vm.sva_map_page(
-            &mut self.machine,
-            root,
-            VAddr(page_va),
-            frame,
-            PteFlags::user_rw(),
-        ) {
-            Ok(()) => {
-                self.procs
-                    .get_mut(&pid)
-                    .expect("proc")
-                    .aspace
-                    .pages
-                    .insert(page_va, frame);
-                true
-            }
-            Err(SvaError::OutOfFrames) => {
+            let root = self.procs[&pid].root;
+            match self.vm.sva_map_page(
+                &mut self.machine,
+                root,
+                VAddr(page_va),
+                frame,
+                PteFlags::user_rw(),
+            ) {
+                Ok(()) => {
+                    self.procs
+                        .get_mut(&pid)
+                        .expect("proc")
+                        .aspace
+                        .pages
+                        .insert(page_va, frame);
+                    return true;
+                }
                 // The page-table walk itself needed a frame and the pool
                 // (genuinely or by injection) had none: same OOM-kill
                 // policy as the data-frame allocation above.
-                self.machine.phys.free_frame(frame);
-                self.fault_kill(
-                    pid,
+                Err(SvaError::OutOfFrames) => Some((
                     FaultClass::FrameExhaust,
-                    va,
                     "out of physical frames for page tables",
-                );
-                false
+                )),
+                Err(_) => None,
             }
-            Err(_) => {
-                self.machine.phys.free_frame(frame);
-                false
-            }
+        };
+        let _ = self.dmap().free(frame);
+        if let Some((class, detail)) = kill {
+            self.fault_kill(pid, class, va, detail);
         }
+        false
     }
 
     /// Applies the sandboxing instrumentation's pointer mask when the
@@ -1126,7 +1127,7 @@ impl System {
     /// unrelated data) instead of leaking the secret. This is why ghosting
     /// applications need the wrapper library's staging copies.
     fn sandbox_mask(&self, va: u64) -> u64 {
-        if self.vm.protections.sandbox {
+        if self.vm.protections.enforced {
             vg_machine::mask_kernel_pointer(VAddr(va)).0
         } else {
             va
@@ -1175,7 +1176,8 @@ impl System {
     ) -> bool {
         let va = self.sandbox_mask(va);
         copy_cost(&mut self.machine, len as u64);
-        self.walk_user(pid, va, len, AccessKind::Write, put).is_ok()
+        self.walk_user::<dmap::Kernel>(pid, va, len, AccessKind::Write, put)
+            .is_ok()
     }
 
     /// Copies bytes from user memory into kernel space (copyin).
@@ -1192,13 +1194,12 @@ impl System {
     /// reservation.
     pub(crate) fn copyin_into(&mut self, pid: Pid, va: u64, len: usize, out: &mut Vec<u8>) -> bool {
         let va = self.sandbox_mask(va);
-        let phys_bytes = self.machine.phys.total_frames() * PAGE_SIZE as usize;
-        if len > phys_bytes {
+        if len > self.dmap().total_bytes() {
             return false;
         }
         copy_cost(&mut self.machine, len as u64);
         out.reserve(len);
-        self.walk_user(pid, va, len, AccessKind::Read, |phys, pfn, off, range| {
+        self.walk_user::<dmap::Kernel>(pid, va, len, AccessKind::Read, |phys, pfn, off, range| {
             out.extend_from_slice(phys.bytes(pfn, off, range.len()));
         })
         .is_ok()
@@ -1209,11 +1210,14 @@ impl System {
     /// page for `access` (demand-faulting through
     /// [`user_resolve`](Self::user_resolve)) and hands each page-local
     /// segment to `seg` as frame `pfn`, offset `off` and the segment's
-    /// `range` within the span. On a page that will not resolve it returns
-    /// `Err(done)`, the bytes walked before it. It charges nothing and masks
-    /// nothing: each caller keeps its own charge and failure policy, and
-    /// only kernel callers apply [`sandbox_mask`](Self::sandbox_mask).
-    pub(crate) fn walk_user(
+    /// `range` within the span. The privilege `P` says who makes the
+    /// accesses: a [`dmap::Kernel`] walk gets only frames the direct map
+    /// admits, a user walk whatever the MMU resolved at user privilege. On
+    /// a page that will not resolve or is refused it returns `Err(done)`,
+    /// the bytes walked before it. It charges nothing and masks nothing:
+    /// each caller keeps its own charge and failure policy, and only kernel
+    /// callers apply [`sandbox_mask`](Self::sandbox_mask).
+    pub(crate) fn walk_user<P: Privilege>(
         &mut self,
         pid: Pid,
         va: u64,
@@ -1226,13 +1230,11 @@ impl System {
             let Some(pa) = self.user_resolve(pid, va + done as u64, access) else {
                 return Err(done);
             };
+            let Some(phys) = P::frames(&mut self.machine, &self.vm, pa.pfn()) else {
+                return Err(done);
+            };
             let take = ((PAGE_SIZE - pa.frame_offset()) as usize).min(len - done);
-            seg(
-                &mut self.machine.phys,
-                pa.pfn(),
-                pa.frame_offset(),
-                done..done + take,
-            );
+            seg(phys, pa.pfn(), pa.frame_offset(), done..done + take);
             done += take;
         }
         Ok(())
@@ -1276,24 +1278,24 @@ impl System {
         for (va, ppfn) in &parent_pages {
             costs::FORK_PER_PAGE.charge(&mut self.machine);
             copy_cost(&mut self.machine, PAGE_SIZE);
-            let Some(frame) = self.machine.alloc_frame_checked() else {
+            let Some(frame) = self.dmap().alloc() else {
                 // Out of frames mid-copy: undo the half-built child and
                 // report ENOMEM to the parent instead of leaking a torso.
                 self.abort_forked_child(child_pid);
                 return ENOMEM;
             };
-            let data = self.machine.phys.read_frame(*ppfn);
-            self.machine.phys.write_frame(frame, &data);
-            if self
-                .vm
-                .sva_map_page(
-                    &mut self.machine,
-                    child_root,
-                    VAddr(*va),
-                    frame,
-                    PteFlags::user_rw(),
-                )
-                .is_ok()
+            let copied = self.dmap().copy_frame(*ppfn, frame).is_ok();
+            if copied
+                && self
+                    .vm
+                    .sva_map_page(
+                        &mut self.machine,
+                        child_root,
+                        VAddr(*va),
+                        frame,
+                        PteFlags::user_rw(),
+                    )
+                    .is_ok()
             {
                 self.procs
                     .get_mut(&child_pid)
@@ -1302,7 +1304,7 @@ impl System {
                     .pages
                     .insert(*va, frame);
             } else {
-                self.machine.phys.free_frame(frame);
+                let _ = self.dmap().free(frame);
             }
         }
         {
@@ -1355,13 +1357,8 @@ impl System {
     /// and removes the process entry. No fds or interrupt context exist
     /// yet at the point this can fire.
     fn abort_forked_child(&mut self, child_pid: Pid) {
-        let Some(child) = self.procs.remove(&child_pid) else {
-            return;
-        };
-        let pages: Vec<Pfn> = child.aspace.pages.values().copied().collect();
-        self.vm.sva_destroy_root(&mut self.machine, child.root);
-        for f in pages {
-            self.machine.phys.free_frame(f);
+        if let Some(child) = self.procs.remove(&child_pid) {
+            self.free_aspace(child.root, child.aspace.pages);
         }
     }
 

@@ -45,7 +45,7 @@ pub use cpu::{Cpu, IpiState, TrapFrame, TrapKind};
 pub use inthash::{IntHasher, IntMap, IntSet};
 pub use iommu::Iommu;
 pub use layout::{mask_kernel_pointer, PAddr, Pfn, Region, VAddr, Vpn, PAGE_SIZE};
-pub use mmu::{AccessKind, Mmu, TlbPolicy, TlbStats, TranslateError};
+pub use mmu::{AccessKind, Mmu, TlbStats, TranslateError};
 pub use phys::PhysMem;
 pub use pte::{PageTableLevel, Pte, PteFlags};
 pub use vg_faults::{FaultClass, FaultPlan, FaultSpec, FaultState, InjectedFault, Trigger};
@@ -468,6 +468,18 @@ impl Machine {
     #[inline]
     pub fn fault_recovered(&mut self, class: FaultClass) {
         self.metrics.inc(class.recovered_counter());
+    }
+
+    /// Translates `va` through the current core's MMU (`user`: the USER
+    /// bit is required).
+    #[inline]
+    pub fn translate(
+        &mut self,
+        va: VAddr,
+        access: AccessKind,
+        user: bool,
+    ) -> Result<PAddr, TranslateError> {
+        self.mmu.translate(&self.phys, va, access, user)
     }
 
     /// Frame allocation with a frame-pool-exhaustion injection point:

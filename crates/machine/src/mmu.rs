@@ -71,17 +71,6 @@ struct TlbEntry {
     user_path: bool,
 }
 
-/// Capacity-eviction policy for the TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TlbPolicy {
-    /// Drop every entry when the TLB fills (the original model — kept for
-    /// A/B hit-rate comparisons).
-    ClearAll,
-    /// Evict only the least-recently-used entry.
-    #[default]
-    Lru,
-}
-
 /// TLB hit/miss/eviction statistics, split by [`AccessKind`]
 /// (indexed via [`AccessKind::index`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -153,7 +142,7 @@ struct TlbSlot {
 /// recency list (head = least recently used, tail = most recently used)
 /// plus one `vpn → slot` index, so a hit, a fill and an LRU eviction are
 /// each O(1). A translation hit moves the entry to the tail, and capacity
-/// eviction under [`TlbPolicy::Lru`] drops the head. Statistics are
+/// eviction drops the head. Statistics are
 /// counted per [`AccessKind`] and never affect charged cycles — the cost
 /// model charges translations identically whether they hit or miss. The
 /// MMU is the only place TLB statistics live; [`crate::Machine`] mirrors
@@ -168,7 +157,6 @@ pub struct Mmu {
     head: u32,
     tail: u32,
     capacity: usize,
-    policy: TlbPolicy,
     stats: TlbStats,
 }
 
@@ -184,15 +172,15 @@ pub const DEFAULT_TLB_CAPACITY: usize = 1024;
 impl Mmu {
     /// Creates an MMU with no root loaded and the default LRU TLB.
     pub fn new() -> Self {
-        Self::with_tlb(DEFAULT_TLB_CAPACITY, TlbPolicy::default())
+        Self::with_tlb(DEFAULT_TLB_CAPACITY)
     }
 
-    /// Creates an MMU with an explicit TLB capacity and eviction policy.
+    /// Creates an MMU with an explicit LRU TLB capacity.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_tlb(capacity: usize, policy: TlbPolicy) -> Self {
+    pub fn with_tlb(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be non-zero");
         Mmu {
             root: None,
@@ -202,7 +190,6 @@ impl Mmu {
             head: NIL,
             tail: NIL,
             capacity,
-            policy,
             stats: TlbStats::default(),
         }
     }
@@ -238,11 +225,6 @@ impl Mmu {
     /// Current TLB statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
-    }
-
-    /// The eviction policy in effect.
-    pub fn policy(&self) -> TlbPolicy {
-        self.policy
     }
 
     /// Clears hit/miss/eviction statistics.
@@ -281,19 +263,11 @@ impl Mmu {
     /// full.
     fn fill(&mut self, vpn: Vpn, entry: TlbEntry) {
         if self.index.len() >= self.capacity {
-            match self.policy {
-                TlbPolicy::ClearAll => {
-                    self.stats.evictions += self.index.len() as u64;
-                    self.flush_all();
-                }
-                TlbPolicy::Lru => {
-                    let oldest = self.head;
-                    self.unlink(oldest);
-                    self.index.remove(&self.slots[oldest as usize].vpn);
-                    self.vacant.push(oldest);
-                    self.stats.evictions += 1;
-                }
-            }
+            let oldest = self.head;
+            self.unlink(oldest);
+            self.index.remove(&self.slots[oldest as usize].vpn);
+            self.vacant.push(oldest);
+            self.stats.evictions += 1;
         }
         let s = TlbSlot {
             vpn,
@@ -652,7 +626,7 @@ mod tests {
     fn lru_evicts_only_the_stalest_entry() {
         let mut phys = PhysMem::new(256);
         let root = phys.alloc_frame().unwrap();
-        let mut mmu = Mmu::with_tlb(2, TlbPolicy::Lru);
+        let mut mmu = Mmu::with_tlb(2);
         mmu.set_root(root);
         let vas = map_n(&mut phys, root, 0x10000, 3);
 
@@ -677,33 +651,6 @@ mod tests {
         mmu.translate(&phys, vas[1], AccessKind::Read, true)
             .unwrap();
         assert_eq!(mmu.stats().misses_total(), before.misses_total() + 1);
-    }
-
-    #[test]
-    fn lru_beats_clear_all_on_oversized_working_set() {
-        // A hot page re-touched between every cold page keeps hitting under
-        // LRU but is periodically wiped under ClearAll, so the LRU hit count
-        // must be at least as high — strictly higher for this access string.
-        let hit_count = |policy: TlbPolicy| {
-            let mut phys = PhysMem::new(2048);
-            let root = phys.alloc_frame().unwrap();
-            let mut mmu = Mmu::with_tlb(8, policy);
-            mmu.set_root(root);
-            let hot = map_n(&mut phys, root, 0x10000, 1)[0];
-            let cold = map_n(&mut phys, root, 0x100000, 24);
-            mmu.translate(&phys, hot, AccessKind::Read, true).unwrap();
-            for &c in &cold {
-                mmu.translate(&phys, c, AccessKind::Read, true).unwrap();
-                mmu.translate(&phys, hot, AccessKind::Read, true).unwrap();
-            }
-            mmu.stats().hits_total()
-        };
-        let lru = hit_count(TlbPolicy::Lru);
-        let clear_all = hit_count(TlbPolicy::ClearAll);
-        assert!(
-            lru > clear_all,
-            "LRU ({lru} hits) should beat ClearAll ({clear_all} hits)"
-        );
     }
 
     #[test]
@@ -734,7 +681,7 @@ mod tests {
     fn flush_page_and_set_root_invalidate_under_lru() {
         let mut phys = PhysMem::new(256);
         let root = phys.alloc_frame().unwrap();
-        let mut mmu = Mmu::with_tlb(4, TlbPolicy::Lru);
+        let mut mmu = Mmu::with_tlb(4);
         mmu.set_root(root);
         let vas = map_n(&mut phys, root, 0xc000, 2);
         mmu.translate(&phys, vas[0], AccessKind::Read, true)
@@ -789,19 +736,17 @@ mod tests {
         order: std::collections::BTreeMap<u64, Vpn>,
         tick: u64,
         capacity: usize,
-        policy: TlbPolicy,
         stats: TlbStats,
     }
 
     impl RefMmu {
-        fn new(capacity: usize, policy: TlbPolicy) -> Self {
+        fn new(capacity: usize) -> Self {
             RefMmu {
                 root: None,
                 tlb: Default::default(),
                 order: Default::default(),
                 tick: 0,
                 capacity,
-                policy,
                 stats: TlbStats::default(),
             }
         }
@@ -840,17 +785,9 @@ mod tests {
                 self.stats.misses[access.index()] += 1;
                 let e = walk(self.root, phys, va)?;
                 if self.tlb.len() >= self.capacity {
-                    match self.policy {
-                        TlbPolicy::ClearAll => {
-                            self.stats.evictions += self.tlb.len() as u64;
-                            self.flush_all();
-                        }
-                        TlbPolicy::Lru => {
-                            if let Some((_, oldest)) = self.order.pop_first() {
-                                self.tlb.remove(&oldest);
-                                self.stats.evictions += 1;
-                            }
-                        }
+                    if let Some((_, oldest)) = self.order.pop_first() {
+                        self.tlb.remove(&oldest);
+                        self.stats.evictions += 1;
                     }
                 }
                 self.stamp(vpn, e);
@@ -873,14 +810,12 @@ mod tests {
         /// (hence the same LRU victims) after every step of a random mix of
         /// translations (R/W/X, user/kernel, mapped/unmapped/read-only/
         /// kernel-only/NX pages), page and full flushes, root switches and
-        /// statistics resets, at TLB capacities 1–8 under both policies.
+        /// statistics resets, at TLB capacities 1–8.
         #[test]
         fn recency_list_tlb_matches_tick_reference(
             capacity in 1usize..9,
-            lru in proptest::prelude::any::<bool>(),
             ops in proptest::collection::vec((0u8..16, 0u64..24, 0u64..4096), 1..160),
         ) {
-            let policy = if lru { TlbPolicy::Lru } else { TlbPolicy::ClearAll };
             let mut phys = PhysMem::new(512);
             let roots = [phys.alloc_frame().unwrap(), phys.alloc_frame().unwrap()];
             // Pages 0..20 mapped under both roots with mixed permissions
@@ -902,8 +837,8 @@ mod tests {
                         .unwrap();
                 }
             }
-            let mut fast = Mmu::with_tlb(capacity, policy);
-            let mut oracle = RefMmu::new(capacity, policy);
+            let mut fast = Mmu::with_tlb(capacity);
+            let mut oracle = RefMmu::new(capacity);
             for (op, page, off) in ops {
                 let va = VAddr(0x40_0000 + page * PAGE_SIZE + off);
                 match op {

@@ -15,7 +15,7 @@
 //! that held one ~600-byte packet costs a 600-byte fill, not 4 KiB. The
 //! model charges the same cycles either way; this is host time only.
 
-use crate::layout::{PAddr, Pfn, PAGE_SIZE};
+use crate::layout::{Pfn, PAGE_SIZE};
 
 /// Physical memory: a dense frame table with lazily created backing.
 #[derive(Debug)]
@@ -86,6 +86,7 @@ impl PhysMem {
     }
 
     /// Whether `pfn` is currently allocated.
+    #[inline]
     pub fn is_allocated(&self, pfn: Pfn) -> bool {
         self.frames.get(pfn.0 as usize).is_some_and(Option::is_some)
     }
@@ -168,16 +169,29 @@ impl PhysMem {
         self.write_bytes(pfn, off, &v.to_le_bytes());
     }
 
-    /// Reads a byte at a physical address.
-    pub fn read_u8_at(&self, pa: PAddr) -> u8 {
-        let mut b = [0u8];
-        self.read_bytes(pa.pfn(), pa.frame_offset(), &mut b);
-        b[0]
-    }
-
-    /// Writes a byte at a physical address.
-    pub fn write_u8_at(&mut self, pa: PAddr, v: u8) {
-        self.write_bytes(pa.pfn(), pa.frame_offset(), &[v]);
+    /// Overwrites frame `dst` with frame `src`'s contents, with no
+    /// intermediate buffer. Only the bytes below the write marks move:
+    /// `dst` takes `src`'s prefix and mark, and its own stale bytes past
+    /// that mark are zeroed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame is unallocated.
+    pub fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
+        let data = self
+            .frames
+            .get_mut(src.0 as usize)
+            .and_then(Option::take)
+            .unwrap_or_else(|| panic!("access to unallocated {src}"));
+        let mark = self.marks[src.0 as usize];
+        if src != dst {
+            let (f, dst_mark) = self.frame_mut(dst);
+            let (m, old) = (usize::from(mark), usize::from(*dst_mark));
+            f[..m].copy_from_slice(&data[..m]);
+            f[m..old.max(m)].fill(0);
+            *dst_mark = mark;
+        }
+        self.frames[src.0 as usize] = Some(data);
     }
 
     /// Copies a whole frame's contents out.
@@ -259,14 +273,15 @@ mod tests {
 
     proptest! {
         /// Lazy re-zeroing is invisible: over random alloc / write /
-        /// whole-frame write / zero / free sequences on a small pool, every
-        /// allocated frame reads exactly as under eager zeroing, and each
-        /// write mark is exactly the furthest write end since the frame
-        /// was last handed out or zeroed.
+        /// whole-frame write / zero / frame copy / free sequences on a
+        /// small pool, every allocated frame reads exactly as under eager
+        /// zeroing, and each write mark is exactly the furthest write end
+        /// since the frame was last handed out or zeroed (a copied frame
+        /// takes its source's mark).
         #[test]
         fn lazy_zeroing_matches_eager_oracle(
             ops in proptest::collection::vec(
-                (0u8..10, any::<u64>(), 0u64..PAGE_SIZE, 0usize..300, 1u8..255),
+                (0u8..11, any::<u64>(), 0u64..PAGE_SIZE, 0usize..300, 1u8..255),
                 1..160,
             ),
         ) {
@@ -303,6 +318,13 @@ mod tests {
                         lazy.zero_frame(f);
                         eager.frame(f).fill(0);
                         want_mark[f.0 as usize] = 0;
+                    }
+                    (8, Some(f)) => {
+                        let src = held[usize::from(byte) % held.len()];
+                        lazy.copy_frame(src, f);
+                        let page = eager.frame(src).to_vec();
+                        eager.frame(f).copy_from_slice(&page);
+                        want_mark[f.0 as usize] = want_mark[src.0 as usize];
                     }
                     (_, Some(f)) => {
                         held.retain(|&h| h != f);
@@ -405,8 +427,6 @@ mod tests {
         let mut buf = [0u8; 5];
         m.read_bytes(a, 100, &mut buf);
         assert_eq!(&buf, b"hello");
-        m.write_u8_at(PAddr(a.0 * PAGE_SIZE + 1), 0xaa);
-        assert_eq!(m.read_u8_at(PAddr(a.0 * PAGE_SIZE + 1)), 0xaa);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use vg_machine::mmu::map_page_raw;
 use vg_machine::{
-    AccessKind, Machine, MachineConfig, Mmu, Pfn, Pte, PteFlags, TlbPolicy, TlbStats, VAddr,
-    PAGE_SIZE,
+    AccessKind, Machine, MachineConfig, Mmu, Pfn, Pte, PteFlags, TlbStats, VAddr, PAGE_SIZE,
 };
 
 fn machine_with_cpus(cpus: usize) -> Machine {
@@ -169,7 +168,7 @@ fn tlb_mirror_is_exact_after_every_charge_on_four_cores() {
         .collect();
     for c in (0..4).rev() {
         m.switch_cpu(c);
-        m.mmu = Mmu::with_tlb(8, TlbPolicy::Lru);
+        m.mmu = Mmu::with_tlb(8);
         m.mmu.set_root(root);
     }
     let mut s = 0x9e37_79b9_7f4a_7c15u64;

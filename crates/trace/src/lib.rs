@@ -193,6 +193,10 @@ pub enum DenialKind {
     /// IOMMU check refused a DMA descriptor (ring payload or classic map
     /// targeting a ghost / SVA-internal / page-table frame).
     DmaViolation,
+    /// The kernel's direct map refused a frame access or free: the frame
+    /// was not allocated, or not OS-owned (ghost, page-table,
+    /// SVA-internal or code memory).
+    DirectMap,
 }
 
 /// A denied operation with full context — the security audit trail entry.

@@ -102,7 +102,7 @@ fn assert_bytes_ceiling(what: &str, bytes_per_op: f64, ceiling: f64) {
 fn c10k_sharded_allocations_per_request() {
     let mut sys = System::boot_with_cpus(Mode::VirtualGhost, 4);
     let ops = 8 * 32 * 8;
-    assert_ceiling("c10k_sharded_on", ops, 2.116, || {
+    assert_ceiling("c10k_sharded_on", ops, 2.111, || {
         let b = smp::c10k_sharded_on(&mut sys, 8, 512, 32, 8);
         assert_eq!(b.units, ops);
     });
@@ -114,7 +114,7 @@ fn c10k_sharded_allocations_per_request() {
 fn kv_load_allocations_per_command() {
     let mut sys = System::boot(Mode::VirtualGhost);
     let ops = 64 * 4 * 2;
-    assert_ceiling("kv_load", ops, 2.667, || {
+    assert_ceiling("kv_load", ops, 2.661, || {
         let b = ghostkv::kv_load(&mut sys, 256, 64, 4);
         assert_eq!(b.requests, ops);
     });
@@ -129,7 +129,7 @@ fn postmark_allocations_per_transaction() {
         transactions: 62,
         ..Default::default()
     };
-    assert_ceiling("postmark", 62, 28.21, || {
+    assert_ceiling("postmark", 62, 28.178, || {
         assert_eq!(postmark::run(&mut sys, cfg).transactions, 62);
     });
 }
@@ -140,10 +140,10 @@ fn postmark_allocations_per_transaction() {
 #[test]
 fn sshd_allocations_per_transfer() {
     let mut sys = System::boot(Mode::VirtualGhost);
-    let bytes = assert_ceiling("sshd_bandwidth", 8, 72.875, || {
+    let bytes = assert_ceiling("sshd_bandwidth", 8, 71.75, || {
         assert!(ssh::sshd_bandwidth(&mut sys, 64 << 10, 8) > 0.0);
     });
-    assert_bytes_ceiling("sshd_bandwidth", bytes, 269_850.0);
+    assert_bytes_ceiling("sshd_bandwidth", bytes, 269_773.0);
 }
 
 /// `ssh` at 1/16, client side: 8 ghosting fetches of a 64 KiB file. The
@@ -153,8 +153,8 @@ fn sshd_allocations_per_transfer() {
 #[test]
 fn ssh_client_allocations_per_transfer() {
     let mut sys = System::boot(Mode::VirtualGhost);
-    let bytes = assert_ceiling("ssh_client_bandwidth", 8, 85.875, || {
+    let bytes = assert_ceiling("ssh_client_bandwidth", 8, 85.625, || {
         assert!(ssh::ssh_client_bandwidth(&mut sys, 64 << 10, 8, true) > 0.0);
     });
-    assert_bytes_ceiling("ssh_client_bandwidth", bytes, 208_663.0);
+    assert_bytes_ceiling("ssh_client_bandwidth", bytes, 208_512.0);
 }
