@@ -195,7 +195,7 @@ fn observability(scale: &Scale, trace_path: Option<&str>, metrics: bool) {
         print!("{}", sys.machine.metrics_report());
         // Empty string unless fault injection ran, so disabled-mode output
         // is byte-identical with or without this line.
-        print!("{}", vg_trace::fault_summary(&sys.machine.metrics));
+        print!("{}", sys.machine.faults.summary());
     }
 }
 

@@ -20,7 +20,7 @@
 
 /// The classes of hardware/system misbehavior the layer can inject.
 ///
-/// The discriminants index the per-class occurrence and injection counters,
+/// The discriminants index the per-class occurrence and outcome counters,
 /// so the list order is part of the replay format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultClass {
@@ -65,7 +65,7 @@ impl FaultClass {
         FaultClass::DiskTransient,
     ];
 
-    /// Stable short key used in metric names and reports.
+    /// Stable short key used in reports and logs.
     pub fn key(self) -> &'static str {
         match self {
             FaultClass::DeviceIo => "device_io",
@@ -80,71 +80,21 @@ impl FaultClass {
             FaultClass::DiskTransient => "disk_transient",
         }
     }
+}
 
-    /// Metric name counting injections of this class.
-    pub fn injected_counter(self) -> &'static str {
-        match self {
-            FaultClass::DeviceIo => "faults.injected.device_io",
-            FaultClass::SpuriousIrq => "faults.injected.spurious_irq",
-            FaultClass::IrqStorm => "faults.injected.irq_storm",
-            FaultClass::BitFlip => "faults.injected.bit_flip",
-            FaultClass::SwapCorrupt => "faults.injected.swap_corrupt",
-            FaultClass::SwapTruncate => "faults.injected.swap_truncate",
-            FaultClass::TpmFail => "faults.injected.tpm_fail",
-            FaultClass::FrameExhaust => "faults.injected.frame_exhaust",
-            FaultClass::KernelAlloc => "faults.injected.kernel_alloc",
-            FaultClass::DiskTransient => "faults.injected.disk_transient",
-        }
-    }
-
-    /// Metric name counting retries consumers issued against this class.
-    pub fn retried_counter(self) -> &'static str {
-        match self {
-            FaultClass::DeviceIo => "faults.retried.device_io",
-            FaultClass::SpuriousIrq => "faults.retried.spurious_irq",
-            FaultClass::IrqStorm => "faults.retried.irq_storm",
-            FaultClass::BitFlip => "faults.retried.bit_flip",
-            FaultClass::SwapCorrupt => "faults.retried.swap_corrupt",
-            FaultClass::SwapTruncate => "faults.retried.swap_truncate",
-            FaultClass::TpmFail => "faults.retried.tpm_fail",
-            FaultClass::FrameExhaust => "faults.retried.frame_exhaust",
-            FaultClass::KernelAlloc => "faults.retried.kernel_alloc",
-            FaultClass::DiskTransient => "faults.retried.disk_transient",
-        }
-    }
-
-    /// Metric name counting faults a consumer recovered from (a retry or
-    /// fallback succeeded).
-    pub fn recovered_counter(self) -> &'static str {
-        match self {
-            FaultClass::DeviceIo => "faults.recovered.device_io",
-            FaultClass::SpuriousIrq => "faults.recovered.spurious_irq",
-            FaultClass::IrqStorm => "faults.recovered.irq_storm",
-            FaultClass::BitFlip => "faults.recovered.bit_flip",
-            FaultClass::SwapCorrupt => "faults.recovered.swap_corrupt",
-            FaultClass::SwapTruncate => "faults.recovered.swap_truncate",
-            FaultClass::TpmFail => "faults.recovered.tpm_fail",
-            FaultClass::FrameExhaust => "faults.recovered.frame_exhaust",
-            FaultClass::KernelAlloc => "faults.recovered.kernel_alloc",
-            FaultClass::DiskTransient => "faults.recovered.disk_transient",
-        }
-    }
-
-    /// Metric name counting processes killed because of this class.
-    pub fn proc_killed_counter(self) -> &'static str {
-        match self {
-            FaultClass::DeviceIo => "faults.proc_killed.device_io",
-            FaultClass::SpuriousIrq => "faults.proc_killed.spurious_irq",
-            FaultClass::IrqStorm => "faults.proc_killed.irq_storm",
-            FaultClass::BitFlip => "faults.proc_killed.bit_flip",
-            FaultClass::SwapCorrupt => "faults.proc_killed.swap_corrupt",
-            FaultClass::SwapTruncate => "faults.proc_killed.swap_truncate",
-            FaultClass::TpmFail => "faults.proc_killed.tpm_fail",
-            FaultClass::FrameExhaust => "faults.proc_killed.frame_exhaust",
-            FaultClass::KernelAlloc => "faults.proc_killed.kernel_alloc",
-            FaultClass::DiskTransient => "faults.proc_killed.disk_transient",
-        }
-    }
+/// What became of a fault. [`FaultState`] keeps one count per outcome and
+/// class: [`FaultState::check`] counts injections, and hooks count the rest
+/// through [`FaultState::note`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The plan injected the fault.
+    Injected = 0,
+    /// A consumer retried the operation the fault broke.
+    Retried = 1,
+    /// A consumer recovered from the fault (a retry or fallback succeeded).
+    Recovered = 2,
+    /// The fault killed a process.
+    ProcKilled = 3,
 }
 
 /// When a [`FaultSpec`] fires.
@@ -238,7 +188,8 @@ pub struct FaultState {
     plan: Option<FaultPlan>,
     rng: u64,
     occ: [u64; NUM_FAULT_CLASSES],
-    injected: [u64; NUM_FAULT_CLASSES],
+    /// Per class, the count of each [`Outcome`], indexed by discriminant.
+    outcomes: [[u64; 4]; NUM_FAULT_CLASSES],
     spec_fired: Vec<bool>,
     log: Vec<InjectedFault>,
 }
@@ -259,12 +210,12 @@ impl FaultState {
         FaultState::default()
     }
 
-    /// Arms `plan`, resetting all occurrence counters and the injection
-    /// log. The PRNG is seeded from the plan seed.
+    /// Arms `plan`, resetting all occurrence and outcome counters and the
+    /// injection log. The PRNG is seeded from the plan seed.
     pub fn arm(&mut self, plan: FaultPlan) {
         self.rng = plan.seed ^ 0x9e37_79b9_7f4a_7c15;
         self.occ = [0; NUM_FAULT_CLASSES];
-        self.injected = [0; NUM_FAULT_CLASSES];
+        self.outcomes = [[0; 4]; NUM_FAULT_CLASSES];
         self.spec_fired = vec![false; plan.specs.len()];
         self.log = Vec::new();
         self.plan = Some(plan);
@@ -326,7 +277,7 @@ impl FaultState {
             }
         }
         if fire {
-            self.injected[idx] += 1;
+            self.note(class, Outcome::Injected);
             self.log.push(InjectedFault {
                 at: now,
                 class,
@@ -345,14 +296,61 @@ impl FaultState {
         splitmix64(&mut self.rng)
     }
 
+    /// Counts one `outcome` of a `class` fault.
+    #[inline]
+    pub fn note(&mut self, class: FaultClass, outcome: Outcome) {
+        self.outcomes[class as usize][outcome as usize] += 1;
+    }
+
+    /// How many `outcome`s of `class` faults were counted since arming.
+    pub fn count(&self, class: FaultClass, outcome: Outcome) -> u64 {
+        self.outcomes[class as usize][outcome as usize]
+    }
+
     /// How many times `class` has injected since arming.
     pub fn injected(&self, class: FaultClass) -> u64 {
-        self.injected[class as usize]
+        self.count(class, Outcome::Injected)
     }
 
     /// Total injections since arming.
     pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
+        self.outcomes
+            .iter()
+            .map(|c| c[Outcome::Injected as usize])
+            .sum()
+    }
+
+    /// Renders the per-class outcome table: one row per class with any
+    /// count, in [`FaultClass::key`] order. Returns the empty string when
+    /// every count is 0 — a run with injection disarmed never counts one,
+    /// so appending this to any report leaves disabled-mode output
+    /// byte-identical.
+    pub fn summary(&self) -> String {
+        use std::fmt::Write;
+        let mut rows: Vec<(&str, [u64; 4])> = FaultClass::ALL
+            .iter()
+            .map(|&c| (c.key(), self.outcomes[c as usize]))
+            .filter(|(_, counts)| counts.iter().any(|&n| n > 0))
+            .collect();
+        if rows.is_empty() {
+            return String::new();
+        }
+        rows.sort_unstable_by_key(|&(key, _)| key);
+        let mut out = String::new();
+        let _ = writeln!(out, "== fault injection: per-class outcomes ==");
+        let _ = writeln!(
+            out,
+            "{:<16} {:>9} {:>9} {:>9} {:>11}",
+            "class", "injected", "retried", "recovered", "proc_killed"
+        );
+        for (class, c) in rows {
+            let _ = writeln!(
+                out,
+                "{:<16} {:>9} {:>9} {:>9} {:>11}",
+                class, c[0], c[1], c[2], c[3]
+            );
+        }
+        out
     }
 
     /// The injection log since arming, oldest first.

@@ -217,7 +217,7 @@ mod tests {
 
     /// Non-test code in this crate may name `machine.phys` only here and in
     /// the functions below, each outside the door for the stated reason.
-    const ALLOWED: [(&str, &str, &str); 5] = [
+    const PHYS_ALLOWED: [(&str, &str, &str); 5] = [
         (
             "mem.rs",
             "UserMem::load",
@@ -245,29 +245,62 @@ mod tests {
         ),
     ];
 
-    /// Strips a `//` comment and the contents of string literals from one
-    /// line of Rust.
+    /// Non-test code in this crate may build a `DmaDisk` only in the file
+    /// system's door and at boot.
+    const DMA_DISK_ALLOWED: [(&str, &str, &str); 2] = [
+        (
+            "system.rs",
+            "System::with_fs",
+            "the door into the file system",
+        ),
+        (
+            "system.rs",
+            "System::boot_with_cpus",
+            "boot-time mkfs, before the System exists",
+        ),
+    ];
+
+    /// Strips a `//` comment and the contents of string and char literals
+    /// from one line of Rust.
     fn code_of(line: &str) -> String {
-        let (mut out, mut in_str, mut prev) = (String::new(), false, ' ');
-        for c in line.chars() {
-            if !in_str && c == '/' && prev == '/' {
-                out.pop();
-                break;
+        let chars: Vec<char> = line.chars().collect();
+        let (mut out, mut in_str, mut i) = (String::new(), false, 0);
+        while i < chars.len() {
+            let c = chars[i];
+            i += 1;
+            if in_str {
+                match c {
+                    '\\' => i += 1,
+                    '"' => in_str = false,
+                    _ => {}
+                }
+                continue;
             }
-            if c == '"' && prev != '\\' {
-                in_str = !in_str;
+            match c {
+                '/' if chars.get(i) == Some(&'/') => break,
+                '"' => in_str = true,
+                // A char literal, `'x'` or `'\x'`; a lifetime has no
+                // closing quote.
+                '\'' => {
+                    let len = if chars.get(i) == Some(&'\\') { 3 } else { 2 };
+                    if chars.get(i + len - 1) == Some(&'\'') {
+                        i += len;
+                    }
+                }
+                _ => {}
             }
-            if !in_str {
-                out.push(c);
-            }
-            prev = if prev == '\\' { ' ' } else { c };
+            out.push(c);
         }
         out
     }
 
+    fn is_ident(c: char) -> bool {
+        c.is_alphanumeric() || c == '_'
+    }
+
     /// The `(function, line)` of every non-test line of `src` that names
-    /// `machine.phys`. A method is named `Type::fn` after its `impl` block.
-    fn phys_uses(src: &str) -> Vec<(String, usize)> {
+    /// `token`. A method is named `Type::fn` after its `impl` block.
+    fn uses(src: &str, token: &str) -> Vec<(String, usize)> {
         let (mut uses, mut depth, mut skip_to) = (Vec::new(), 0usize, None);
         let (mut test_item, mut impl_ty, mut func) = (false, String::new(), String::new());
         let mut prev = String::new();
@@ -315,11 +348,19 @@ mod tests {
                     };
                 }
             }
-            // rustfmt may break a chain as `machine` / `.phys` over two lines.
-            let carried = prev.ends_with("machine") && trimmed.starts_with(".phys");
-            let joined = format!("{}{trimmed}", if carried { "machine" } else { "" });
-            let named = joined.match_indices("machine.phys").any(|(i, m)| {
-                !joined[i + m.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            // rustfmt may break a chain such as `machine` / `.phys` over two
+            // lines.
+            let head = token.rsplit_once('.').map_or("", |(head, _)| head);
+            let carried = !head.is_empty()
+                && prev.ends_with(head)
+                && trimmed.starts_with(&token[head.len()..]);
+            let joined = format!("{}{trimmed}", if carried { head } else { "" });
+            // An identifier that merely contains the token does not name it.
+            let named = joined.match_indices(token).any(|(i, _)| {
+                let glued_before = joined[..i].ends_with(is_ident) && token.starts_with(is_ident);
+                let end = i + token.len();
+                let glued_after = joined[end..].starts_with(is_ident) && token.ends_with(is_ident);
+                !(glued_before || glued_after)
             });
             if named {
                 uses.push((func.clone(), n + 1));
@@ -330,7 +371,8 @@ mod tests {
     }
 
     /// The scan names each use's function, sees a chain rustfmt split
-    /// before `.phys`, and skips test items, comments and strings.
+    /// before `.phys`, and skips test items, comments, strings and
+    /// identifiers that merely contain the token.
     #[test]
     fn scan_finds_uses_by_function_and_skips_test_code() {
         let src = r#"
@@ -351,11 +393,26 @@ mod tests {
     fn t() { machine.phys.alloc_frame(); }
 }
 "#;
-        let uses = phys_uses(src);
         assert_eq!(
-            uses,
+            uses(src, "machine.phys"),
             [("Bar::load".to_string(), 5), ("free".to_string(), 12)]
         );
+        // A quote in a char literal opens no string that hides a brace.
+        let src = r#"
+impl Sys {
+    fn boot() {
+        if c == '"' {
+            let e = MyDmaDisk { machine };
+        }
+    }
+    fn mkfs() {
+        let d = DmaDisk {
+            machine,
+        };
+    }
+}
+"#;
+        assert_eq!(uses(src, "DmaDisk {"), [("Sys::mkfs".to_string(), 9)]);
     }
 
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -369,11 +426,10 @@ mod tests {
         }
     }
 
-    /// Kernel-mode code reaches physical memory only through the direct
-    /// map: no non-test line outside `dmap.rs` names `machine.phys` except
-    /// in the allow-listed functions, and every allow-list entry is used.
-    #[test]
-    fn only_the_door_names_machine_phys() {
+    /// Asserts that no non-test line under `src/`, outside `door_file`,
+    /// names `token` except in the `allowed` `(file, function, why)`
+    /// entries, and that every entry is used.
+    fn assert_only_allowed(token: &str, door_file: Option<&str>, allowed: &[(&str, &str, &str)]) {
         let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
         let mut files = Vec::new();
         rust_files(&src, &mut files);
@@ -381,12 +437,12 @@ mod tests {
         for path in files {
             let rel = path.strip_prefix(&src).expect("under src");
             let rel = rel.to_string_lossy().replace('\\', "/");
-            if rel == "dmap.rs" {
+            if Some(rel.as_str()) == door_file {
                 continue;
             }
             let text = std::fs::read_to_string(&path).expect("source file");
-            for (func, line) in phys_uses(&text) {
-                match ALLOWED
+            for (func, line) in uses(&text, token) {
+                match allowed
                     .iter()
                     .find(|(f, func_, _)| *f == rel && *func_ == func)
                 {
@@ -395,15 +451,27 @@ mod tests {
                 }
             }
         }
-        assert!(
-            stray.is_empty(),
-            "machine.phys outside the direct map: {stray:?}"
-        );
-        for (file, func, why) in ALLOWED {
+        assert!(stray.is_empty(), "{token} outside its door: {stray:?}");
+        for (file, func, why) in allowed {
             assert!(
-                used.contains(&func),
+                used.contains(func),
                 "stale allow-list entry {file} {func} ({why})"
             );
         }
+    }
+
+    /// Kernel-mode code reaches physical memory only through the direct
+    /// map: no non-test line outside `dmap.rs` names `machine.phys` except
+    /// in the allow-listed functions, and every allow-list entry is used.
+    #[test]
+    fn only_the_door_names_machine_phys() {
+        assert_only_allowed("machine.phys", Some("dmap.rs"), &PHYS_ALLOWED);
+    }
+
+    /// Kernel code reaches the file system only through `System::with_fs`,
+    /// which charges every call's work: nothing else builds the device.
+    #[test]
+    fn only_the_fs_door_builds_a_dma_disk() {
+        assert_only_allowed("DmaDisk {", None, &DMA_DISK_ALLOWED);
     }
 }

@@ -14,6 +14,7 @@
 //! runs in: user-privilege memory (which includes ghost pages — the MMU
 //! allows the owning process everything) plus the syscall surface.
 
+use crate::fs::InodeKind;
 use crate::mem::{KernelMem, UserMem};
 use crate::system::{Pid, System};
 use vg_core::SvaError;
@@ -117,11 +118,9 @@ impl MemBus for KernelCtx<'_> {
 }
 
 /// The kernel API surface, one variant per extern name. Module code names
-/// these by string in the IR; the lowered engine calls through
-/// [`ExternHost::call_extern_id`] with the registry's interned id, which the
-/// system resolves to a `KernApi` through a table built once per id (see
-/// [`System::kern_api_tab`](crate::system::System)) — no string matching on
-/// the hot path.
+/// these by string in the IR; both interpreter entry points resolve the
+/// name through [`KernApi::from_name`] (`call_extern_id` falls back to
+/// `call_extern`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernApi {
     /// `kern.cur_pid`
@@ -192,20 +191,6 @@ impl KernApi {
 impl ExternHost for KernelCtx<'_> {
     fn call_extern(&mut self, name: &str, args: &[i64]) -> Result<i64, HostError> {
         match KernApi::from_name(name) {
-            Some(api) => self.dispatch(api, args),
-            None => Err(HostError::Unknown),
-        }
-    }
-
-    fn call_extern_id(&mut self, id: u32, _name: &str, args: &[i64]) -> Result<i64, HostError> {
-        // Extern ids are append-only in the registry, so the table only ever
-        // grows; existing entries never go stale.
-        while self.sys.kern_api_tab.len() < self.sys.vm.code.extern_count() {
-            let i = self.sys.kern_api_tab.len() as u32;
-            let api = self.sys.vm.code.extern_name(i).and_then(KernApi::from_name);
-            self.sys.kern_api_tab.push(api);
-        }
-        match self.sys.kern_api_tab.get(id as usize).copied().flatten() {
             Some(api) => self.dispatch(api, args),
             None => Err(HostError::Unknown),
         }
@@ -390,7 +375,7 @@ impl MemBus for UserCtx<'_> {
 }
 
 /// The user-context API surface (syscall-like entry points available to code
-/// dispatched into a process). Same id-table dispatch scheme as [`KernApi`].
+/// dispatched into a process), resolved by name like [`KernApi`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UserApi {
     /// `user.exfil`
@@ -419,18 +404,6 @@ impl UserApi {
 impl ExternHost for UserCtx<'_> {
     fn call_extern(&mut self, name: &str, args: &[i64]) -> Result<i64, HostError> {
         match UserApi::from_name(name) {
-            Some(api) => self.dispatch(api, args),
-            None => Err(HostError::Unknown),
-        }
-    }
-
-    fn call_extern_id(&mut self, id: u32, _name: &str, args: &[i64]) -> Result<i64, HostError> {
-        while self.sys.user_api_tab.len() < self.sys.vm.code.extern_count() {
-            let i = self.sys.user_api_tab.len() as u32;
-            let api = self.sys.vm.code.extern_name(i).and_then(UserApi::from_name);
-            self.sys.user_api_tab.push(api);
-        }
-        match self.sys.user_api_tab.get(id as usize).copied().flatten() {
             Some(api) => self.dispatch(api, args),
             None => Err(HostError::Unknown),
         }
@@ -479,53 +452,44 @@ impl System {
     /// Appends bytes to a file, creating it if needed (kernel-internal
     /// helper used by exfiltration sinks and tests).
     pub fn append_file(&mut self, path: &str, data: &[u8]) {
-        use crate::fs::{FsWork, InodeKind};
-        let mut w = FsWork::default();
-        let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-        let mut dev = crate::system::DmaDisk { machine, vm };
-        let ino = match fs.lookup(&mut dev, path, &mut w) {
-            Ok(i) => i,
-            Err(_) => match fs.create(&mut dev, path, InodeKind::File, &mut w) {
+        self.with_fs(|fs, dev, w| {
+            let ino = match fs.lookup(dev, path, w) {
                 Ok(i) => i,
-                Err(_) => return,
-            },
-        };
-        let size = fs.stat(&mut dev, ino, &mut w).map(|(s, _)| s).unwrap_or(0);
-        let _ = fs.write(&mut dev, ino, size, data, &mut w);
-        self.charge_fswork(&w);
+                Err(_) => match fs.create(dev, path, InodeKind::File, w) {
+                    Ok(i) => i,
+                    Err(_) => return,
+                },
+            };
+            let size = fs.stat(dev, ino, w).map(|(s, _)| s).unwrap_or(0);
+            let _ = fs.write(dev, ino, size, data, w);
+        });
     }
 
     /// Reads a whole file (harness/test helper).
     pub fn read_file(&mut self, path: &str) -> Option<Vec<u8>> {
-        use crate::fs::FsWork;
-        let mut w = FsWork::default();
-        let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-        let mut dev = crate::system::DmaDisk { machine, vm };
-        let ino = fs.lookup(&mut dev, path, &mut w).ok()?;
-        let (size, _) = fs.stat(&mut dev, ino, &mut w).ok()?;
-        let mut buf = vec![0u8; size as usize];
-        fs.read(&mut dev, ino, 0, &mut buf, &mut w).ok()?;
-        self.charge_fswork(&w);
-        Some(buf)
+        self.with_fs(|fs, dev, w| {
+            let ino = fs.lookup(dev, path, w).ok()?;
+            let (size, _) = fs.stat(dev, ino, w).ok()?;
+            let mut buf = vec![0u8; size as usize];
+            fs.read(dev, ino, 0, &mut buf, w).ok()?;
+            Some(buf)
+        })
     }
 
     /// Writes (creating/truncating) a whole file (harness/test helper).
     pub fn write_file(&mut self, path: &str, data: &[u8]) {
-        use crate::fs::{FsWork, InodeKind};
-        let mut w = FsWork::default();
-        let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-        let mut dev = crate::system::DmaDisk { machine, vm };
-        let ino = match fs.lookup(&mut dev, path, &mut w) {
-            Ok(i) => {
-                let _ = fs.truncate(&mut dev, i, &mut w);
-                i
-            }
-            Err(_) => match fs.create(&mut dev, path, InodeKind::File, &mut w) {
-                Ok(i) => i,
-                Err(_) => return,
-            },
-        };
-        let _ = fs.write(&mut dev, ino, 0, data, &mut w);
-        self.charge_fswork(&w);
+        self.with_fs(|fs, dev, w| {
+            let ino = match fs.lookup(dev, path, w) {
+                Ok(i) => {
+                    let _ = fs.truncate(dev, i, w);
+                    i
+                }
+                Err(_) => match fs.create(dev, path, InodeKind::File, w) {
+                    Ok(i) => i,
+                    Err(_) => return,
+                },
+            };
+            let _ = fs.write(dev, ino, 0, data, w);
+        });
     }
 }

@@ -9,9 +9,9 @@
 
 use crate::costs;
 use crate::dmap::DirectMap;
-use crate::fs::{FsError, FsWork, Ino, InodeKind};
+use crate::fs::{FsError, Ino, InodeKind};
 use crate::syscall::{EAGAIN, EIO, EISDIR};
-use crate::system::{DmaDisk, Fd, Pid, System};
+use crate::system::{Fd, Pid, System};
 use std::collections::VecDeque;
 use vg_core::{DescRing, RingDesc, RingDir};
 use vg_machine::devices::{Packet, MTU};
@@ -739,14 +739,7 @@ impl System {
     /// `writev` on a file fd: unsupported (-1), and [`EISDIR`] on a
     /// directory, told apart by one charged inode read.
     fn writev_file(&mut self, ino: Ino) -> i64 {
-        let mut w = FsWork::default();
-        let kind = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            fs.stat(&mut dev, ino, &mut w).map(|(_, kind)| kind)
-        };
-        self.charge_fswork(&w);
-        match kind {
+        match self.with_fs(|fs, dev, w| fs.stat(dev, ino, w).map(|(_, kind)| kind)) {
             Ok(InodeKind::Dir) => EISDIR,
             Err(FsError::Io) => EIO,
             _ => -1,

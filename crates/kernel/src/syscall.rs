@@ -11,7 +11,7 @@ use crate::costs;
 use crate::fs::{FsError, FsWork, Ino, InodeKind};
 use crate::mem::RegionKind;
 use crate::program::User;
-use crate::system::{DmaDisk, Fd, Pid, System};
+use crate::system::{Fd, Pid, System};
 use vg_machine::mmu::AccessKind;
 use vg_machine::{FaultClass, Pfn};
 
@@ -24,6 +24,15 @@ pub const EIO: i64 = -5;
 /// `EISDIR` as a syscall return: `write`, `writev` or `open(O_TRUNC)`
 /// named a directory, whose records only the kernel may change.
 pub const EISDIR: i64 = -21;
+
+/// The errno a failed filesystem call returns at the syscall boundary.
+fn errno(e: FsError) -> i64 {
+    match e {
+        FsError::Io => EIO,
+        FsError::IsDir => EISDIR,
+        _ => -1,
+    }
+}
 
 /// Would-block: no data (or pending connection) available right now. The
 /// simulated kernel is run-to-completion and can never sleep, so would-block
@@ -258,25 +267,21 @@ impl System {
         let Some(path) = self.take_path() else {
             return -1;
         };
-        let mut w = FsWork::default();
-        let result = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            match fs.lookup(&mut dev, &path, &mut w) {
-                Ok(ino) if flags & O_TRUNC != 0 => {
-                    fs.truncate_file(&mut dev, ino, &mut w).map(|()| ino)
-                }
+        let result = self.with_fs(|fs, dev, w| {
+            let result = match fs.lookup(dev, &path, w) {
+                Ok(ino) if flags & O_TRUNC != 0 => fs.truncate_file(dev, ino, w).map(|()| ino),
                 Ok(ino) => Ok(ino),
                 Err(FsError::NotFound) if flags & O_CREAT != 0 => {
-                    fs.create(&mut dev, &path, InodeKind::File, &mut w)
+                    fs.create(dev, &path, InodeKind::File, w)
                 }
                 Err(e) => Err(e),
+            };
+            // Creation's fixed cost lands before the door charges the work.
+            if flags & O_CREAT != 0 {
+                costs::CREATE_EXTRA.charge(dev.machine);
             }
-        };
-        if flags & O_CREAT != 0 {
-            costs::CREATE_EXTRA.charge(&mut self.machine);
-        }
-        self.charge_fswork(&w);
+            result
+        });
         match result {
             Ok(ino) => {
                 let off = if flags & O_APPEND != 0 {
@@ -289,23 +294,32 @@ impl System {
                     None => EIO,
                 }
             }
-            Err(FsError::Io) => EIO,
-            Err(FsError::IsDir) => EISDIR,
-            Err(_) => -1,
+            Err(e) => errno(e),
         }
     }
 
     /// Size of file `ino` for an `O_APPEND` or `SEEK_END` offset: `None`
-    /// when the device failed, 0 for a freed inode (an unlinked file). Its
-    /// filesystem work is not charged; see ROADMAP item 1.
+    /// when the device failed, 0 for a freed inode (an unlinked file).
     fn file_size(&mut self, ino: Ino) -> Option<u64> {
-        let mut w = FsWork::default();
-        let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-        let mut dev = DmaDisk { machine, vm };
-        match fs.stat(&mut dev, ino, &mut w) {
-            Ok((size, _)) => Some(size),
-            Err(FsError::Io) => None,
-            Err(_) => Some(0),
+        self.with_fs(|fs, dev, _| {
+            // The one filesystem call whose work goes uncharged: its stat
+            // fills a throwaway record, not the door's (ROADMAP item 1).
+            match fs.stat(dev, ino, &mut FsWork::default()) {
+                Ok((size, _)) => Some(size),
+                Err(FsError::Io) => None,
+                Err(_) => Some(0),
+            }
+        })
+    }
+
+    /// Moves file fd `fd`'s offset `n` bytes forward.
+    fn advance_off(&mut self, pid: Pid, fd: u64, n: u64) {
+        if let Some(Some(Fd::File { off, .. })) = self
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.fds.get_mut(fd as usize))
+        {
+            *off += n;
         }
     }
 
@@ -386,19 +400,10 @@ impl System {
         let Some(path) = self.take_path() else {
             return -1;
         };
-        let mut w = FsWork::default();
-        let entries = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            match fs.readdir(&mut dev, &path, &mut w) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.charge_fswork(&w);
-                    return if e == FsError::Io { EIO } else { -1 };
-                }
-            }
+        let entries = match self.with_fs(|fs, dev, w| fs.readdir(dev, &path, w)) {
+            Ok(e) => e,
+            Err(e) => return errno(e),
         };
-        self.charge_fswork(&w);
         // NUL-separated names, truncated to the caller's buffer.
         let mut blob = Vec::new();
         let count = entries.len();
@@ -440,13 +445,7 @@ impl System {
                 // shortens a read; it keeps a hostile `len` from aborting
                 // the host on an impossible allocation.
                 let mut data = vec![0u8; len.min(crate::fs::MAX_FILE_BYTES as usize)];
-                let mut w = FsWork::default();
-                let r = {
-                    let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-                    let mut dev = DmaDisk { machine, vm };
-                    fs.read(&mut dev, ino, off, &mut data, &mut w)
-                };
-                self.charge_fswork(&w);
+                let r = self.with_fs(|fs, dev, w| fs.read(dev, ino, off, &mut data, w));
                 let n = match r {
                     Ok(n) => n,
                     Err(FsError::Io) => return EIO,
@@ -456,13 +455,7 @@ impl System {
                 if !self.copyout(pid, buf, &data) {
                     return -1;
                 }
-                if let Some(Some(Fd::File { off, .. })) = self
-                    .procs
-                    .get_mut(&pid)
-                    .and_then(|p| p.fds.get_mut(fd as usize))
-                {
-                    *off += n as u64;
-                }
+                self.advance_off(pid, fd, n as u64);
                 n as i64
             }
             Some(Fd::Sock { id }) => self.sock_recv(pid, id, buf, len),
@@ -501,29 +494,13 @@ impl System {
         };
         match self.fd_of(pid, fd) {
             Some(Fd::File { ino, off }) => {
-                let mut w = FsWork::default();
-                let r = {
-                    let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-                    let mut dev = DmaDisk { machine, vm };
-                    fs.write_file(&mut dev, ino, off, &data, &mut w)
-                };
-                self.charge_fswork(&w);
-                let n = match r {
-                    Ok(n) => n as i64,
-                    Err(FsError::Io) => EIO,
-                    Err(FsError::IsDir) => EISDIR,
-                    Err(_) => -1,
-                };
-                if n > 0 {
-                    if let Some(Some(Fd::File { off, .. })) = self
-                        .procs
-                        .get_mut(&pid)
-                        .and_then(|p| p.fds.get_mut(fd as usize))
-                    {
-                        *off += n as u64;
+                match self.with_fs(|fs, dev, w| fs.write_file(dev, ino, off, &data, w)) {
+                    Ok(n) => {
+                        self.advance_off(pid, fd, n as u64);
+                        n as i64
                     }
+                    Err(e) => errno(e),
                 }
-                n
             }
             Some(Fd::Sock { id }) => self.sock_write(id, &data),
             Some(Fd::PipeW { id }) => {
@@ -546,17 +523,9 @@ impl System {
         let Some(path) = self.take_path() else {
             return -1;
         };
-        let mut w = FsWork::default();
-        let r = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            fs.unlink(&mut dev, &path, &mut w)
-        };
-        self.charge_fswork(&w);
-        match r {
+        match self.with_fs(|fs, dev, w| fs.unlink(dev, &path, w)) {
             Ok(_) => 0,
-            Err(FsError::Io) => EIO,
-            Err(_) => -1,
+            Err(e) => errno(e),
         }
     }
 
@@ -565,18 +534,13 @@ impl System {
         let Some(path) = self.take_path() else {
             return -1;
         };
-        let mut w = FsWork::default();
-        let r = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            fs.lookup(&mut dev, &path, &mut w)
-                .and_then(|ino| fs.stat(&mut dev, ino, &mut w))
-        };
-        self.charge_fswork(&w);
+        let r = self.with_fs(|fs, dev, w| {
+            fs.lookup(dev, &path, w)
+                .and_then(|ino| fs.stat(dev, ino, w))
+        });
         match r {
             Ok((size, _)) => size as i64,
-            Err(FsError::Io) => EIO,
-            Err(_) => -1,
+            Err(e) => errno(e),
         }
     }
 
@@ -613,28 +577,15 @@ impl System {
         let Some(path) = self.take_path() else {
             return -1;
         };
-        let mut w = FsWork::default();
-        let r = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            fs.create(&mut dev, &path, InodeKind::Dir, &mut w)
-        };
-        self.charge_fswork(&w);
-        match r {
+        match self.with_fs(|fs, dev, w| fs.create(dev, &path, InodeKind::Dir, w)) {
             Ok(_) => 0,
-            Err(FsError::Io) => EIO,
-            Err(_) => -1,
+            Err(e) => errno(e),
         }
     }
 
     fn sys_fsync(&mut self) -> i64 {
         costs::FSYNC.charge(&mut self.machine);
-        let written = {
-            let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-            let mut dev = DmaDisk { machine, vm };
-            fs.sync(&mut dev)
-        };
-        match written {
+        match self.with_fs(|fs, dev, _| fs.sync(dev)) {
             Ok(n) => n as i64,
             Err(_) => EIO,
         }

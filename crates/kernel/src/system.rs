@@ -39,7 +39,7 @@ use vg_machine::layout::{GHOST_BASE, PAGE_SIZE};
 use vg_machine::mmu::{AccessKind, TranslateError};
 use vg_machine::pte::PteFlags;
 use vg_machine::{
-    DenialKind, Domain, FaultClass, IntMap, Machine, MachineConfig, Pfn, PhysMem, VAddr,
+    DenialKind, Domain, FaultClass, IntMap, Machine, MachineConfig, Outcome, Pfn, PhysMem, VAddr,
 };
 
 /// Process identifier.
@@ -356,11 +356,6 @@ pub struct System {
     pub hooks: IntMap<u32, vg_ir::CodeAddr>,
     /// Attacker/module configuration cells (the "sysctl" channel).
     pub module_config: Vec<i64>,
-    /// Extern-id dispatch tables for module/user code, indexed by the code
-    /// registry's interned extern ids (lazily extended; ids are append-only
-    /// so entries never go stale). See `module.rs`.
-    pub(crate) kern_api_tab: Vec<Option<crate::module::KernApi>>,
-    pub(crate) user_api_tab: Vec<Option<crate::module::UserApi>>,
     /// Network stack.
     pub net: NetStack,
     /// Which data plane moves network payloads (batched ring by default;
@@ -473,8 +468,6 @@ impl System {
             binaries: HashMap::new(),
             hooks: IntMap::default(),
             module_config: vec![0; 16],
-            kern_api_tab: Vec::new(),
-            user_api_tab: Vec::new(),
             net: NetStack::new(),
             net_mode: crate::net::NetMode::default(),
             sockets: BTreeMap::new(),
@@ -769,8 +762,8 @@ impl System {
     }
 
     /// Kills `pid` after an unrecoverable fault: records the kill in the
-    /// always-on flight recorder, bumps the per-class `faults.proc_killed`
-    /// metric, and flags the process. Idempotent — only the first kill per
+    /// always-on flight recorder, counts a [`Outcome::ProcKilled`] of
+    /// `class`, and flags the process. Idempotent — only the first kill per
     /// process records anything.
     pub(crate) fn fault_kill(
         &mut self,
@@ -788,7 +781,7 @@ impl System {
         }
         self.machine
             .record_denial(DenialKind::FaultKill, addr, detail);
-        self.machine.metrics.inc(class.proc_killed_counter());
+        self.machine.faults.note(class, Outcome::ProcKilled);
         self.log.push(format!(
             "fault: killed pid {pid} ({}): {detail}",
             class.key()
@@ -1067,13 +1060,7 @@ impl System {
                 costs::PAGE_FAULT_FILE_EXTRA.charge(&mut self.machine);
                 let file_off = offset + (page_va - region.start);
                 let mut buf = vec![0u8; BLOCK_SIZE];
-                let mut w = FsWork::default();
-                let read = {
-                    let (fs, machine, vm) = (&mut self.fs, &mut self.machine, &mut self.vm);
-                    let mut dev = DmaDisk { machine, vm };
-                    fs.read(&mut dev, ino, file_off, &mut buf, &mut w)
-                };
-                self.charge_fswork(&w);
+                let read = self.with_fs(|fs, dev, w| fs.read(dev, ino, file_off, &mut buf, w));
                 if read.is_err() {
                     // The backing device stayed dead through the driver's
                     // retries; the page cannot be populated correctly.
@@ -1240,13 +1227,26 @@ impl System {
         Ok(())
     }
 
-    /// Charges accumulated filesystem work. The data path (buffer-cache
-    /// copies) is split between instrumentable per-word work and flat
-    /// copying: FreeBSD's write path loops over blocks doing buffer-cache
-    /// bookkeeping per chunk, which the Virtual Ghost compiler instruments —
-    /// this is why the paper's file-op overheads barely shrink as file size
-    /// grows (Tables 3–4).
-    pub(crate) fn charge_fswork(&mut self, w: &FsWork) {
+    /// The kernel's one door into the filesystem: runs `f` over the file
+    /// system, a [`DmaDisk`] on this system's machine, and a fresh work
+    /// record, then charges the work `f` recorded, on every path out of
+    /// `f`. Block transfers are charged by the device as they happen.
+    ///
+    /// The work's data path (buffer-cache copies) is split between
+    /// instrumentable per-word work and flat copying: FreeBSD's write path
+    /// loops over blocks doing buffer-cache bookkeeping per chunk, which the
+    /// Virtual Ghost compiler instruments — this is why the paper's file-op
+    /// overheads barely shrink as file size grows (Tables 3–4).
+    pub(crate) fn with_fs<R>(
+        &mut self,
+        f: impl FnOnce(&mut VgFs, &mut DmaDisk<'_>, &mut FsWork) -> R,
+    ) -> R {
+        let mut w = FsWork::default();
+        let mut dev = DmaDisk {
+            machine: &mut self.machine,
+            vm: &mut self.vm,
+        };
+        let out = f(&mut self.fs, &mut dev, &mut w);
         kwork(
             &mut self.machine,
             w.accesses + w.bytes_copied * 2 / 5,
@@ -1255,7 +1255,7 @@ impl System {
         self.machine.counters.bytes_copied += w.bytes_copied;
         let flat = self.machine.costs.copy_per_byte * w.bytes_copied / 5;
         self.machine.charge(flat);
-        // Disk block costs were charged by DmaDisk at transfer time.
+        out
     }
 
     // ---- fork / wait --------------------------------------------------------

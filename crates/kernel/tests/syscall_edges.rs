@@ -1,7 +1,7 @@
 //! System-call edge cases: bad descriptors, bad arguments, and boundary
 //! conditions must return errors, never panic the kernel.
 
-use vg_kernel::syscall::{EISDIR, O_CREAT, O_TRUNC, SYS_READ};
+use vg_kernel::syscall::{EISDIR, O_APPEND, O_CREAT, O_TRUNC, SYS_READ};
 use vg_kernel::{Mode, System, UserEnv};
 
 fn run(body: impl Fn(&mut UserEnv) -> i32 + 'static) -> i32 {
@@ -103,6 +103,54 @@ fn lseek_modes_and_bounds() {
         0
     });
     assert_eq!(code, 0);
+}
+
+/// `O_APPEND` and `SEEK_END` take the file's size from the one stat whose
+/// work goes uncharged (ROADMAP item 1). With the inode cached, `lseek`
+/// costs the same for either whence, and `open(O_APPEND)` exactly what a
+/// plain `open` costs. Charging that stat must re-pin this on purpose.
+#[test]
+fn file_size_stat_goes_uncharged() {
+    let costs = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let out = costs.clone();
+    let mut sys = System::boot(Mode::VirtualGhost);
+    sys.install_app("sized", false, move || {
+        let out = out.clone();
+        Box::new(move |env| {
+            let buf = env.mmap_anon(4096);
+            let fd = env.open("/sized", O_CREAT);
+            env.write(fd, buf, 100);
+            let ops: [&dyn Fn(&mut UserEnv) -> i64; 4] = [
+                &|env| {
+                    let f = env.open("/sized", 0);
+                    env.close(f)
+                },
+                &|env| {
+                    let f = env.open("/sized", O_APPEND);
+                    env.close(f)
+                },
+                &move |env| env.lseek(fd, 0, 0),
+                &move |env| env.lseek(fd, 0, 2),
+            ];
+            // The first round warms the caches and the TLB; the second
+            // is measured.
+            for _ in 0..2 {
+                out.borrow_mut().clear();
+                for op in ops {
+                    let start = env.sys.machine.clock.cycles();
+                    op(env);
+                    out.borrow_mut()
+                        .push(env.sys.machine.clock.cycles() - start);
+                }
+            }
+            0
+        })
+    });
+    let pid = sys.spawn("sized");
+    assert_eq!(sys.run_until_exit(pid), 0);
+    let c = costs.borrow();
+    assert_eq!(c[1], c[0], "open(O_APPEND) + close vs open + close");
+    assert_eq!(c[3], c[2], "lseek(SEEK_END) vs lseek(SEEK_SET)");
 }
 
 #[test]

@@ -48,7 +48,9 @@ pub use layout::{mask_kernel_pointer, PAddr, Pfn, Region, VAddr, Vpn, PAGE_SIZE}
 pub use mmu::{AccessKind, Mmu, TlbStats, TranslateError};
 pub use phys::PhysMem;
 pub use pte::{PageTableLevel, Pte, PteFlags};
-pub use vg_faults::{FaultClass, FaultPlan, FaultSpec, FaultState, InjectedFault, Trigger};
+pub use vg_faults::{
+    FaultClass, FaultPlan, FaultSpec, FaultState, InjectedFault, Outcome, Trigger,
+};
 pub use vg_trace::{
     CycleProfiler, DenialKind, DeniedOp, Domain, MetricsRegistry, TraceEvent, Tracer,
 };
@@ -437,37 +439,28 @@ impl Machine {
 
     // ---- fault injection --------------------------------------------------
     //
-    // Hook helpers around `FaultState`. The machine owns the side effects
-    // (injection metrics); the plan itself stays dependency-free in
-    // `vg-faults`. All helpers are inert while no plan is armed.
+    // Hook helpers around `FaultState`, which counts every outcome. The
+    // check is inert while no plan is armed.
 
     /// Consults the armed fault plan: should a fault of `class` inject at
-    /// this hook, now? Bumps the per-class injection metric when it fires.
+    /// this hook, now? Counts the injection when it fires.
     #[inline]
     pub fn fault_check(&mut self, class: FaultClass) -> bool {
-        if !self.faults.armed() {
-            return false;
-        }
         let now = self.clock.cycles();
-        if self.faults.check(class, now) {
-            self.metrics.inc(class.injected_counter());
-            true
-        } else {
-            false
-        }
+        self.faults.check(class, now)
     }
 
     /// Records that a consumer retried an operation after a `class` fault.
     #[inline]
     pub fn fault_retried(&mut self, class: FaultClass) {
-        self.metrics.inc(class.retried_counter());
+        self.faults.note(class, Outcome::Retried);
     }
 
     /// Records that a consumer recovered from a `class` fault (a retry or
     /// fallback succeeded).
     #[inline]
     pub fn fault_recovered(&mut self, class: FaultClass) {
-        self.metrics.inc(class.recovered_counter());
+        self.faults.note(class, Outcome::Recovered);
     }
 
     /// Translates `va` through the current core's MMU (`user`: the USER

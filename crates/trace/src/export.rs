@@ -6,7 +6,6 @@
 //! load the file in Perfetto or `chrome://tracing` and read the time axis
 //! as cycles (the simulation's only clock).
 
-use crate::metrics::MetricsRegistry;
 use crate::profile::{CycleProfiler, Domain};
 use crate::{Record, TraceEvent, Tracer};
 use std::collections::BTreeMap;
@@ -173,46 +172,6 @@ pub fn summary_top_n(tracer: &Tracer, n: usize) -> String {
             out,
             "(ring full: {} oldest records dropped)",
             tracer.dropped()
-        );
-    }
-    out
-}
-
-/// Renders the per-class fault-injection table from the `faults.*` counter
-/// namespace (`faults.<outcome>.<class>`, maintained by the injection
-/// hooks). Returns the empty string when no fault counter exists — a run
-/// with injection disarmed never creates them, so appending this to any
-/// report leaves disabled-mode output byte-identical.
-pub fn fault_summary(metrics: &MetricsRegistry) -> String {
-    const OUTCOMES: [&str; 4] = ["injected", "retried", "recovered", "proc_killed"];
-    let mut rows: BTreeMap<&'static str, [u64; 4]> = BTreeMap::new();
-    for (name, v) in metrics.counters() {
-        let Some(rest) = name.strip_prefix("faults.") else {
-            continue;
-        };
-        let Some((outcome, class)) = rest.split_once('.') else {
-            continue;
-        };
-        let Some(idx) = OUTCOMES.iter().position(|o| *o == outcome) else {
-            continue;
-        };
-        rows.entry(class).or_default()[idx] += v;
-    }
-    if rows.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "== fault injection: per-class outcomes ==");
-    let _ = writeln!(
-        out,
-        "{:<16} {:>9} {:>9} {:>9} {:>11}",
-        "class", "injected", "retried", "recovered", "proc_killed"
-    );
-    for (class, c) in rows {
-        let _ = writeln!(
-            out,
-            "{:<16} {:>9} {:>9} {:>9} {:>11}",
-            class, c[0], c[1], c[2], c[3]
         );
     }
     out

@@ -32,7 +32,7 @@ pub mod export;
 pub mod metrics;
 pub mod profile;
 
-pub use export::{chrome_trace_json, fault_summary, folded_stacks, profile_report, summary_top_n};
+pub use export::{chrome_trace_json, folded_stacks, profile_report, summary_top_n};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{CycleProfiler, Domain};
 

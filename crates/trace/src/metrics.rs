@@ -128,11 +128,6 @@ impl MetricsRegistry {
         *c = c.saturating_add(delta);
     }
 
-    /// Increments the named counter by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// The named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -232,16 +227,16 @@ mod tests {
         m.add("soak", u64::MAX - 1);
         m.add("soak", 5);
         assert_eq!(m.counter("soak"), u64::MAX);
-        m.inc("soak");
+        m.add("soak", 1);
         assert_eq!(m.counter("soak"), u64::MAX);
     }
 
     #[test]
     fn registry_counters_and_report_are_deterministic() {
         let mut m = MetricsRegistry::new();
-        m.inc("z.last");
+        m.add("z.last", 1);
         m.add("a.first", 41);
-        m.inc("a.first");
+        m.add("a.first", 1);
         m.observe("lat", 300);
         assert_eq!(m.counter("a.first"), 42);
         assert_eq!(m.counter("missing"), 0);

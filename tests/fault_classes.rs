@@ -9,7 +9,7 @@ use vg_kernel::fs::{FsWork, InodeKind, VgFs};
 use vg_kernel::syscall::{EIO, O_APPEND, O_CREAT, O_TRUNC, SYS_BRK, SYS_PIPE};
 use vg_kernel::system::DmaDisk;
 use vg_kernel::{Mode, System, UserEnv};
-use vg_machine::{DenialKind, FaultClass, FaultPlan, Trigger};
+use vg_machine::{DenialKind, FaultClass, FaultPlan, Outcome, Trigger};
 
 /// Arms `sys` with a single-spec plan.
 fn arm(sys: &mut System, class: FaultClass, trigger: Trigger) {
@@ -36,11 +36,11 @@ fn device_io_transient_retries_and_recovers() {
     arm(&mut sys, FaultClass::DeviceIo, Trigger::Nth(1));
     let pid = sys.spawn("writer");
     assert_eq!(sys.run_until_exit(pid), 0, "fsync succeeded after retry");
-    let m = &sys.machine.metrics;
-    assert_eq!(m.counter("faults.injected.device_io"), 1);
-    assert_eq!(m.counter("faults.retried.device_io"), 1);
-    assert_eq!(m.counter("faults.recovered.device_io"), 1);
-    assert_eq!(m.counter("faults.proc_killed.device_io"), 0);
+    let m = &sys.machine.faults;
+    assert_eq!(m.injected(FaultClass::DeviceIo), 1);
+    assert_eq!(m.count(FaultClass::DeviceIo, Outcome::Retried), 1);
+    assert_eq!(m.count(FaultClass::DeviceIo, Outcome::Recovered), 1);
+    assert_eq!(m.count(FaultClass::DeviceIo, Outcome::ProcKilled), 0);
     assert_eq!(sys.machine.trace.flight.len(), 0, "no denial recorded");
 }
 
@@ -67,12 +67,12 @@ fn device_io_persistent_surfaces_as_eio() {
     );
     let pid = sys.spawn("writer");
     assert_eq!(sys.run_until_exit(pid), 0, "fsync returned EIO");
-    let m = &sys.machine.metrics;
+    let m = &sys.machine.faults;
     assert!(
-        m.counter("faults.injected.device_io") >= 4,
+        m.injected(FaultClass::DeviceIo) >= 4,
         "all retries consumed"
     );
-    assert_eq!(m.counter("faults.recovered.device_io"), 0);
+    assert_eq!(m.count(FaultClass::DeviceIo, Outcome::Recovered), 0);
 }
 
 /// A system whose `/f` holds 100 bytes and whose device is dead. The
@@ -179,9 +179,9 @@ fn swap_corrupt_kills_process_never_panics_never_exposes() {
     assert_eq!(denials[0].kind, DenialKind::SwapIntegrity);
     assert_eq!(denials[1].kind, DenialKind::FaultKill);
     assert_eq!(denials[1].detail, "unrecoverable ghost swap-in failure");
-    let m = &sys.machine.metrics;
-    assert_eq!(m.counter("faults.injected.swap_corrupt"), 1);
-    assert_eq!(m.counter("faults.proc_killed.swap_corrupt"), 1);
+    let m = &sys.machine.faults;
+    assert_eq!(m.injected(FaultClass::SwapCorrupt), 1);
+    assert_eq!(m.count(FaultClass::SwapCorrupt, Outcome::ProcKilled), 1);
     // The secret never reappears in physical memory.
     for f in 0..sys.machine.phys.total_frames() as u64 {
         let pfn = vg_machine::Pfn(f);
@@ -215,14 +215,11 @@ fn swap_truncate_kills_process_with_flight_record() {
     assert_eq!(last.kind, DenialKind::FaultKill);
     // The injection is attributed to the truncate class; the kill itself is
     // classified by what the VM reported (an integrity failure).
-    assert_eq!(
-        sys.machine.metrics.counter("faults.injected.swap_truncate"),
-        1
-    );
+    assert_eq!(sys.machine.faults.injected(FaultClass::SwapTruncate), 1);
     assert_eq!(
         sys.machine
-            .metrics
-            .counter("faults.proc_killed.swap_corrupt"),
+            .faults
+            .count(FaultClass::SwapCorrupt, Outcome::ProcKilled),
         1
     );
 }
@@ -241,7 +238,7 @@ fn tpm_failure_degrades_spawn_to_exit_127() {
         "{:?}",
         sys.log
     );
-    assert_eq!(sys.machine.metrics.counter("faults.injected.tpm_fail"), 1);
+    assert_eq!(sys.machine.faults.injected(FaultClass::TpmFail), 1);
 }
 
 #[test]
@@ -262,10 +259,7 @@ fn frame_exhaustion_surfaces_as_enomem_from_brk() {
     arm(&mut sys, FaultClass::FrameExhaust, Trigger::Nth(1));
     let pid = sys.spawn("grower");
     assert_eq!(sys.run_until_exit(pid), 0);
-    assert_eq!(
-        sys.machine.metrics.counter("faults.injected.frame_exhaust"),
-        1
-    );
+    assert_eq!(sys.machine.faults.injected(FaultClass::FrameExhaust), 1);
 }
 
 #[test]
@@ -283,10 +277,7 @@ fn kernel_alloc_failure_surfaces_as_enomem_from_pipe() {
     arm(&mut sys, FaultClass::KernelAlloc, Trigger::Nth(1));
     let pid = sys.spawn("piper");
     assert_eq!(sys.run_until_exit(pid), 0);
-    assert_eq!(
-        sys.machine.metrics.counter("faults.injected.kernel_alloc"),
-        1
-    );
+    assert_eq!(sys.machine.faults.injected(FaultClass::KernelAlloc), 1);
 }
 
 #[test]
@@ -310,10 +301,7 @@ fn spurious_irq_perturbs_only_trap_counters() {
     };
     let base = run(false);
     let hit = run(true);
-    assert_eq!(
-        hit.machine.metrics.counter("faults.injected.spurious_irq"),
-        1
-    );
+    assert_eq!(hit.machine.faults.injected(FaultClass::SpuriousIrq), 1);
     assert!(
         hit.machine.counters.traps > base.machine.counters.traps,
         "the spurious interrupt took a trap"
@@ -332,7 +320,7 @@ fn irq_storm_charges_a_burst_of_traps() {
     let before_arm_traps = sys.machine.counters.traps;
     let pid = sys.spawn("idle");
     assert_eq!(sys.run_until_exit(pid), 0);
-    assert_eq!(sys.machine.metrics.counter("faults.injected.irq_storm"), 1);
+    assert_eq!(sys.machine.faults.injected(FaultClass::IrqStorm), 1);
     assert!(
         sys.machine.counters.traps >= before_arm_traps + 32,
         "storm delivered 32 interrupts"
@@ -362,7 +350,7 @@ fn bit_flip_in_regular_frames_never_panics_the_kernel() {
     );
     let pid = sys.spawn("toucher");
     assert_eq!(sys.run_until_exit(pid), 0, "no panic, no kill");
-    assert!(sys.machine.metrics.counter("faults.injected.bit_flip") > 0);
+    assert!(sys.machine.faults.injected(FaultClass::BitFlip) > 0);
 }
 
 #[test]
@@ -389,8 +377,8 @@ fn disk_transient_swap_out_retries_then_gives_up_cleanly() {
     );
     let pid = sys.spawn("ghosty");
     assert_eq!(sys.run_until_exit(pid), 0);
-    let m = &sys.machine.metrics;
-    assert!(m.counter("faults.injected.disk_transient") >= 4);
-    assert!(m.counter("faults.retried.disk_transient") >= 3);
-    assert_eq!(m.counter("faults.recovered.disk_transient"), 0);
+    let m = &sys.machine.faults;
+    assert!(m.injected(FaultClass::DiskTransient) >= 4);
+    assert!(m.count(FaultClass::DiskTransient, Outcome::Retried) >= 3);
+    assert_eq!(m.count(FaultClass::DiskTransient, Outcome::Recovered), 0);
 }

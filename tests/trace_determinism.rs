@@ -11,7 +11,7 @@
 use vg_apps::{lmbench, postmark};
 use vg_kernel::{Mode, System};
 use vg_machine::{FaultPlan, TraceEvent};
-use vg_trace::{chrome_trace_json, fault_summary, summary_top_n, DEFAULT_TRACE_CAPACITY};
+use vg_trace::{chrome_trace_json, summary_top_n, DEFAULT_TRACE_CAPACITY};
 
 /// The capture workload: one LMBench microbenchmark, a ghost-memory swap
 /// roundtrip, and a small Postmark run.
@@ -179,7 +179,7 @@ fn fault_layer_is_invisible_when_it_injects_nothing() {
             chrome_trace_json(&sys.machine.trace),
             summary_top_n(&sys.machine.trace, 10),
             sys.machine.metrics_report(),
-            fault_summary(&sys.machine.metrics),
+            sys.machine.faults.summary(),
         )
     };
     let disarmed = run(None);
