@@ -29,8 +29,8 @@
 
 use crate::server::{self, LoopBufs, IOV_MAX};
 use crate::thttpd; // shares the C10K latency/throughput reporting shape
+use crate::{extend_payload, push_decimal};
 use std::collections::HashMap;
-use std::io::Write;
 use std::ops::Range;
 use vg_kernel::{System, UserEnv};
 use vg_runtime::Heap;
@@ -142,7 +142,7 @@ impl Store {
         match self.index.get(key) {
             Some(&(va, len)) => {
                 self.resp.clear();
-                writeln!(self.resp, "VALUE {len}").expect("writing to a Vec cannot fail");
+                value_header(&mut self.resp, len);
                 env.read_mem_into(va, len, &mut self.resp); // ghost heap -> staging
                 env.write_mem(slot_va, &self.resp);
                 self.resp.len()
@@ -219,19 +219,37 @@ pub(crate) fn command_train(conn: usize, pairs: u32, value_size: usize) -> (Vec<
     let expected_len = n * (10 + digits(value_size) + value_size);
     let mut train = Vec::with_capacity(train_len);
     let mut expected = Vec::with_capacity(expected_len);
-    let vec_write = "writing to a Vec cannot fail";
-    for p in 0..pairs {
-        writeln!(train, "SET k{conn}-{p} {value_size}").expect(vec_write);
+    for p in 0..n {
+        key_line(&mut train, b"SET k", conn, p);
+        train.push(b' ');
+        push_decimal(&mut train, value_size);
+        train.push(b'\n');
         kv_value(&mut train, conn, p, value_size);
         expected.extend_from_slice(b"OK\n");
     }
-    for p in 0..pairs {
-        writeln!(train, "GET k{conn}-{p}").expect(vec_write);
-        writeln!(expected, "VALUE {value_size}").expect(vec_write);
+    for p in 0..n {
+        key_line(&mut train, b"GET k", conn, p);
+        train.push(b'\n');
+        value_header(&mut expected, value_size);
         kv_value(&mut expected, conn, p, value_size);
     }
     debug_assert_eq!((train.len(), expected.len()), (train_len, expected_len));
     (train, expected)
+}
+
+/// Appends `{verb}{conn}-{pair}`, a command up to the end of its key.
+fn key_line(out: &mut Vec<u8>, verb: &[u8], conn: usize, pair: usize) {
+    out.extend_from_slice(verb);
+    push_decimal(out, conn);
+    out.push(b'-');
+    push_decimal(out, pair);
+}
+
+/// Appends a `GET` hit's header line, `VALUE {len}\n`.
+fn value_header(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(b"VALUE ");
+    push_decimal(out, len);
+    out.push(b'\n');
 }
 
 /// Decimal digits of `n`.
@@ -240,8 +258,8 @@ fn digits(n: usize) -> usize {
 }
 
 /// Appends the deterministic value bytes of one key to `out`.
-fn kv_value(out: &mut Vec<u8>, conn: usize, pair: u32, value_size: usize) {
-    out.extend((0..value_size).map(|i| ((conn * 131 + pair as usize * 17 + i) % 251) as u8));
+fn kv_value(out: &mut Vec<u8>, conn: usize, pair: usize, value_size: usize) {
+    extend_payload(out, conn * 131 + pair * 17, 1, value_size);
 }
 
 /// Result of one ghostkv load run (same shape as
@@ -438,6 +456,73 @@ mod tests {
                 .count();
             prop_assert_eq!(got.len(), whole);
             prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The `fmt` and per-byte `% 251` train builder `command_train`
+    /// replaced, kept as its oracle.
+    fn oracle_command_train(conn: usize, pairs: u32, value_size: usize) -> (Vec<u8>, Vec<u8>) {
+        use std::io::Write;
+        let value = |out: &mut Vec<u8>, p: u32| {
+            out.extend((0..value_size).map(|i| ((conn * 131 + p as usize * 17 + i) % 251) as u8));
+        };
+        let (mut train, mut expected) = (Vec::new(), Vec::new());
+        for p in 0..pairs {
+            writeln!(train, "SET k{conn}-{p} {value_size}").unwrap();
+            value(&mut train, p);
+            expected.extend_from_slice(b"OK\n");
+        }
+        for p in 0..pairs {
+            writeln!(train, "GET k{conn}-{p}").unwrap();
+            writeln!(expected, "VALUE {value_size}").unwrap();
+            value(&mut expected, p);
+        }
+        (train, expected)
+    }
+
+    /// Checks one train against the oracle, and that both buffers were
+    /// allocated at their exact size.
+    fn assert_train_matches_oracle(conn: usize, pairs: u32, value_size: usize) {
+        let (train, expected) = command_train(conn, pairs, value_size);
+        assert_eq!(
+            (train.capacity(), expected.capacity()),
+            (train.len(), expected.len()),
+            "conn {conn} pairs {pairs} value_size {value_size}: exact capacity"
+        );
+        assert!(
+            (train, expected) == oracle_command_train(conn, pairs, value_size),
+            "conn {conn} pairs {pairs} value_size {value_size}"
+        );
+    }
+
+    #[test]
+    fn command_train_matches_the_oracle_at_period_and_size_edges() {
+        for value_size in [0, 1, 250, 251, 252, 1000, MAX_VALUE] {
+            for (conn, pairs) in [(0, 0), (0, 1), (1023, 4), (99_999, 12), (250, 251)] {
+                assert_train_matches_oracle(conn, pairs, value_size);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The train and the responses it is owed are byte-identical to
+        /// the `writeln!` + per-byte formula builder's.
+        #[test]
+        fn command_train_matches_the_oracle(
+            conn in 0usize..200_000,
+            pairs in 0u32..24,
+            value_size in prop_oneof![
+                Just(0usize),
+                Just(250usize),
+                Just(251usize),
+                Just(252usize),
+                Just(MAX_VALUE),
+                0..MAX_VALUE + 1,
+            ],
+        ) {
+            assert_train_matches_oracle(conn, pairs, value_size);
         }
     }
 

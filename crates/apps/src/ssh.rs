@@ -212,6 +212,8 @@ fn stream_encrypted_file(env: &mut UserEnv, conn: i64, path: &str) -> u64 {
         return 0;
     }
     let buf = env.mmap_anon(CHUNK);
+    // One host buffer encrypts every chunk.
+    let mut chunk = Vec::with_capacity(CHUNK);
     let mut nonce = 0u64;
     let mut total = 0u64;
     loop {
@@ -220,7 +222,8 @@ fn stream_encrypted_file(env: &mut UserEnv, conn: i64, path: &str) -> u64 {
             break;
         }
         // Encrypt under the session key (real cipher + charged cost).
-        let mut chunk = env.read_mem(buf, n as usize);
+        chunk.clear();
+        env.read_mem_into(buf, n as usize, &mut chunk);
         cipher.ctr_xor(nonce, &mut chunk);
         nonce += 1;
         let blocks = (n as u64).div_ceil(16);
@@ -338,7 +341,7 @@ impl DownloadCheck {
 /// download is checked as it goes out: it must decrypt to the file.
 pub fn sshd_bandwidth(sys: &mut System, file_size: usize, transfers: u32) -> f64 {
     install_sshd(sys);
-    let data: Vec<u8> = (0..file_size).map(|i| (i * 17 % 251) as u8).collect();
+    let data = crate::payload(0, 17, file_size);
     sys.write_file("/srv.dat", &data);
     let mut flows = Vec::new();
     for _ in 0..transfers {
@@ -378,7 +381,7 @@ pub fn ssh_client_bandwidth(
     ghosting: bool,
 ) -> f64 {
     // The remote peer: replies to "get" with the session-encrypted file.
-    let payload: Vec<u8> = (0..file_size).map(|i| (i * 13 % 251) as u8).collect();
+    let payload = crate::payload(0, 13, file_size);
     let mut wire = payload.clone();
     let cipher = Aes128::new(&session_key());
     for (i, chunk) in wire.chunks_mut(CHUNK).enumerate() {

@@ -164,7 +164,7 @@ fn drain_complete_requests(acc: &mut Vec<u8>, max: usize) -> usize {
 
 /// The `/index.dat` document the C10K drivers serve: `file_size` bytes.
 pub(crate) fn document(file_size: usize) -> Vec<u8> {
-    (0..file_size).map(|i| (i * 31 % 251) as u8).collect()
+    crate::payload(0, 31, file_size)
 }
 
 /// One connection's client train: `reqs_per_conn` pipelined requests for

@@ -274,13 +274,17 @@ impl System {
 
     pub(crate) fn sys_send(&mut self, pid: Pid, fd: u64, buf: u64, len: usize) -> i64 {
         costs::RW_BASE.charge(&mut self.machine);
-        let Some(data) = self.copyin(pid, buf, len) else {
-            return -1;
+        let mut data = std::mem::take(&mut self.io_bytes);
+        data.clear();
+        let r = if !self.copyin_into(pid, buf, len, &mut data) {
+            -1
+        } else if let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) {
+            self.sock_write(id, &data)
+        } else {
+            -1
         };
-        let Some(Fd::Sock { id }) = self.proc_fd(pid, fd) else {
-            return -1;
-        };
-        self.sock_write(id, &data)
+        self.io_bytes = data;
+        r
     }
 
     pub(crate) fn sys_recv(&mut self, pid: Pid, fd: u64, buf: u64, len: usize) -> i64 {

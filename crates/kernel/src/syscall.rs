@@ -443,20 +443,31 @@ impl System {
             Some(Fd::File { ino, off }) => {
                 // No file holds more than MAX_FILE_BYTES, so the cap never
                 // shortens a read; it keeps a hostile `len` from aborting
-                // the host on an impossible allocation.
-                let mut data = vec![0u8; len.min(crate::fs::MAX_FILE_BYTES as usize)];
-                let r = self.with_fs(|fs, dev, w| fs.read(dev, ino, off, &mut data, w));
-                let n = match r {
-                    Ok(n) => n,
-                    Err(FsError::Io) => return EIO,
-                    Err(_) => 0,
-                };
-                data.truncate(n);
-                if !self.copyout(pid, buf, &data) {
-                    return -1;
+                // the host on an impossible allocation. The read lands in
+                // the kernel's scratch buffer, which only grows: vgfs fills
+                // every byte it returns (holes included), so stale bytes
+                // past them are never copied out.
+                let cap = len.min(crate::fs::MAX_FILE_BYTES as usize);
+                let mut data = std::mem::take(&mut self.io_bytes);
+                if data.len() < cap {
+                    data.resize(cap, 0);
                 }
-                self.advance_off(pid, fd, n as u64);
-                n as i64
+                let r = self.with_fs(|fs, dev, w| fs.read(dev, ino, off, &mut data[..cap], w));
+                let n = match r {
+                    Ok(n) => Some(n),
+                    Err(FsError::Io) => None,
+                    Err(_) => Some(0),
+                };
+                let r = match n {
+                    None => EIO,
+                    Some(n) if !self.copyout(pid, buf, &data[..n]) => -1,
+                    Some(n) => {
+                        self.advance_off(pid, fd, n as u64);
+                        n as i64
+                    }
+                };
+                self.io_bytes = data;
+                r
             }
             Some(Fd::Sock { id }) => self.sock_recv(pid, id, buf, len),
             Some(Fd::PipeR { id }) => self.pipe_read(pid, id, buf, len),
@@ -487,14 +498,26 @@ impl System {
         }
     }
 
+    /// `write`: the user bytes are copied in through the kernel's scratch
+    /// buffer.
     pub(crate) fn sys_write(&mut self, pid: Pid, fd: u64, buf: u64, len: usize) -> i64 {
         costs::RW_BASE.charge(&mut self.machine);
-        let Some(data) = self.copyin(pid, buf, len) else {
-            return -1;
+        let mut data = std::mem::take(&mut self.io_bytes);
+        data.clear();
+        let r = if self.copyin_into(pid, buf, len, &mut data) {
+            self.write_from(pid, fd, &data)
+        } else {
+            -1
         };
+        self.io_bytes = data;
+        r
+    }
+
+    /// The body of [`Self::sys_write`] once its bytes are copied in.
+    fn write_from(&mut self, pid: Pid, fd: u64, data: &[u8]) -> i64 {
         match self.fd_of(pid, fd) {
             Some(Fd::File { ino, off }) => {
-                match self.with_fs(|fs, dev, w| fs.write_file(dev, ino, off, &data, w)) {
+                match self.with_fs(|fs, dev, w| fs.write_file(dev, ino, off, data, w)) {
                     Ok(n) => {
                         self.advance_off(pid, fd, n as u64);
                         n as i64
@@ -502,7 +525,7 @@ impl System {
                     Err(e) => errno(e),
                 }
             }
-            Some(Fd::Sock { id }) => self.sock_write(id, &data),
+            Some(Fd::Sock { id }) => self.sock_write(id, data),
             Some(Fd::PipeW { id }) => {
                 let Some(p) = self.pipes.get_mut(&id) else {
                     return -1;
@@ -546,8 +569,10 @@ impl System {
 
     fn sys_lseek(&mut self, pid: Pid, fd: u64, offset: i64, whence: u64) -> i64 {
         crate::mem::kwork(&mut self.machine, 40, 4);
+        // Only SEEK_END needs the size, so only it stats the file.
         let size = match self.fd_of(pid, fd) {
-            Some(Fd::File { ino, .. }) => self.file_size(ino),
+            Some(Fd::File { ino, .. }) if whence > 1 => self.file_size(ino),
+            Some(Fd::File { .. }) => None,
             _ => return -1,
         };
         let Some(proc) = self.procs.get_mut(&pid) else {

@@ -388,9 +388,10 @@ pub struct System {
     pub(crate) pending_child: Option<ChildKind>,
     next_tid: u64,
     pub(crate) syscall_path: Option<String>,
-    /// Kernel scratch the readiness and vectored-I/O syscalls reuse: the
-    /// user bytes they copy in (a poll table, an iovec table, one `writev`
-    /// iovec) and the decoded iovecs. A syscall takes a buffer with
+    /// Kernel scratch the byte, readiness and vectored-I/O syscalls reuse:
+    /// the bytes they stage (a `read`'s file bytes, a `write`'s or `send`'s
+    /// user bytes, a poll table, an iovec table, one `writev` iovec) and
+    /// the decoded iovecs. A syscall takes a buffer with
     /// `mem::take` and puts it back before it returns, so once the buffers
     /// have grown a request allocates nothing.
     pub(crate) io_bytes: Vec<u8>,

@@ -1,7 +1,9 @@
 //! System-call edge cases: bad descriptors, bad arguments, and boundary
 //! conditions must return errors, never panic the kernel.
 
+use vg_kernel::fs::VgFs;
 use vg_kernel::syscall::{EISDIR, O_APPEND, O_CREAT, O_TRUNC, SYS_READ};
+use vg_kernel::system::DmaDisk;
 use vg_kernel::{Mode, System, UserEnv};
 
 fn run(body: impl Fn(&mut UserEnv) -> i32 + 'static) -> i32 {
@@ -151,6 +153,41 @@ fn file_size_stat_goes_uncharged() {
     let c = costs.borrow();
     assert_eq!(c[1], c[0], "open(O_APPEND) + close vs open + close");
     assert_eq!(c[3], c[2], "lseek(SEEK_END) vs lseek(SEEK_SET)");
+}
+
+/// Only `SEEK_END` needs the file's size, so `SEEK_SET` and `SEEK_CUR`
+/// never read the inode: on a cold inode they move no disk block, while
+/// `SEEK_END` must fetch it.
+#[test]
+fn only_seek_end_reads_the_inode() {
+    let code = run(|env| {
+        let buf = env.mmap_anon(4096);
+        let fd = env.open("/cold", O_CREAT);
+        env.write(fd, buf, 100);
+        {
+            // Write back, then remount with the boot geometry: an empty
+            // cache, so the next inode read goes to the disk.
+            let sys = &mut *env.sys;
+            let mut dev = DmaDisk {
+                machine: &mut sys.machine,
+                vm: &mut sys.vm,
+            };
+            sys.fs.sync(&mut dev).unwrap();
+            sys.fs = VgFs::mount(&mut dev, 4096);
+        }
+        let blocks0 = env.sys.machine.counters.disk_blocks;
+        if env.lseek(fd, 7, 0) != 7 || env.sys.machine.counters.disk_blocks != blocks0 {
+            return 1; // SEEK_SET read the disk
+        }
+        if env.lseek(fd, 3, 1) != 10 || env.sys.machine.counters.disk_blocks != blocks0 {
+            return 2; // SEEK_CUR read the disk
+        }
+        if env.lseek(fd, -1, 2) != 99 || env.sys.machine.counters.disk_blocks == blocks0 {
+            return 3; // SEEK_END found the inode warm: the test proves nothing
+        }
+        0
+    });
+    assert_eq!(code, 0);
 }
 
 #[test]

@@ -54,10 +54,10 @@ impl Disk {
     ) -> Result<(), DmaFault> {
         iommu.check(pfn, DmaDirection::ToMemory)?;
         self.reads += 1;
-        let data = self.blocks[block as usize]
-            .clone()
-            .unwrap_or_else(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-        phys.write_frame(pfn, &data);
+        match &self.blocks[block as usize] {
+            Some(data) => phys.write_frame(pfn, data),
+            None => phys.zero_frame(pfn), // never written: a zeroed block
+        }
         Ok(())
     }
 
@@ -79,7 +79,11 @@ impl Disk {
     ) -> Result<(), DmaFault> {
         iommu.check(pfn, DmaDirection::FromMemory)?;
         self.writes += 1;
-        self.blocks[block as usize] = Some(phys.read_frame(pfn).into_boxed_slice());
+        let page = phys.bytes(pfn, 0, PAGE_SIZE as usize);
+        match &mut self.blocks[block as usize] {
+            Some(data) => data.copy_from_slice(page),
+            slot => *slot = Some(page.into()),
+        }
         Ok(())
     }
 
@@ -280,6 +284,27 @@ mod tests {
         phys.read_bytes(pfn, 0, &mut buf);
         assert_eq!(&buf, b"block data");
         assert_eq!((disk.reads, disk.writes), (1, 1));
+    }
+
+    #[test]
+    fn disk_dma_reads_zeros_from_unwritten_and_new_bytes_from_rewritten_blocks() {
+        let (iommu, mut phys, pfn) = dma_env();
+        let mut disk = Disk::new(16);
+        // A frame full of junk takes an unwritten block's zeros.
+        phys.write_frame(pfn, &[0xa5; PAGE_SIZE as usize]);
+        disk.dma_read(&iommu, &mut phys, 5, pfn).unwrap();
+        assert_eq!(phys.read_frame(pfn), vec![0u8; PAGE_SIZE as usize]);
+        // A block written twice reads back the second write, whole.
+        phys.write_frame(pfn, &[1; PAGE_SIZE as usize]);
+        disk.dma_write(&iommu, &phys, 5, pfn).unwrap();
+        let second: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 7) as u8).collect();
+        phys.write_frame(pfn, &second);
+        disk.dma_write(&iommu, &phys, 5, pfn).unwrap();
+        phys.write_frame(pfn, &[0xa5; PAGE_SIZE as usize]);
+        disk.dma_read(&iommu, &mut phys, 5, pfn).unwrap();
+        assert_eq!(phys.read_frame(pfn), second);
+        assert_eq!(disk.peek(5), second);
+        assert_eq!((disk.reads, disk.writes), (2, 2));
     }
 
     #[test]
