@@ -8,8 +8,6 @@
 //!
 //! Both subcommands measure the same rows the same way:
 //!
-//! - `engine`: the interpreter shapes of `vg_bench::shapes`, fused tier vs
-//!   the reference engine (`BENCH_interp.json`);
 //! - `crypto_data_plane`: the vg-crypto fast paths vs the scalar
 //!   `vg_crypto::reference` (`BENCH_crypto.json`);
 //! - `net_data_plane`: the descriptor ring vs the per-call path, in
@@ -31,15 +29,10 @@
 
 use std::ops::Range;
 use std::time::Instant;
-use vg_bench::shapes::{
-    net_shapes, prepared_shapes, smp_shapes, BenchHost, NetShapeResult, PreparedShape,
-    SMP_CPU_COUNTS,
-};
+use vg_bench::shapes::{net_shapes, smp_shapes, NetShapeResult, SMP_CPU_COUNTS};
 use vg_crypto::aes::{Aes128, SealedBox};
 use vg_crypto::hmac::HmacKey;
 use vg_crypto::reference;
-use vg_ir::interp::{FlatMem, Pair};
-use vg_ir::Engine;
 
 /// Allowed relative drop of a recorded speedup before `check` fails.
 const TOLERANCE: f64 = 1.25;
@@ -195,8 +188,8 @@ fn list<T>(items: impl IntoIterator<Item = T>, fmt: impl Fn(T) -> String) -> Str
 /// Minimum mean-per-iteration microseconds of `a` and of `b` over several
 /// rounds, after a ~25 ms warm-up of each. The warm-up matters: shapes are
 /// measured back to back in one process, and without it the branch
-/// predictor and the engines' lazy caches carry the previous shape's state
-/// into the first rounds. Rounds are calibrated to ~10 ms so fast and slow
+/// predictor and the caches carry the previous shape's state into the
+/// first rounds. Rounds are calibrated to ~10 ms so fast and slow
 /// benches get comparable noise; taking the minimum of the round means
 /// discards scheduler and frequency-scaling spikes, which is what a
 /// lower-bound ratio gate wants. The two sides alternate round by round,
@@ -226,24 +219,6 @@ fn measure_pair<'a>(a: &'a mut dyn FnMut(), b: &'a mut dyn FnMut()) -> (f64, f64
     (sides[0].2, sides[1].2)
 }
 
-/// One run of `shape` under `engine`, interpreter construction hoisted out
-/// of the timed closure.
-fn shape_runner(shape: &PreparedShape, engine: Engine) -> impl FnMut() + '_ {
-    let mut interp = vg_ir::Interp::new(&shape.registry)
-        .with_engine(engine)
-        .with_fuel(u64::MAX);
-    let mut mem = FlatMem::new(64);
-    let mut host = BenchHost::for_registry(&shape.registry);
-    let args = [shape.leaf.0 as i64, shape.iters];
-    move || {
-        let mut env = Pair {
-            mem: &mut mem,
-            host: &mut host,
-        };
-        std::hint::black_box(interp.run(shape.entry, &args, &mut env).unwrap());
-    }
-}
-
 /// One measured row.
 struct Row {
     group: &'static str,
@@ -257,33 +232,6 @@ struct Row {
     baseline: f64,
     /// What `record` writes: (key path, JSON text). Includes `key`.
     values: Vec<(String, String)>,
-}
-
-fn engine_rows(_doc: &str, _record: bool) -> Result<Vec<Row>, String> {
-    Ok(prepared_shapes()
-        .iter()
-        .map(|shape| {
-            let (fused, reference) = measure_pair(
-                &mut shape_runner(shape, Engine::Fused),
-                &mut shape_runner(shape, Engine::Reference),
-            );
-            let at = |field: &str| format!("shapes.{}.{field}", shape.name);
-            let key = at("fused_vs_reference");
-            Row {
-                group: "engine",
-                name: shape.name,
-                measured: reference / fused,
-                optimized: fused,
-                baseline: reference,
-                values: vec![
-                    (at("fused_us"), fixed(fused, 2)),
-                    (at("reference_us"), fixed(reference, 2)),
-                    (key.clone(), fixed(reference / fused, 2)),
-                ],
-                key,
-            }
-        })
-        .collect())
 }
 
 fn crypto_rows(_doc: &str, _record: bool) -> Result<Vec<Row>, String> {
@@ -476,8 +424,7 @@ fn smp_rows(doc: &str, _record: bool) -> Result<Vec<Row>, String> {
 type RowsFn = fn(&str, bool) -> Result<Vec<Row>, String>;
 
 /// Every BENCH file at the repository root and the rows it holds.
-const FILES: [(&str, RowsFn); 4] = [
-    ("BENCH_interp.json", engine_rows),
+const FILES: [(&str, RowsFn); 3] = [
     ("BENCH_crypto.json", crypto_rows),
     ("BENCH_net.json", net_rows),
     ("BENCH_smp.json", smp_rows),
@@ -492,7 +439,7 @@ fn within_floor(doc: &str, row: &Row) -> bool {
     number(doc, &row.key).is_some_and(|r| row.measured >= r / TOLERANCE)
 }
 
-/// Measures every file's rows, then writes all four files; a missing key
+/// Measures every file's rows, then writes all three files; a missing key
 /// in any of them leaves every file untouched.
 fn record() -> Result<(), String> {
     println!("== vg-bench record ==\n");
@@ -613,12 +560,6 @@ mod tests {
     /// The gated key of every row `check` reads, per file.
     fn gated_keys(file: &str) -> Vec<String> {
         let names: &[&str] = match file {
-            "BENCH_interp.json" => &[
-                "arith_loop",
-                "call_heavy",
-                "extern_heavy",
-                "indirect_cfi_heavy",
-            ],
             "BENCH_crypto.json" => &["aes_ctr_page", "seal_page", "unseal_page", "hmac_1k"],
             "BENCH_net.json" => &["thttpd_c10k", "ghostkv"],
             _ => &["thttpd_c10k", "postmark", "ghostkv", "lmbench_procmix"],
@@ -626,7 +567,6 @@ mod tests {
         names
             .iter()
             .map(|n| match file {
-                "BENCH_interp.json" => format!("shapes.{n}.fused_vs_reference"),
                 "BENCH_crypto.json" => format!("benches.{n}.speedup"),
                 "BENCH_net.json" => format!("shapes.{n}.speedup"),
                 _ => format!("shapes.{n}.speedup.2"), // 4 cpus

@@ -129,7 +129,8 @@ pub enum SvaError {
     /// Operation requires protections to be off (native-only API used under
     /// Virtual Ghost, e.g. raw code injection).
     DeniedByVirtualGhost,
-    /// Module translation signature invalid or module not instrumented.
+    /// Module translation signature invalid, module not instrumented or
+    /// structurally malformed, or code named that was never loaded.
     UntrustedCode,
 }
 
@@ -256,18 +257,23 @@ impl SvaVm {
         self.rng.next_u64()
     }
 
-    /// Loads a kernel module translation, enforcing the Virtual Ghost code
-    /// provenance rules when sandboxing is on: the translation must verify
-    /// against the VG public key and be fully instrumented.
+    /// Loads a kernel module translation. In every mode the module must be
+    /// structurally well formed ([`vg_ir::verify::verify_module`]); under
+    /// Virtual Ghost the translation must also verify against the VG public
+    /// key and be fully instrumented.
     ///
     /// # Errors
     ///
-    /// [`SvaError::UntrustedCode`] if sandboxing is enabled and the
-    /// signature fails or the module lacks instrumentation labels.
+    /// [`SvaError::UntrustedCode`] if the module is malformed, or if
+    /// sandboxing is enabled and the signature fails or the module lacks
+    /// instrumentation labels.
     pub fn load_kernel_module(
         &mut self,
         translation: vg_ir::Translation,
     ) -> Result<vg_ir::registry::ModuleHandle, SvaError> {
+        if vg_ir::verify::verify_module(&translation.module).is_err() {
+            return Err(SvaError::UntrustedCode);
+        }
         if self.protections.enforced {
             if !translation.verify(self.compiler.public_key()) {
                 return Err(SvaError::UntrustedCode);
@@ -283,9 +289,20 @@ impl SvaVm {
 
     /// Registers application code (not instrumented; apps are untrusted to
     /// the kernel but trusted to themselves).
-    pub fn load_app_module(&mut self, module: vg_ir::Module) -> vg_ir::registry::ModuleHandle {
-        self.code
-            .register_module(module, vg_ir::registry::CodeSpace::User)
+    ///
+    /// # Errors
+    ///
+    /// [`SvaError::UntrustedCode`] if the module is structurally malformed.
+    pub fn load_app_module(
+        &mut self,
+        module: vg_ir::Module,
+    ) -> Result<vg_ir::registry::ModuleHandle, SvaError> {
+        if vg_ir::verify::verify_module(&module).is_err() {
+            return Err(SvaError::UntrustedCode);
+        }
+        Ok(self
+            .code
+            .register_module(module, vg_ir::registry::CodeSpace::User))
     }
 
     /// Raw code registration at an arbitrary address — the code-injection
@@ -302,7 +319,8 @@ impl SvaVm {
     /// # Errors
     ///
     /// [`SvaError::DeniedByVirtualGhost`] for kernel-space targets when
-    /// sandboxing is enabled.
+    /// sandboxing is enabled; [`SvaError::UntrustedCode`] if `module` has no
+    /// function `func`.
     pub fn inject_code_at(
         &mut self,
         addr: vg_ir::CodeAddr,
@@ -312,7 +330,9 @@ impl SvaVm {
         if self.protections.enforced && addr.0 >= vg_machine::layout::KERNEL_BASE {
             return Err(SvaError::DeniedByVirtualGhost);
         }
-        self.code.register_at(addr, module, func);
+        if !self.code.register_at(addr, module, func) {
+            return Err(SvaError::UntrustedCode);
+        }
         Ok(())
     }
 }

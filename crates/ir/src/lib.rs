@@ -23,15 +23,8 @@
 //! * [`compiler`] — the pass pipeline plus translation signing.
 //! * [`registry`] — maps code addresses to functions (the "native code"
 //!   address space that indirect calls resolve through).
-//! * [`lower`] — the load-time lowering pass: linear pre-decoded
-//!   instructions, pre-resolved branch pcs, pooled constants, interned
-//!   extern ids, and inline-cache sites for the fused engine.
-//! * [`fuse`] — the superinstruction pass over the lowered form: ALU runs,
-//!   compare-and-branch pairs, and jump threading for the fused tier.
-//! * [`interp`] — the executor, with pluggable memory ([`interp::MemBus`])
-//!   and host-call ([`interp::ExternHost`]) interfaces. Two engines share
-//!   one observable semantics: the default fused engine and the reference
-//!   tree-walker ([`interp::Engine`]).
+//! * [`interp`] — the executor, a tree-walker with pluggable memory
+//!   ([`interp::MemBus`]) and host-call ([`interp::ExternHost`]) interfaces.
 //!
 //! ## Example: compile a module and watch the instrumentation appear
 //!
@@ -59,10 +52,8 @@
 pub mod builder;
 pub mod compiler;
 pub mod encode;
-pub mod fuse;
 pub mod inst;
 pub mod interp;
-pub mod lower;
 pub mod passes;
 pub mod registry;
 pub mod verify;
@@ -70,7 +61,6 @@ pub mod verify;
 pub use builder::FunctionBuilder;
 pub use compiler::{Translation, VgCompiler};
 pub use inst::{BinOp, BlockId, Function, Inst, Module, Operand, Terminator, VReg, Width};
-pub use interp::{Engine, ExternHost, Interp, InterpFault, InterpStats, MemBus, MemFault};
-pub use lower::LowerError;
+pub use interp::{ExternHost, Interp, InterpFault, InterpStats, MemBus, MemFault};
 pub use registry::{CodeAddr, CodeRegistry};
 pub use verify::VerifyError;

@@ -3,10 +3,10 @@
 //! Modules arrive as IR source; [`System::install_module`] runs them through
 //! the pipeline the active mode requires — under Virtual Ghost that is the
 //! instrumenting compiler plus signed-translation loading; natively the raw
-//! module is accepted as-is. After loading, the module's `init` function
-//! runs in kernel context, where it can hook system calls
-//! (`kern.hook_syscall`) exactly like the paper's rootkit replaces the
-//! `read` handler.
+//! module is accepted as long as it is structurally well formed. After
+//! loading, the module's `init` function runs in kernel context, where it
+//! can hook system calls (`kern.hook_syscall`) exactly like the paper's
+//! rootkit replaces the `read` handler.
 //!
 //! [`KernelCtx`] is the environment hooked handlers run in: kernel-privilege
 //! memory plus the kernel API surface a real module would link against.
@@ -61,7 +61,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`SvaError::UntrustedCode`] under Virtual Ghost.
+    /// [`SvaError::UntrustedCode`] under Virtual Ghost, or in any mode for
+    /// a structurally malformed module.
     pub fn install_raw_module(
         &mut self,
         module: Module,
@@ -117,94 +118,16 @@ impl MemBus for KernelCtx<'_> {
     }
 }
 
-/// The kernel API surface, one variant per extern name. Module code names
-/// these by string in the IR; both interpreter entry points resolve the
-/// name through [`KernApi::from_name`] (`call_extern_id` falls back to
-/// `call_extern`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernApi {
-    /// `kern.cur_pid`
-    CurPid,
-    /// `kern.own_module`
-    OwnModule,
-    /// `kern.own_fn_addr`
-    OwnFnAddr,
-    /// `kern.config`
-    Config,
-    /// `kern.set_config`
-    SetConfig,
-    /// `kern.log_val`
-    LogVal,
-    /// `kern.log_bytes`
-    LogBytes,
-    /// `kern.hook_syscall`
-    HookSyscall,
-    /// `kern.orig_syscall`
-    OrigSyscall,
-    /// `kern.mmap_user`
-    MmapUser,
-    /// `kern.inject_code`
-    InjectCode,
-    /// `kern.set_sighandler`
-    SetSighandler,
-    /// `kern.send_signal`
-    SendSignal,
-    /// `kern.read_ic_rip`
-    ReadIcRip,
-    /// `kern.write_ic_rip`
-    WriteIcRip,
-    /// `kern.exfil_file`
-    ExfilFile,
-    /// `kern.port_write`
-    PortWrite,
-    /// `kern.iommu_map`
-    IommuMap,
-}
-
-impl KernApi {
-    /// Resolves an extern name to its API entry.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "kern.cur_pid" => KernApi::CurPid,
-            "kern.own_module" => KernApi::OwnModule,
-            "kern.own_fn_addr" => KernApi::OwnFnAddr,
-            "kern.config" => KernApi::Config,
-            "kern.set_config" => KernApi::SetConfig,
-            "kern.log_val" => KernApi::LogVal,
-            "kern.log_bytes" => KernApi::LogBytes,
-            "kern.hook_syscall" => KernApi::HookSyscall,
-            "kern.orig_syscall" => KernApi::OrigSyscall,
-            "kern.mmap_user" => KernApi::MmapUser,
-            "kern.inject_code" => KernApi::InjectCode,
-            "kern.set_sighandler" => KernApi::SetSighandler,
-            "kern.send_signal" => KernApi::SendSignal,
-            "kern.read_ic_rip" => KernApi::ReadIcRip,
-            "kern.write_ic_rip" => KernApi::WriteIcRip,
-            "kern.exfil_file" => KernApi::ExfilFile,
-            "kern.port_write" => KernApi::PortWrite,
-            "kern.iommu_map" => KernApi::IommuMap,
-            _ => return None,
-        })
-    }
-}
-
+/// The kernel API surface a module links against: one match arm per extern
+/// name, resolved on every call.
 impl ExternHost for KernelCtx<'_> {
     fn call_extern(&mut self, name: &str, args: &[i64]) -> Result<i64, HostError> {
-        match KernApi::from_name(name) {
-            Some(api) => self.dispatch(api, args),
-            None => Err(HostError::Unknown),
-        }
-    }
-}
-
-impl KernelCtx<'_> {
-    fn dispatch(&mut self, api: KernApi, args: &[i64]) -> Result<i64, HostError> {
         let a = |i: usize| args.get(i).copied().unwrap_or(0);
-        match api {
+        match name {
             // ---- introspection ------------------------------------------------
-            KernApi::CurPid => Ok(self.cur_pid as i64),
-            KernApi::OwnModule => Ok(self.cur_module.map(|m| m.0 as i64).unwrap_or(-1)),
-            KernApi::OwnFnAddr => {
+            "kern.cur_pid" => Ok(self.cur_pid as i64),
+            "kern.own_module" => Ok(self.cur_module.map(|m| m.0 as i64).unwrap_or(-1)),
+            "kern.own_fn_addr" => {
                 let Some(module) = self.cur_module else {
                     return Ok(-1);
                 };
@@ -216,13 +139,13 @@ impl KernelCtx<'_> {
                     .map(|addr| addr.0 as i64)
                     .unwrap_or(-1))
             }
-            KernApi::Config => Ok(self
+            "kern.config" => Ok(self
                 .sys
                 .module_config
                 .get(a(0) as usize)
                 .copied()
                 .unwrap_or(0)),
-            KernApi::SetConfig => {
+            "kern.set_config" => {
                 let idx = a(0) as usize;
                 if idx < self.sys.module_config.len() {
                     self.sys.module_config[idx] = a(1);
@@ -230,11 +153,11 @@ impl KernelCtx<'_> {
                 Ok(0)
             }
             // ---- logging (attack 1 exfiltration sink) -------------------------
-            KernApi::LogVal => {
+            "kern.log_val" => {
                 self.sys.log.push(format!("module: {:#x}", a(0)));
                 Ok(0)
             }
-            KernApi::LogBytes => {
+            "kern.log_bytes" => {
                 // Print a *kernel-heap* buffer to the system log. The module
                 // must have copied the data there itself with its own
                 // (instrumented) loads and stores — the host refuses other
@@ -251,18 +174,18 @@ impl KernelCtx<'_> {
                 Ok(0)
             }
             // ---- hooking ------------------------------------------------------
-            KernApi::HookSyscall => {
+            "kern.hook_syscall" => {
                 self.sys.hooks.insert(a(0) as u32, CodeAddr(a(1) as u64));
                 Ok(0)
             }
-            KernApi::OrigSyscall => {
+            "kern.orig_syscall" => {
                 // Forward to the built-in handler (stealth passthrough).
                 let num = a(0) as u32;
                 let sargs = [a(1) as u64, a(2) as u64, a(3) as u64, 0, 0, 0];
                 Ok(self.sys.builtin_syscall(self.cur_pid, num, sargs))
             }
             // ---- process manipulation (kernel APIs a module can call) ---------
-            KernApi::MmapUser => {
+            "kern.mmap_user" => {
                 // Map anonymous memory into a victim process.
                 let (pid, len) = (a(0) as u64, a(1) as u64);
                 if !self.sys.procs.contains_key(&pid) {
@@ -271,7 +194,7 @@ impl KernelCtx<'_> {
                 let proc = self.sys.procs.get_mut(&pid).expect("checked");
                 Ok(proc.aspace.reserve_mmap(len, crate::mem::RegionKind::Anon) as i64)
             }
-            KernApi::InjectCode => {
+            "kern.inject_code" => {
                 // "Copy exploit code into the buffer": register module
                 // function #arg2 at user address arg1 of the current module.
                 let (va, module_idx, func) = (a(0) as u64, a(1) as usize, a(2) as u32);
@@ -281,7 +204,7 @@ impl KernelCtx<'_> {
                     Err(_) => Ok(-1),
                 }
             }
-            KernApi::SetSighandler => {
+            "kern.set_sighandler" => {
                 let (pid, sig, addr) = (a(0) as u64, a(1) as i32, a(2) as u64);
                 match self.sys.procs.get_mut(&pid) {
                     Some(p) => {
@@ -291,19 +214,19 @@ impl KernelCtx<'_> {
                     None => Ok(-1),
                 }
             }
-            KernApi::SendSignal => {
+            "kern.send_signal" => {
                 self.sys.post_signal(a(0) as u64, a(1) as i32);
                 Ok(0)
             }
             // ---- interrupted-state attack surface ------------------------------
-            KernApi::ReadIcRip => {
+            "kern.read_ic_rip" => {
                 // Under Virtual Ghost the IC lives in SVA memory: no access.
                 match self.sys.vm.native_ic_mut(vg_core::ThreadId(a(0) as u64)) {
                     Some(ic) => Ok(ic.frame.rip as i64),
                     None => Ok(-1),
                 }
             }
-            KernApi::WriteIcRip => {
+            "kern.write_ic_rip" => {
                 match self.sys.vm.native_ic_mut(vg_core::ThreadId(a(0) as u64)) {
                     Some(ic) => {
                         ic.frame.rip = a(1) as u64;
@@ -313,7 +236,7 @@ impl KernelCtx<'_> {
                 }
             }
             // ---- file exfiltration sink ----------------------------------------
-            KernApi::ExfilFile => {
+            "kern.exfil_file" => {
                 // Append a *kernel-heap* buffer to /stolen — models the
                 // module writing captured data to a file it opened. Same
                 // kernel-heap-only rule as `kern.log_bytes`.
@@ -325,7 +248,7 @@ impl KernelCtx<'_> {
                 Ok(bytes.len() as i64)
             }
             // ---- raw hardware pokes --------------------------------------------
-            KernApi::PortWrite => {
+            "kern.port_write" => {
                 match self
                     .sys
                     .vm
@@ -335,7 +258,7 @@ impl KernelCtx<'_> {
                     Err(_) => Ok(-1),
                 }
             }
-            KernApi::IommuMap => {
+            "kern.iommu_map" => {
                 match self
                     .sys
                     .vm
@@ -345,6 +268,7 @@ impl KernelCtx<'_> {
                     Err(_) => Ok(-1),
                 }
             }
+            _ => Err(HostError::Unknown),
         }
     }
 }
@@ -375,49 +299,15 @@ impl MemBus for UserCtx<'_> {
 }
 
 /// The user-context API surface (syscall-like entry points available to code
-/// dispatched into a process), resolved by name like [`KernApi`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UserApi {
-    /// `user.exfil`
-    Exfil,
-    /// `user.getpid`
-    Getpid,
-    /// `user.secret_addr`
-    SecretAddr,
-    /// `user.secret_len`
-    SecretLen,
-}
-
-impl UserApi {
-    /// Resolves an extern name to its API entry.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "user.exfil" => UserApi::Exfil,
-            "user.getpid" => UserApi::Getpid,
-            "user.secret_addr" => UserApi::SecretAddr,
-            "user.secret_len" => UserApi::SecretLen,
-            _ => return None,
-        })
-    }
-}
-
+/// dispatched into a process), matched by extern name like [`KernelCtx`]'s.
 impl ExternHost for UserCtx<'_> {
     fn call_extern(&mut self, name: &str, args: &[i64]) -> Result<i64, HostError> {
-        match UserApi::from_name(name) {
-            Some(api) => self.dispatch(api, args),
-            None => Err(HostError::Unknown),
-        }
-    }
-}
-
-impl UserCtx<'_> {
-    fn dispatch(&mut self, api: UserApi, args: &[i64]) -> Result<i64, HostError> {
         let a = |i: usize| args.get(i).copied().unwrap_or(0);
-        match api {
+        match name {
             // The exploit's exfiltration: copy process-readable memory
             // (which, running *as* the process, includes ghost memory) out
             // via a write() system call to a file.
-            UserApi::Exfil => {
+            "user.exfil" => {
                 let (addr, len) = (a(0) as u64, (a(1) as u64).min(4096));
                 let mut bytes = Vec::with_capacity(len as usize);
                 for i in 0..len {
@@ -430,11 +320,12 @@ impl UserCtx<'_> {
                 self.sys.append_file("/stolen", &bytes);
                 Ok(n as i64)
             }
-            UserApi::Getpid => Ok(self.pid as i64),
+            "user.getpid" => Ok(self.pid as i64),
             // Attacker-baked reconnaissance (set through the same config
             // channel the module uses).
-            UserApi::SecretAddr => Ok(self.sys.module_config.first().copied().unwrap_or(0)),
-            UserApi::SecretLen => Ok(self.sys.module_config.get(1).copied().unwrap_or(0)),
+            "user.secret_addr" => Ok(self.sys.module_config.first().copied().unwrap_or(0)),
+            "user.secret_len" => Ok(self.sys.module_config.get(1).copied().unwrap_or(0)),
+            _ => Err(HostError::Unknown),
         }
     }
 }
