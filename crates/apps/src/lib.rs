@@ -16,7 +16,7 @@
 //!   transfer-rate drivers behind Figures 3 and 4.
 //! * [`smp`] — the workloads above sharded across N simulated cores
 //!   through the kernel's work-stealing scheduler (the scaling curves of
-//!   BENCH_smp.json). Every driver takes the caller's booted [`System`].
+//!   `paper-tables smp`). Every driver takes the caller's booted [`System`].
 //!
 //! The C10K thttpd port and ghostkv share one event loop, one
 //! single-process load driver and one listen-and-serve process body (the

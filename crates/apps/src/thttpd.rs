@@ -371,8 +371,8 @@ mod c10k_tests {
     #[test]
     fn event_loop_beats_sync_at_scale() {
         // The headline target at reduced scale (the full ≥3x at 1k+ conns
-        // is asserted in the root net_ring suite and recorded in
-        // BENCH_net.json).
+        // is asserted in the root net_ring suite and printed by
+        // `paper-tables c10k`).
         let mut ring = System::boot(Mode::VirtualGhost);
         ring.net_mode = NetMode::Ring;
         let ev = c10k(&mut ring, 512, 64, 8, ServerKind::EventLoop);

@@ -1,18 +1,22 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `paper-tables [table2|table3|table4|table5|figure2|figure3|figure4|c10k|security|ablation] [--fast]`
-//! With no argument, everything runs. `--fast` shrinks iteration counts for
-//! smoke runs (shapes hold; absolute noise rises).
+//! Usage: `paper-tables [ARTEFACT..] [--fast]`, where an artefact is one of
+//! [`ARTEFACTS`]. With no artefact, everything runs; an unknown name exits
+//! 2. `--fast` shrinks iteration counts for smoke runs (shapes hold;
+//! absolute noise rises).
 //!
 //! Observability: `--trace <path>` runs a traced capture (LMBench
 //! open/close, a ghost-swap roundtrip, and a small Postmark) and writes a
 //! Chrome/Perfetto trace.json plus a top-N span summary; `--metrics` prints
 //! the per-subsystem metrics report for the same capture workload.
+//!
+//! Every output is deterministic simulated time, and
+//! `crates/bench/tests/golden.rs` pins it byte for byte.
 
 use std::collections::BTreeMap;
-use vg_apps::{ghostkv, lmbench, postmark, ssh, thttpd};
+use vg_apps::{ghostkv, lmbench, postmark, smp, ssh, thttpd};
 use vg_bench::{ratio, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5};
-use vg_kernel::{Mode, System};
+use vg_kernel::{Mode, NetMode, System};
 use vg_machine::cost::CostModel;
 use vg_machine::Domain;
 
@@ -23,6 +27,7 @@ struct Scale {
     http_reqs: u32,
     transfers: u32,
     c10k_conns: u32,
+    smp_scale: u32,
 }
 
 const FULL: Scale = Scale {
@@ -32,6 +37,7 @@ const FULL: Scale = Scale {
     http_reqs: 40,
     transfers: 8,
     c10k_conns: 1024,
+    smp_scale: 4,
 };
 const FAST: Scale = Scale {
     lm_iters: 40,
@@ -40,7 +46,14 @@ const FAST: Scale = Scale {
     http_reqs: 8,
     transfers: 3,
     c10k_conns: 256,
+    smp_scale: 1,
 };
+
+/// Every artefact name, in the order a full run prints them.
+const ARTEFACTS: [&str; 12] = [
+    "table2", "table3", "table4", "table5", "figure2", "figure3", "figure4", "c10k", "smp",
+    "security", "ablation", "counters",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,8 +65,7 @@ fn main() {
         println!(
             "usage: paper-tables [ARTEFACT..] [--fast] [--trace PATH] [--metrics] [--profile]"
         );
-        println!("artefacts: table2 table3 table4 table5 figure2 figure3 figure4");
-        println!("           c10k security ablation counters   (default: all)");
+        println!("artefacts: {}   (default: all)", ARTEFACTS.join(" "));
         println!("--fast: reduced iteration counts for smoke runs");
         println!("--trace PATH: run a traced capture, write Chrome trace.json to PATH");
         println!("--metrics: print the per-subsystem metrics report for the capture");
@@ -88,6 +100,10 @@ fn main() {
         } else if a.starts_with('-') {
             eprintln!("unknown flag: {a} (see --help)");
             std::process::exit(2);
+        } else if !ARTEFACTS.contains(&a.as_str()) {
+            eprintln!("unknown artefact: {a}");
+            eprintln!("artefacts: {}", ARTEFACTS.join(" "));
+            std::process::exit(2);
         } else {
             which.push(a.as_str());
         }
@@ -119,6 +135,9 @@ fn main() {
     }
     if want("c10k") {
         c10k_table(&scale);
+    }
+    if want("smp") {
+        smp_table(&scale);
     }
     if want("security") {
         security();
@@ -581,9 +600,8 @@ fn figure4(scale: &Scale) {
 }
 
 /// The C10K artefact: the descriptor-ring event loop against the
-/// synchronous per-call reference, plus ghostkv across the two data planes.
-/// Everything is simulated cycles, so the table is bit-reproducible
-/// (BENCH_net.json records the checked-in run).
+/// synchronous per-call reference, plus ghostkv across the two data planes
+/// (same event-loop server on both), all on Virtual Ghost.
 fn c10k_table(scale: &Scale) {
     println!(
         "\n== C10K: event-loop + descriptor ring vs synchronous reference ({} conns) ==",
@@ -593,18 +611,39 @@ fn c10k_table(scale: &Scale) {
         "{:<12} {:<10} {:>10} {:>11} {:>12} {:>12} {:>8}",
         "shape", "side", "cyc/req", "req/Mcyc", "p50-cyc", "p99-cyc", "speedup"
     );
-    for s in vg_bench::shapes::net_shapes(scale.c10k_conns) {
-        for (side, b) in [("optimized", &s.optimized), ("baseline", &s.baseline)] {
+    let conns = scale.c10k_conns;
+    let on = |net_mode: NetMode, run: &dyn Fn(&mut System) -> thttpd::C10kBench| {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        sys.net_mode = net_mode;
+        run(&mut sys)
+    };
+    let http = |kind| move |sys: &mut System| thttpd::c10k(sys, 512, conns, 8, kind);
+    let kv = |sys: &mut System| ghostkv::kv_load(sys, 256, conns, 4);
+    let shapes = [
+        (
+            "thttpd_c10k",
+            on(NetMode::Ring, &http(thttpd::ServerKind::EventLoop)),
+            on(NetMode::Reference, &http(thttpd::ServerKind::Sync)),
+        ),
+        (
+            "ghostkv",
+            on(NetMode::Ring, &kv),
+            on(NetMode::Reference, &kv),
+        ),
+    ];
+    for (name, optimized, baseline) in &shapes {
+        let speedup = optimized.req_per_megacycle / baseline.req_per_megacycle;
+        for (side, b) in [("optimized", optimized), ("baseline", baseline)] {
             println!(
                 "{:<12} {:<10} {:>10.1} {:>11.2} {:>12} {:>12} {:>8}",
-                s.name,
+                name,
                 side,
                 b.cpu_cycles as f64 / b.requests as f64,
                 b.req_per_megacycle,
                 b.p50_cycles,
                 b.p99_cycles,
                 if side == "baseline" {
-                    format!("{:.2}x", s.speedup())
+                    format!("{speedup:.2}x")
                 } else {
                     String::new()
                 },
@@ -612,6 +651,90 @@ fn c10k_table(scale: &Scale) {
         }
     }
     println!("(acceptance: >=3x req/megacycle on thttpd_c10k at >=1000 connections)");
+}
+
+/// Cpu counts every SMP scaling curve is sampled at.
+const SMP_CPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Shards per SMP workload: constant across cpu counts, so every point on
+/// a curve runs identical work.
+const SMP_SHARDS: usize = 8;
+
+/// The four SMP scaling curves on Virtual Ghost at load multiplier
+/// `scale`: each workload split into [`SMP_SHARDS`] processes and drained
+/// by the work-stealing scheduler at every count in [`SMP_CPU_COUNTS`],
+/// one run per count, in order.
+fn smp_curves(scale: u32) -> [(&'static str, Vec<smp::SmpBench>); 4] {
+    let sweep = |run: &dyn Fn(&mut System) -> smp::SmpBench| {
+        SMP_CPU_COUNTS
+            .iter()
+            .map(|&cpus| run(&mut System::boot_with_cpus(Mode::VirtualGhost, cpus)))
+            .collect()
+    };
+    let pm_cfg = postmark::PostmarkConfig {
+        base_files: 20,
+        transactions: 40 * scale,
+        ..Default::default()
+    };
+    [
+        (
+            "thttpd_c10k",
+            sweep(&|sys| smp::c10k_sharded_on(sys, SMP_SHARDS, 512, 8 * scale, 8)),
+        ),
+        (
+            "postmark",
+            sweep(&|sys| smp::postmark_sharded_on(sys, SMP_SHARDS, &pm_cfg)),
+        ),
+        (
+            "ghostkv",
+            sweep(&|sys| smp::kv_sharded_on(sys, SMP_SHARDS, 256, 4 * scale, 4)),
+        ),
+        (
+            "lmbench_procmix",
+            sweep(&|sys| smp::procmix_on(sys, SMP_SHARDS, 10 * scale)),
+        ),
+    ]
+}
+
+/// The SMP artefact: every curve of [`smp_curves`]. Elapsed time is the
+/// scheduling horizon (the busiest core's cycles), so the speedup at `n`
+/// cores is `horizon(1) / horizon(n)` over identical total work, and the
+/// efficiency is that speedup per core.
+fn smp_table(scale: &Scale) {
+    println!(
+        "\n== SMP scaling: {SMP_SHARDS} shards at scale {}, virtual ghost (horizon = busiest core) ==",
+        scale.smp_scale
+    );
+    println!(
+        "{:<16} {:>6} {:>4} {:>12} {:>12} {:>6} {:>10} {:>8} {:>6}",
+        "shape",
+        "units",
+        "cpus",
+        "horizon-cyc",
+        "total-cyc",
+        "ipis",
+        "units/Mcyc",
+        "speedup",
+        "effic"
+    );
+    for (name, curve) in smp_curves(scale.smp_scale) {
+        for b in &curve {
+            let speedup = b.speedup_over(&curve[0]);
+            println!(
+                "{:<16} {:>6} {:>4} {:>12} {:>12} {:>6} {:>10.2} {:>7.3}x {:>6.3}",
+                name,
+                b.units,
+                b.cpus,
+                b.horizon_cycles,
+                b.total_cycles,
+                b.ipis,
+                b.units_per_megacycle(),
+                speedup,
+                speedup / b.cpus as f64,
+            );
+        }
+    }
+    println!("(acceptance: >=2.5x at 4 cpus on thttpd_c10k and postmark)");
 }
 
 fn security() {
@@ -687,5 +810,26 @@ fn ablation(scale: &Scale) {
             print!(" {:>12.2}x", ratio(base.micros, r[i].micros));
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The SMP acceptance bar: >=2.5x aggregate simulated-cycle throughput
+    /// at 4 cpus on the thttpd_c10k and Postmark shapes, at the full run's
+    /// scale. A band, not a golden, so re-capturing the goldens cannot drop
+    /// it.
+    #[test]
+    fn smp_clears_2_5x_at_4_cpus_on_c10k_and_postmark() {
+        for (name, curve) in smp_curves(FULL.smp_scale) {
+            if !matches!(name, "thttpd_c10k" | "postmark") {
+                continue;
+            }
+            let four = curve.iter().find(|b| b.cpus == 4).expect("4 cpus sampled");
+            let speedup = four.speedup_over(&curve[0]);
+            assert!(speedup >= 2.5, "{name}: {speedup:.3}x at 4 cpus");
+        }
     }
 }

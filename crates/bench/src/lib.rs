@@ -11,14 +11,16 @@
 //!
 //! Artefacts: `table2` (LMBench), `table3`/`table4` (file delete/create
 //! rates), `table5` (Postmark), `figure2` (thttpd bandwidth), `figure3`
-//! (sshd transfer rate), `figure4` (ghosting ssh client), `security`
-//! (§7 rootkit experiments), `ablation` (per-mechanism overhead split).
+//! (sshd transfer rate), `figure4` (ghosting ssh client), `c10k` (event
+//! loop + descriptor ring vs the synchronous reference), `smp` (scaling
+//! curves at 1/2/4/8 cores), `security` (§7 rootkit experiments),
+//! `ablation` (per-mechanism overhead split), `counters` (event counts).
+//! Every number is deterministic simulated time, pinned byte for byte by
+//! the golden test `tests/golden.rs`.
 //!
-//! The `vg-bench` binary is the simulator's wall-clock harness: `record`
-//! writes the `BENCH_*.json` files from the shapes in [`shapes`], and
-//! `check` gates against them.
-
-pub mod shapes;
+//! The `vg-bench` binary is the simulator's wall-clock harness for the
+//! crypto fast paths: `record` writes `BENCH_crypto.json`, and `check`
+//! gates against it.
 
 /// Paper-reported values for Table 2 (microseconds): (name, native, vg,
 /// InkTag-reported overhead ×, if reported).

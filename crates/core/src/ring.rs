@@ -143,11 +143,6 @@ impl DescRing {
     pub fn pop_used(&mut self) -> Option<UsedElem> {
         self.used.pop_front()
     }
-
-    /// Number of retired descriptors not yet popped.
-    pub fn used_len(&self) -> usize {
-        self.used.len()
-    }
 }
 
 impl SvaVm {

@@ -142,14 +142,6 @@ impl FunctionBuilder {
         dst
     }
 
-    /// Appends an SVA-internal-memory guard (what the SVA-guard pass
-    /// inserts).
-    pub fn zero_sva(&mut self, src: Operand) -> VReg {
-        let dst = self.fresh();
-        self.push(Inst::ZeroSva { dst, src });
-        dst
-    }
-
     /// Appends a CFI label check (what the CFI pass inserts before indirect
     /// calls).
     pub fn cfi_check(&mut self, target: Operand, expected_label: u32) {

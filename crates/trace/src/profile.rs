@@ -303,21 +303,6 @@ impl CycleProfiler {
         &self.per_proc
     }
 
-    /// Exact cycles per (core, domain), deterministic order. Includes the
-    /// scheduler-recorded [`Domain::Idle`] entries.
-    pub fn cpu_domain_totals(&self) -> &BTreeMap<(usize, Domain), u64> {
-        &self.per_cpu
-    }
-
-    /// Exact cycles per core (summed over domains, idle included).
-    pub fn cpu_totals(&self) -> BTreeMap<usize, u64> {
-        let mut out = BTreeMap::new();
-        for (&(cpu, _), &c) in &self.per_cpu {
-            *out.entry(cpu).or_insert(0) += c;
-        }
-        out
-    }
-
     /// Exact cycles per process (summed over domains).
     pub fn proc_totals(&self) -> BTreeMap<u64, u64> {
         let mut out = BTreeMap::new();

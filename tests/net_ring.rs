@@ -14,8 +14,8 @@
 //!    wire. Batching must not open a side door around the IOMMU policy.
 //! 3. **Scale** — at 1024 concurrent connections the event-loop + ring
 //!    configuration clears the >=3x requests-per-megacycle acceptance bar
-//!    over the synchronous + per-call reference (recorded in
-//!    `BENCH_net.json`).
+//!    over the synchronous + per-call reference (printed by
+//!    `paper-tables c10k` and pinned exactly by its golden test).
 
 use proptest::prelude::*;
 use vg_apps::thttpd::{self, ServerKind};
@@ -263,7 +263,7 @@ fn native_ring_attack_exfiltrates_the_secret() {
     assert_eq!(native.wire[0], SECRET);
 }
 
-/// Claim 3: the BENCH_net.json acceptance bar, re-asserted live at full
+/// Claim 3: the `paper-tables c10k` acceptance bar, asserted live at full
 /// scale — >=3x requests-per-megacycle for event loop + ring over the
 /// synchronous + per-call reference at 1024 concurrent connections.
 #[test]
