@@ -18,9 +18,21 @@
 //! Every number is deterministic simulated time, pinned byte for byte by
 //! the golden test `tests/golden.rs`.
 //!
+//! This library holds the paper's reported values and the runners of the
+//! artefacts that have a claim band: [`table2`], [`tables_3_4`],
+//! [`figure2`], [`figure3`], [`figure4`] and [`smp_curves`], each at a
+//! [`Scale`]. `paper-tables` formats what they return, and the workspace's
+//! `tests/paper_claims.rs` checks the paper's claims against the same
+//! rows at [`Scale::FAST`], so a printed table and its band cannot run
+//! different code.
+//!
 //! The `vg-bench` binary is the simulator's wall-clock harness for the
 //! crypto fast paths: `record` writes `BENCH_crypto.json`, and `check`
 //! gates against it.
+
+use vg_apps::lmbench::{self, MicroResult};
+use vg_apps::{postmark, smp, ssh, thttpd};
+use vg_kernel::{Mode, System};
 
 /// Paper-reported values for Table 2 (microseconds): (name, native, vg,
 /// InkTag-reported overhead ×, if reported).
@@ -44,7 +56,7 @@ pub const PAPER_TABLE3: &[(&str, usize, f64, f64)] = &[
     ("10 KB", 10_240, 110_842.0, 25_042.0),
 ];
 
-/// Paper Table 4 (files created/sec).
+/// Paper Table 4 (files created/sec), at [`PAPER_TABLE3`]'s sizes.
 pub const PAPER_TABLE4: &[(&str, usize, f64, f64)] = &[
     ("0 KB", 0, 156_276.0, 33_777.0),
     ("1 KB", 1024, 97_839.0, 18_796.0),
@@ -61,5 +73,192 @@ pub fn ratio(native: f64, vg: f64) -> f64 {
         vg / native
     } else {
         f64::NAN
+    }
+}
+
+/// The iteration counts of one `paper-tables` run.
+pub struct Scale {
+    /// LMBench iterations per microbenchmark (Table 2, ablation).
+    pub lm_iters: u64,
+    /// Files created and deleted per size (Tables 3–4).
+    pub files: u64,
+    /// Postmark transactions (Table 5).
+    pub pm_tx: u32,
+    /// thttpd requests per file size (Figure 2).
+    pub http_reqs: u32,
+    /// ssh transfers per file size (Figures 3–4).
+    pub transfers: u32,
+    /// Connections in the C10K table.
+    pub c10k_conns: u32,
+    /// Load multiplier of the SMP curves.
+    pub smp_scale: u32,
+}
+
+impl Scale {
+    /// The default run.
+    pub const FULL: Scale = Scale {
+        lm_iters: 300,
+        files: 300,
+        pm_tx: 5_000,
+        http_reqs: 40,
+        transfers: 8,
+        c10k_conns: 1024,
+        smp_scale: 4,
+    };
+
+    /// `--fast`: smoke-run counts (shapes hold; absolute noise rises).
+    pub const FAST: Scale = Scale {
+        lm_iters: 40,
+        files: 60,
+        pm_tx: 400,
+        http_reqs: 8,
+        transfers: 3,
+        c10k_conns: 256,
+        smp_scale: 1,
+    };
+}
+
+/// Figure 2's file sizes (KB).
+const FIGURE2_KB: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
+
+/// Figures 3 and 4's file sizes (KB).
+const FIGURE34_KB: [usize; 6] = [1, 4, 16, 64, 256, 1024];
+
+/// Table 2: each LMBench microbenchmark's (native, Virtual Ghost) latency,
+/// in [`PAPER_TABLE2`] order.
+pub fn table2(scale: &Scale) -> Vec<(MicroResult, MicroResult)> {
+    let native = lmbench::table2(Mode::Native, scale.lm_iters);
+    let vg = lmbench::table2(Mode::VirtualGhost, scale.lm_iters);
+    native.into_iter().zip(vg).collect()
+}
+
+/// Tables 3 and 4: per [`PAPER_TABLE3`] size, the LMBench file rates
+/// `(created/sec, deleted/sec)` under native and under Virtual Ghost.
+pub fn tables_3_4(scale: &Scale) -> Vec<((f64, f64), (f64, f64))> {
+    PAPER_TABLE3
+        .iter()
+        .map(|&(_, bytes, ..)| {
+            let rates = |mode| lmbench::file_rates(&mut System::boot(mode), bytes, scale.files);
+            (rates(Mode::Native), rates(Mode::VirtualGhost))
+        })
+        .collect()
+}
+
+/// Figure 2: per [`FIGURE2_KB`] size, `(KB, native, Virtual Ghost)`
+/// thttpd bandwidth in KB/s.
+pub fn figure2(scale: &Scale) -> Vec<(usize, f64, f64)> {
+    FIGURE2_KB
+        .iter()
+        .map(|&kb| {
+            let run = |mode| {
+                thttpd::bandwidth(&mut System::boot(mode), kb * 1024, scale.http_reqs).kb_per_sec
+            };
+            (kb, run(Mode::Native), run(Mode::VirtualGhost))
+        })
+        .collect()
+}
+
+/// Figure 3: per [`FIGURE34_KB`] size, `(KB, native, Virtual Ghost)` sshd
+/// transfer rates in KB/s.
+pub fn figure3(scale: &Scale) -> Vec<(usize, f64, f64)> {
+    FIGURE34_KB
+        .iter()
+        .map(|&kb| {
+            let run =
+                |mode| ssh::sshd_bandwidth(&mut System::boot(mode), kb * 1024, scale.transfers);
+            (kb, run(Mode::Native), run(Mode::VirtualGhost))
+        })
+        .collect()
+}
+
+/// Figure 4: per [`FIGURE34_KB`] size, `(KB, original, ghosting)` ssh
+/// client transfer rates in KB/s, both on the Virtual Ghost kernel.
+pub fn figure4(scale: &Scale) -> Vec<(usize, f64, f64)> {
+    FIGURE34_KB
+        .iter()
+        .map(|&kb| {
+            let run = |ghosting| {
+                let mut sys = System::boot(Mode::VirtualGhost);
+                ssh::ssh_client_bandwidth(&mut sys, kb * 1024, scale.transfers, ghosting)
+            };
+            (kb, run(false), run(true))
+        })
+        .collect()
+}
+
+/// Cpu counts every SMP scaling curve is sampled at.
+const SMP_CPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Shards per SMP workload: constant across cpu counts, so every point on
+/// a curve runs identical work.
+pub const SMP_SHARDS: usize = 8;
+
+/// The four SMP scaling curves on Virtual Ghost at load multiplier
+/// `scale.smp_scale`: each workload split into [`SMP_SHARDS`] processes
+/// and drained by the work-stealing scheduler at every count in
+/// [`SMP_CPU_COUNTS`], one run per count, in order.
+pub fn smp_curves(scale: &Scale) -> [(&'static str, Vec<smp::SmpBench>); 4] {
+    let scale = scale.smp_scale;
+    let sweep = |run: &dyn Fn(&mut System) -> smp::SmpBench| {
+        SMP_CPU_COUNTS
+            .iter()
+            .map(|&cpus| run(&mut System::boot_with_cpus(Mode::VirtualGhost, cpus)))
+            .collect()
+    };
+    let pm_cfg = postmark::PostmarkConfig {
+        base_files: 20,
+        transactions: 40 * scale,
+        ..Default::default()
+    };
+    [
+        (
+            "thttpd_c10k",
+            sweep(&|sys| smp::c10k_sharded_on(sys, SMP_SHARDS, 512, 8 * scale, 8)),
+        ),
+        (
+            "postmark",
+            sweep(&|sys| smp::postmark_sharded_on(sys, SMP_SHARDS, &pm_cfg)),
+        ),
+        (
+            "ghostkv",
+            sweep(&|sys| smp::kv_sharded_on(sys, SMP_SHARDS, 256, 4 * scale, 4)),
+        ),
+        (
+            "lmbench_procmix",
+            sweep(&|sys| smp::procmix_on(sys, SMP_SHARDS, 10 * scale)),
+        ),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The SMP acceptance bar: >=2.5x aggregate simulated-cycle throughput
+    /// at 4 cpus on the thttpd_c10k and Postmark shapes, at the full run's
+    /// scale. A band, not a golden, so re-capturing the goldens cannot drop
+    /// it.
+    #[test]
+    fn smp_clears_2_5x_at_4_cpus_on_c10k_and_postmark() {
+        for (name, curve) in smp_curves(&Scale::FULL) {
+            if !matches!(name, "thttpd_c10k" | "postmark") {
+                continue;
+            }
+            let four = curve.iter().find(|b| b.cpus == 4).expect("4 cpus sampled");
+            let speedup = four.speedup_over(&curve[0]);
+            assert!(speedup >= 2.5, "{name}: {speedup:.3}x at 4 cpus");
+        }
+    }
+
+    /// Tables 3 and 4 are printed and banded row by row, zipped, so they
+    /// must list the same sizes under the same labels in the same order.
+    #[test]
+    fn tables_3_and_4_list_the_same_sizes() {
+        let sizes = |t: &[(&'static str, usize, f64, f64)]| {
+            t.iter()
+                .map(|&(label, bytes, ..)| (label, bytes))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sizes(PAPER_TABLE3), sizes(PAPER_TABLE4));
     }
 }

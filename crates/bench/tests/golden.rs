@@ -134,3 +134,21 @@ fn unknown_artefact_exits_2_with_the_artefact_list() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_flag_after_trace_or_folded_is_refused_as_its_path() {
+    for (test, args) in [
+        ("trace_without_path", &["--trace", "--fast"][..]),
+        (
+            "folded_without_path",
+            &["--profile", "--folded", "--fast"][..],
+        ),
+    ] {
+        let (dir, out) = run(test, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("requires a path argument"), "{stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}

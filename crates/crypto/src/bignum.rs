@@ -206,11 +206,6 @@ impl BigUint {
             .is_some_and(|l| (l >> (i % 64)) & 1 == 1)
     }
 
-    /// Returns the low limb, or 0 for zero. Useful for small-value checks.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Builds a value from little-endian limbs (trailing zeros allowed).
     pub(crate) fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut n = BigUint { limbs };

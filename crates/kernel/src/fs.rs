@@ -1081,11 +1081,12 @@ fn parse_dir(raw: &[u8]) -> Vec<(String, Ino)> {
 /// every invalid sequence, so unless `name` holds one, a decoded match is
 /// exactly a byte match. Lookups and creates in an indexed directory never
 /// walk; this walk serves unlink, which stops at its record, and the
-/// directories the index does not cover. The byte compare was worth its
-/// branch while every lookup walked: with the lossy compare alone,
-/// Postmark `ops_per_host_s` fell 21% (`vg-perf compare`, 10 alternated
-/// 20 s pairs, 2-core Intel Xeon KVM guest, on a build that rebuilt every
-/// image in `compact_dir`: 31.2k to 24.6k, 0/10 pairs faster).
+/// non-canonical directories the index does not cover. The byte compare
+/// was worth its branch while every lookup walked: with the lossy compare
+/// alone, Postmark `ops_per_host_s` fell 21% (`vg-perf compare`, 10
+/// alternated 20 s pairs, 2-core Intel Xeon KVM guest, on a build without
+/// the index whose `compact_dir` rebuilt every image: 31.2k to 24.6k, 0/10
+/// pairs faster).
 fn find_dirent(raw: &[u8], name: &str) -> Option<(Range<usize>, Ino)> {
     let bytewise = !name.contains(char::REPLACEMENT_CHARACTER);
     dir_records(raw)
@@ -1124,19 +1125,10 @@ fn is_canonical(raw: &[u8]) -> bool {
 
 /// Rewrites `raw` into the bytes that serializing `parse_dir(raw)` gives —
 /// holes and a truncated tail dropped, non-UTF-8 names re-encoded lossily —
-/// leaving out the record at `skip`. A canonical image is edited in place:
-/// while every create and unlink came through here, rebuilding it instead
-/// cost Postmark 11% of `ops_per_host_s` (measured as for `find_dirent`:
-/// 35.3k in place vs 31.5k rebuilt, 10/10 pairs). Indexed directories,
-/// which are canonical, now skip this check; it serves the directories the
-/// index does not cover.
+/// leaving out the record at `skip`. Only create and unlink in a directory
+/// the index does not cover call it, so `raw` is not canonical and is
+/// always rebuilt; indexed directories edit their image in place.
 fn compact_dir(raw: &mut Vec<u8>, skip: Option<Range<usize>>) {
-    if is_canonical(raw) {
-        if let Some(rec) = skip {
-            raw.drain(rec);
-        }
-        return;
-    }
     let skip_at = skip.map(|rec| rec.start);
     let mut out = Vec::with_capacity(raw.len());
     for (at, ino, name) in dir_records(raw) {

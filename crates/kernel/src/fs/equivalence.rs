@@ -174,11 +174,10 @@ fn non_utf8_names_match_and_reencode_like_the_parse() {
     assert_eq!(compacted, serialize_entries(&parse_dir(&raw)));
 }
 
-/// vgfs itself writes only canonical images, so its creates and unlinks
-/// take `compact_dir`'s in-place branch: same bytes as the rebuild, same
-/// buffer.
+/// vgfs itself writes only canonical images, and compacting one gives its
+/// own bytes less the cut record.
 #[test]
-fn canonical_images_are_edited_in_place() {
+fn canonical_images_are_rewritten_like_the_parse() {
     let mut dev = MemDisk::new(2048);
     let mut fs = VgFs::mkfs(&mut dev, 256);
     let mut w = FsWork::default();
@@ -197,9 +196,7 @@ fn canonical_images_are_edited_in_place() {
 
     let (rec, _) = find_dirent(&raw, "n7").unwrap();
     let mut edited = raw.clone();
-    let buffer = edited.as_ptr();
     compact_dir(&mut edited, Some(rec));
-    assert_eq!(edited.as_ptr(), buffer, "canonical image was rebuilt");
     let mut expect = parse_dir(&raw);
     expect.retain(|(n, _)| n != "n7");
     assert_eq!(edited, serialize_entries(&expect));

@@ -1,14 +1,19 @@
 //! The paper's reproduced claims, pinned as tests with stated bands.
 //!
-//! Table 2 (LMBench): each of the nine Virtual Ghost / native
-//! latency ratios stays within ±12% of the paper's. At `--fast` scale (40
-//! iterations) the widest gap is signal delivery, 1.75× against the
-//! paper's 1.61× (+8.4%).
+//! Tables 2–4 and Figures 2–4 read their measured values from the same
+//! `vg_bench` runners that `paper-tables` prints (`vg_bench::table2`,
+//! `tables_3_4`, `figure2`, `figure3`, `figure4`), at `Scale::FAST`, the
+//! `paper-tables --fast` scale, and compare them with the paper's values
+//! in `vg_bench::PAPER_TABLE*`. A printed table and its band therefore
+//! run the same code at a scale defined once.
 //!
-//! Tables 3–4 (LMBench file deletion and creation) run
-//! `lmbench::file_rates` at `paper-tables --fast` scale (60 files) for 0,
-//! 1, 4 and 10 KB files; each overhead is native files/sec over Virtual
-//! Ghost files/sec.
+//! Table 2 (LMBench): each of the nine Virtual Ghost / native
+//! latency ratios stays within ±12% of the paper's. The widest gap is
+//! signal delivery, 1.75× against the paper's 1.61× (+8.4%).
+//!
+//! Tables 3–4 (LMBench file deletion and creation), at the paper's 0, 1,
+//! 4 and 10 KB sizes; each overhead is native files/sec over Virtual Ghost
+//! files/sec.
 //! - Table 3: each deletion overhead stays within ±12% of the paper's
 //!   (today: 4.41–4.42× against the paper's 4.43–4.61×).
 //! - Table 4: the 0 KB creation overhead matches the paper's 4.63×
@@ -20,13 +25,12 @@
 //!   wide band, as the Figure 3 mean does.
 //!
 //! Table 5 (Postmark, §8.5): Virtual Ghost runs the mail-server mix 4.72×
-//! slower than native FreeBSD. At test scale (50 base files, 200
-//! transactions) the simulator gives ~4.1–4.2×; the band accepts the
+//! slower than native FreeBSD. No artefact runs Postmark at this test's
+//! scale (50 base files, 200 transactions, seeds 1 and 2), so it drives
+//! Postmark itself. The simulator gives ~4.1–4.2×; the band accepts the
 //! paper's figure ±20%.
 //!
-//! Figures 2–4 (thttpd and ssh bandwidth) call the same app functions as
-//! `paper-tables --fast`, at its scale: 8 requests per thttpd file size and
-//! 3 transfers per ssh file size.
+//! Figures 2–4 (thttpd and ssh bandwidth):
 //! - Figure 2: the paper sees negligible thttpd impact; VG/native stays
 //!   within ±1% of 1.0 at every size (today: exactly 1.0).
 //! - Figure 3: the paper's worst sshd reduction is 45%, at small files;
@@ -45,62 +49,21 @@
 //! work must leave them bit-identical; a change to them is a change to the
 //! cost model and must say so.
 
-use vg_apps::lmbench;
 use vg_apps::postmark::{self, PostmarkConfig};
-use vg_apps::{ssh, thttpd};
+use vg_bench::{Scale, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5};
 use vg_kernel::{Mode, System};
 use vg_machine::Counters;
 
-/// Table 2 as the paper reports it: (benchmark, native µs, Virtual Ghost
-/// µs), in `lmbench::table2` row order.
-const PAPER_TABLE2: [(&str, f64, f64); 9] = [
-    ("null syscall", 0.091, 0.355),
-    ("open/close", 2.01, 9.70),
-    ("mmap", 7.06, 33.2),
-    ("page fault", 31.8, 36.7),
-    ("signal handler install", 0.168, 0.545),
-    ("signal handler delivery", 1.27, 2.05),
-    ("fork + exit", 63.7, 283.0),
-    ("fork + exec", 101.0, 422.0),
-    ("select", 3.05, 10.3),
-];
-
 /// Allowed relative distance of a Table 2 ratio from the paper's.
 const TABLE2_BAND: f64 = 0.12;
-
-/// `paper-tables --fast` scale for Tables 3–4: files per size.
-const LMBENCH_FILES: u64 = 60;
-
-/// Tables 3 and 4 as the paper reports them, per file size: (bytes,
-/// deletions/sec native, Virtual Ghost, creations/sec native, Virtual
-/// Ghost).
-const PAPER_TABLE34: [(usize, f64, f64, f64, f64); 4] = [
-    (0, 166_846.0, 36_164.0, 156_276.0, 33_777.0),
-    (1024, 116_668.0, 25_817.0, 97_839.0, 18_796.0),
-    (4096, 116_657.0, 25_806.0, 97_102.0, 18_725.0),
-    (10_240, 110_842.0, 25_042.0, 85_319.0, 18_095.0),
-];
 
 /// Allowed relative distance of a Table 3 deletion overhead from the
 /// paper's.
 const TABLE3_BAND: f64 = 0.12;
 
-/// Table 4's creation overheads this model reproduces at `--fast` scale,
-/// in [`PAPER_TABLE34`] order.
+/// Table 4's creation overheads this model reproduces at `Scale::FAST`,
+/// in [`PAPER_TABLE4`] order.
 const MODEL_TABLE4: [f64; 4] = [4.62, 4.03, 3.85, 3.28];
-
-/// Table 5's Virtual Ghost / native Postmark ratio.
-const PAPER_TABLE5_RATIO: f64 = 4.72;
-
-/// `paper-tables --fast` scale for Figures 2–4.
-const HTTP_REQS: u32 = 8;
-const TRANSFERS: u32 = 3;
-
-/// Figure 2's file sizes (KB), as `paper-tables` runs them.
-const FIGURE2_KB: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-
-/// Figure 3 and 4's file sizes (KB), as `paper-tables` runs them.
-const FIGURE34_KB: [usize; 6] = [1, 4, 16, 64, 256, 1024];
 
 /// Figure 3's worst-case sshd bandwidth reduction in the paper.
 const PAPER_FIGURE3_WORST: f64 = 0.45;
@@ -108,7 +71,7 @@ const PAPER_FIGURE3_WORST: f64 = 0.45;
 /// Figure 3's mean sshd bandwidth reduction in the paper.
 const PAPER_FIGURE3_MEAN: f64 = 0.23;
 
-/// Figure 3's mean reduction this model reproduces at `--fast` scale.
+/// Figure 3's mean reduction this model reproduces at `Scale::FAST`.
 const MODEL_FIGURE3_MEAN: f64 = 0.296;
 
 /// Runs the test-scale Postmark; returns total simulated cycles (boot
@@ -174,7 +137,8 @@ fn table5_postmark_cycles_and_counters_are_pinned() {
 
 #[test]
 fn table5_postmark_ratio_within_band_of_paper() {
-    let band = PAPER_TABLE5_RATIO * 0.8..PAPER_TABLE5_RATIO * 1.2;
+    let paper = PAPER_TABLE5.1 / PAPER_TABLE5.0;
+    let band = paper * 0.8..paper * 1.2;
     for seed in [1, 2] {
         let (_, _, native) = postmark_run(Mode::Native, seed);
         let (_, _, vg) = postmark_run(Mode::VirtualGhost, seed);
@@ -186,30 +150,18 @@ fn table5_postmark_ratio_within_band_of_paper() {
     }
 }
 
-/// Per Tables 3–4 file size: (bytes, deletion overhead, creation
-/// overhead), each native files/sec over Virtual Ghost files/sec.
-fn table34_overheads() -> Vec<(usize, f64, f64)> {
-    PAPER_TABLE34
-        .iter()
-        .map(|&(bytes, ..)| {
-            let rates = |mode| lmbench::file_rates(&mut System::boot(mode), bytes, LMBENCH_FILES);
-            let (create_n, delete_n) = rates(Mode::Native);
-            let (create_v, delete_v) = rates(Mode::VirtualGhost);
-            (bytes, delete_n / delete_v, create_n / create_v)
-        })
-        .collect()
-}
-
 #[test]
 fn table3_deletion_overheads_within_band_of_paper() {
     let mut outside = Vec::new();
-    for ((bytes, delete, _), paper) in table34_overheads().into_iter().zip(PAPER_TABLE34) {
-        let paper = paper.1 / paper.2;
+    for (((_, delete_n), (_, delete_v)), paper) in vg_bench::tables_3_4(&Scale::FAST)
+        .into_iter()
+        .zip(PAPER_TABLE3)
+    {
+        let delete = delete_n / delete_v;
+        let (label, paper) = (paper.0, paper.2 / paper.3);
         let band = paper * (1.0 - TABLE3_BAND)..paper * (1.0 + TABLE3_BAND);
         if !band.contains(&delete) {
-            outside.push(format!(
-                "{bytes} B: deletion {delete:.3}x outside {band:.3?}"
-            ));
+            outside.push(format!("{label}: deletion {delete:.3}x outside {band:.3?}"));
         }
     }
     assert!(outside.is_empty(), "{outside:#?}");
@@ -218,15 +170,18 @@ fn table3_deletion_overheads_within_band_of_paper() {
 #[test]
 fn table4_creation_overheads_pinned_below_paper() {
     let mut outside = Vec::new();
-    let rows = table34_overheads().into_iter().zip(PAPER_TABLE34);
-    for (((bytes, _, create), paper), model) in rows.zip(MODEL_TABLE4) {
+    let rows = vg_bench::tables_3_4(&Scale::FAST)
+        .into_iter()
+        .zip(PAPER_TABLE4);
+    for ((((create_n, _), (create_v, _)), paper), model) in rows.zip(MODEL_TABLE4) {
+        let create = create_n / create_v;
         // The gap to the paper is stated in the module docs; the band pins
         // today's value so it cannot drift unnoticed.
         let band = model * 0.95..model * 1.05;
         if !band.contains(&create) {
-            let paper = paper.3 / paper.4;
+            let (label, paper) = (paper.0, paper.2 / paper.3);
             outside.push(format!(
-                "{bytes} B: creation {create:.3}x outside {band:.3?} (paper: {paper:.2}x)"
+                "{label}: creation {create:.3}x outside {band:.3?} (paper: {paper:.2}x)"
             ));
         }
     }
@@ -235,11 +190,10 @@ fn table4_creation_overheads_pinned_below_paper() {
 
 #[test]
 fn table2_overhead_ratios_within_band_of_paper() {
-    let native = lmbench::table2(Mode::Native, 40);
-    let vg = lmbench::table2(Mode::VirtualGhost, 40);
-    assert_eq!(native.len(), PAPER_TABLE2.len());
+    let rows = vg_bench::table2(&Scale::FAST);
+    assert_eq!(rows.len(), PAPER_TABLE2.len());
     let mut outside = Vec::new();
-    for ((n, v), (name, paper_native, paper_vg)) in native.iter().zip(&vg).zip(PAPER_TABLE2) {
+    for ((n, v), &(name, paper_native, paper_vg, _)) in rows.iter().zip(PAPER_TABLE2) {
         assert_eq!((n.name.as_str(), v.name.as_str()), (name, name));
         let ratio = v.micros / n.micros;
         let paper = paper_vg / paper_native;
@@ -253,10 +207,8 @@ fn table2_overhead_ratios_within_band_of_paper() {
 
 #[test]
 fn figure2_thttpd_overhead_is_negligible() {
-    for kb in FIGURE2_KB {
-        let n = thttpd::bandwidth(&mut System::boot(Mode::Native), kb * 1024, HTTP_REQS);
-        let v = thttpd::bandwidth(&mut System::boot(Mode::VirtualGhost), kb * 1024, HTTP_REQS);
-        let ratio = v.kb_per_sec / n.kb_per_sec;
+    for (kb, native, vg) in vg_bench::figure2(&Scale::FAST) {
+        let ratio = vg / native;
         assert!(
             (0.99..=1.01).contains(&ratio),
             "{kb} KB: thttpd VG/native {ratio:.4} outside 1.0 ± 1%"
@@ -264,22 +216,12 @@ fn figure2_thttpd_overhead_is_negligible() {
     }
 }
 
-/// Figure 3's per-size sshd bandwidth reduction, `1 - VG/native`.
-fn figure3_reductions() -> Vec<f64> {
-    FIGURE34_KB
-        .iter()
-        .map(|&kb| {
-            let n = ssh::sshd_bandwidth(&mut System::boot(Mode::Native), kb * 1024, TRANSFERS);
-            let v =
-                ssh::sshd_bandwidth(&mut System::boot(Mode::VirtualGhost), kb * 1024, TRANSFERS);
-            1.0 - v / n
-        })
-        .collect()
-}
-
 #[test]
 fn figure3_sshd_reduction_worst_case_and_mean() {
-    let reductions = figure3_reductions();
+    let reductions: Vec<f64> = vg_bench::figure3(&Scale::FAST)
+        .into_iter()
+        .map(|(_, native, vg)| 1.0 - vg / native)
+        .collect();
     let worst = reductions.iter().copied().fold(f64::MIN, f64::max);
     let band = PAPER_FIGURE3_WORST * 0.88..PAPER_FIGURE3_WORST * 1.12;
     assert!(
@@ -298,12 +240,8 @@ fn figure3_sshd_reduction_worst_case_and_mean() {
 
 #[test]
 fn figure4_ghosting_client_loses_at_most_five_percent() {
-    for kb in FIGURE34_KB {
-        let run = |ghosting| {
-            let mut sys = System::boot(Mode::VirtualGhost);
-            ssh::ssh_client_bandwidth(&mut sys, kb * 1024, TRANSFERS, ghosting)
-        };
-        let ratio = run(true) / run(false);
+    for (kb, original, ghosting) in vg_bench::figure4(&Scale::FAST) {
+        let ratio = ghosting / original;
         assert!(
             ratio >= 0.95,
             "{kb} KB: ghosting/original ssh client {ratio:.4} below 0.95"
