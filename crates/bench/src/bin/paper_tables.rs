@@ -10,17 +10,21 @@
 //! Chrome/Perfetto trace.json plus a top-N span summary; `--metrics` prints
 //! the per-subsystem metrics report for the same capture workload.
 //!
-//! The artefacts with a claim band are measured by the `vg_bench` library
-//! runners, which `tests/paper_claims.rs` bands too; this binary parses
-//! arguments and formats rows. Every output is deterministic simulated
-//! time, and `crates/bench/tests/golden.rs` pins it byte for byte.
+//! Every artefact that a test also checks is measured by a `vg_bench`
+//! library runner: Tables 2–4 and Figures 2–4 (banded by
+//! `tests/paper_claims.rs`), `c10k` (`tests/net_ring.rs`), `smp` and
+//! `security` (`tests/security_experiments.rs` and the `rootkit_defense`
+//! example). For those this binary only parses arguments and formats rows.
+//! Every output is deterministic simulated time, and
+//! `crates/bench/tests/golden.rs` pins it byte for byte.
 
 use std::collections::BTreeMap;
-use vg_apps::{ghostkv, lmbench, postmark, ssh, thttpd};
+use vg_apps::{ghostkv, lmbench, postmark, thttpd};
 use vg_bench::{
-    ratio, smp_curves, Scale, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5, SMP_SHARDS,
+    ratio, run_attack, smp_curves, Scale, ATTACKS, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4,
+    PAPER_TABLE5, SMP_SHARDS,
 };
-use vg_kernel::{Mode, NetMode, System};
+use vg_kernel::{Mode, System};
 use vg_machine::cost::CostModel;
 use vg_machine::Domain;
 
@@ -494,9 +498,8 @@ fn bandwidth_figure(title: &str, columns: [&str; 3], rows: Vec<(usize, f64, f64)
     println!("(paper: {paper})");
 }
 
-/// The C10K artefact: the descriptor-ring event loop against the
-/// synchronous per-call reference, plus ghostkv across the two data planes
-/// (same event-loop server on both), all on Virtual Ghost.
+/// The C10K artefact: every shape of [`vg_bench::c10k`], with the
+/// optimized side's speedup in req/Mcyc over the baseline.
 fn c10k_table(scale: &Scale) {
     println!(
         "\n== C10K: event-loop + descriptor ring vs synchronous reference ({} conns) ==",
@@ -506,27 +509,7 @@ fn c10k_table(scale: &Scale) {
         "{:<12} {:<10} {:>10} {:>11} {:>12} {:>12} {:>8}",
         "shape", "side", "cyc/req", "req/Mcyc", "p50-cyc", "p99-cyc", "speedup"
     );
-    let conns = scale.c10k_conns;
-    let on = |net_mode: NetMode, run: &dyn Fn(&mut System) -> thttpd::C10kBench| {
-        let mut sys = System::boot(Mode::VirtualGhost);
-        sys.net_mode = net_mode;
-        run(&mut sys)
-    };
-    let http = |kind| move |sys: &mut System| thttpd::c10k(sys, 512, conns, 8, kind);
-    let kv = |sys: &mut System| ghostkv::kv_load(sys, 256, conns, 4);
-    let shapes = [
-        (
-            "thttpd_c10k",
-            on(NetMode::Ring, &http(thttpd::ServerKind::EventLoop)),
-            on(NetMode::Reference, &http(thttpd::ServerKind::Sync)),
-        ),
-        (
-            "ghostkv",
-            on(NetMode::Ring, &kv),
-            on(NetMode::Reference, &kv),
-        ),
-    ];
-    for (name, optimized, baseline) in &shapes {
+    for (name, optimized, baseline) in &vg_bench::c10k(scale) {
         let speedup = optimized.req_per_megacycle / baseline.req_per_megacycle;
         for (side, b) in [("optimized", optimized), ("baseline", baseline)] {
             println!(
@@ -589,49 +572,24 @@ fn smp_table(scale: &Scale) {
     println!("(acceptance: >=2.5x at 4 cpus on thttpd_c10k and postmark)");
 }
 
+/// The §7 artefact: every [`ATTACKS`] module against `ssh-agent`,
+/// natively and under Virtual Ghost, through [`run_attack`].
 fn security() {
     println!("\n== Section 7: security experiments ==");
-    for (attack_name, module) in [
-        (
-            "attack 1 (direct read)",
-            vg_attacks::direct_read_module as fn() -> vg_ir::Module,
-        ),
-        (
-            "attack 2 (signal-handler injection)",
-            vg_attacks::signal_inject_module,
-        ),
-        (
-            "attack 3 (interrupt-context hijack)",
-            vg_attacks::ic_hijack_module,
-        ),
-        (
-            "attack 4 (CFI: corrupted fn pointer)",
-            vg_attacks::fptr_hijack_module,
-        ),
-    ] {
-        for (mode, label, ghosting) in [
-            (Mode::Native, "native", false),
-            (Mode::VirtualGhost, "virtual-ghost", true),
+    for (attack_name, module) in ATTACKS {
+        for (mode, label) in [
+            (Mode::Native, "native"),
+            (Mode::VirtualGhost, "virtual-ghost"),
         ] {
-            let mut sys = System::boot(mode);
-            ssh::install_ssh_agent(&mut sys, ghosting, 3);
-            let load = if ghosting {
-                sys.install_module(module()).map(|_| ())
-            } else {
-                sys.install_raw_module(module()).map(|_| ())
-            };
-            assert!(load.is_ok(), "module load");
-            let pid = sys.spawn("ssh-agent");
-            let code = sys.run_until_exit(pid);
-            let leak_log = sys.log.join("\n").contains("SECRET");
-            let leak_file = sys
-                .read_file("/stolen")
-                .map(|f| f.windows(6).any(|w| w == b"SECRET"))
-                .unwrap_or(false);
-            let stolen = leak_log || leak_file;
+            let run = run_attack(mode, module());
             println!(
-                "{attack_name:<38} on {label:<13}: {} (agent exit {code})",
-                if stolen { "SECRET STOLEN" } else { "defeated" },
+                "{attack_name:<38} on {label:<13}: {} (agent exit {})",
+                if run.stolen {
+                    "SECRET STOLEN"
+                } else {
+                    "defeated"
+                },
+                run.code,
             );
         }
     }

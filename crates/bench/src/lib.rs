@@ -18,21 +18,30 @@
 //! Every number is deterministic simulated time, pinned byte for byte by
 //! the golden test `tests/golden.rs`.
 //!
-//! This library holds the paper's reported values and the runners of the
-//! artefacts that have a claim band: [`table2`], [`tables_3_4`],
-//! [`figure2`], [`figure3`], [`figure4`] and [`smp_curves`], each at a
-//! [`Scale`]. `paper-tables` formats what they return, and the workspace's
-//! `tests/paper_claims.rs` checks the paper's claims against the same
-//! rows at [`Scale::FAST`], so a printed table and its band cannot run
-//! different code.
+//! This library holds the paper's reported values and the runner of every
+//! artefact that a test also checks, so a printed table and its check
+//! cannot run different code:
+//! - [`table2`], [`tables_3_4`], [`figure2`], [`figure3`] and [`figure4`],
+//!   each at a [`Scale`], which the workspace's `tests/paper_claims.rs`
+//!   bands at [`Scale::FAST`];
+//! - [`c10k`], whose thttpd row `tests/net_ring.rs` bands at
+//!   [`Scale::FULL`];
+//! - [`smp_curves`], banded by this crate's unit test;
+//! - [`run_attack`] over the §7 [`ATTACKS`], with the one verdict
+//!   `secret_stolen`, which `tests/security_experiments.rs` and the
+//!   `rootkit_defense` example run too.
+//!
+//! `paper-tables` formats what they return.
 //!
 //! The `vg-bench` binary is the simulator's wall-clock harness for the
 //! crypto fast paths: `record` writes `BENCH_crypto.json`, and `check`
 //! gates against it.
 
 use vg_apps::lmbench::{self, MicroResult};
-use vg_apps::{postmark, smp, ssh, thttpd};
-use vg_kernel::{Mode, System};
+use vg_apps::ssh::{self, AGENT_SECRET};
+use vg_apps::thttpd::{self, C10kBench, ServerKind};
+use vg_apps::{ghostkv, postmark, smp};
+use vg_kernel::{Mode, NetMode, Pid, System};
 
 /// Paper-reported values for Table 2 (microseconds): (name, native, vg,
 /// InkTag-reported overhead ×, if reported).
@@ -186,6 +195,101 @@ pub fn figure4(scale: &Scale) -> Vec<(usize, f64, f64)> {
         .collect()
 }
 
+/// The C10K comparison on Virtual Ghost at `scale.c10k_conns`
+/// connections, per shape `(name, optimized, baseline)`: thttpd's event
+/// loop over the descriptor ring against its synchronous server over the
+/// per-call reference path (512 B documents, 8 requests per connection),
+/// and one ghostkv event-loop server (256 B values, 4 requests per
+/// connection) over the same two data planes.
+pub fn c10k(scale: &Scale) -> [(&'static str, C10kBench, C10kBench); 2] {
+    let conns = scale.c10k_conns;
+    let on = |net_mode, run: &dyn Fn(&mut System) -> C10kBench| {
+        let mut sys = System::boot(Mode::VirtualGhost);
+        sys.net_mode = net_mode;
+        run(&mut sys)
+    };
+    let http = |kind| move |sys: &mut System| thttpd::c10k(sys, 512, conns, 8, kind);
+    let kv = |sys: &mut System| ghostkv::kv_load(sys, 256, conns, 4);
+    [
+        (
+            "thttpd_c10k",
+            on(NetMode::Ring, &http(ServerKind::EventLoop)),
+            on(NetMode::Reference, &http(ServerKind::Sync)),
+        ),
+        (
+            "ghostkv",
+            on(NetMode::Ring, &kv),
+            on(NetMode::Reference, &kv),
+        ),
+    ]
+}
+
+/// Builds one §7 rootkit module.
+pub type Rootkit = fn() -> vg_ir::Module;
+
+/// The §7 rootkit modules with their `paper-tables security` labels.
+pub const ATTACKS: [(&str, Rootkit); 4] = [
+    ("attack 1 (direct read)", vg_attacks::direct_read_module),
+    (
+        "attack 2 (signal-handler injection)",
+        vg_attacks::signal_inject_module,
+    ),
+    (
+        "attack 3 (interrupt-context hijack)",
+        vg_attacks::ic_hijack_module,
+    ),
+    (
+        "attack 4 (CFI: corrupted fn pointer)",
+        vg_attacks::fptr_hijack_module,
+    ),
+];
+
+/// One §7 run: the system after `ssh-agent` exited, the agent's pid and
+/// exit code, and whether its secret was stolen (`secret_stolen`).
+pub struct AttackRun {
+    /// The system the attack ran on, for its log, counters and recorders.
+    pub sys: System,
+    /// The victim `ssh-agent`.
+    pub pid: Pid,
+    /// The agent's exit code: 0 when its secret was intact at exit.
+    pub code: i32,
+    /// Whether the secret left the agent.
+    pub stolen: bool,
+}
+
+/// Runs `ssh-agent` (3 iterations, ghosting under Virtual Ghost) with the
+/// rootkit `module` loaded through the only pipeline `mode` offers: the
+/// Virtual Ghost compiler, or a raw load on the native kernel.
+pub fn run_attack(mode: Mode, module: vg_ir::Module) -> AttackRun {
+    let ghosting = matches!(mode, Mode::VirtualGhost);
+    let mut sys = System::boot(mode);
+    ssh::install_ssh_agent(&mut sys, ghosting, 3);
+    if ghosting {
+        sys.install_module(module)
+            .expect("the Virtual Ghost compiler accepts the module source");
+    } else {
+        sys.install_raw_module(module)
+            .expect("native kernels load raw modules");
+    }
+    let pid = sys.spawn("ssh-agent");
+    let code = sys.run_until_exit(pid);
+    let stolen = secret_stolen(&mut sys);
+    AttackRun {
+        sys,
+        pid,
+        code,
+        stolen,
+    }
+}
+
+/// The §7 verdict: the whole [`AGENT_SECRET`] reached the kernel log or
+/// the file `/stolen`. A fragment of it is not the secret.
+fn secret_stolen(sys: &mut System) -> bool {
+    let holds = |bytes: &[u8]| bytes.windows(AGENT_SECRET.len()).any(|w| w == AGENT_SECRET);
+    sys.log.iter().any(|l| holds(l.as_bytes()))
+        || sys.read_file("/stolen").is_some_and(|f| holds(&f))
+}
+
 /// Cpu counts every SMP scaling curve is sampled at.
 const SMP_CPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -260,5 +364,26 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(sizes(PAPER_TABLE3), sizes(PAPER_TABLE4));
+    }
+
+    /// Only the whole secret counts: `SECRET` alone, the 6 bytes a
+    /// substring match would take for a theft, is not stolen in either
+    /// place, and the full [`AGENT_SECRET`] is stolen in both.
+    #[test]
+    fn only_the_whole_agent_secret_is_stolen() {
+        let secret = std::str::from_utf8(AGENT_SECRET).expect("ascii secret");
+        let fragment = "SECRET";
+        assert!(secret.contains(fragment));
+        let mut log = System::boot(Mode::Native);
+        log.log.push(format!("rootkit: {fragment}"));
+        assert!(!secret_stolen(&mut log));
+        log.log.push(format!("rootkit: {secret}"));
+        assert!(secret_stolen(&mut log));
+
+        let mut file = System::boot(Mode::Native);
+        file.write_file("/stolen", fragment.as_bytes());
+        assert!(!secret_stolen(&mut file));
+        file.write_file("/stolen", &[b"xx", AGENT_SECRET, b"yy"].concat());
+        assert!(secret_stolen(&mut file));
     }
 }

@@ -21,15 +21,13 @@
 //! * **Portable.** Everywhere else, the word-sliced (T-table) round
 //!   function encrypts one counter block at a time.
 //!
-//! The T-table round function also serves [`Aes128::encrypt_block`] and
-//! [`Aes128::decrypt_block`] on every CPU: four const 256-entry `u32`
-//! tables fold SubBytes, ShiftRows, and MixColumns into one lookup + xor
-//! per state byte, with the decryption direction running the equivalent
-//! inverse cipher over InvMixColumns-transformed round keys
-//! ([`Aes128::new`] precomputes both schedules once). All tables are built
-//! by `const fn` at compile time from the S-box. Outputs of both paths stay
-//! bit-identical to the textbook scalar implementation retained in
-//! [`crate::reference`] (proven by differential proptests in
+//! The T-table round function also serves [`Aes128::encrypt_block`] on
+//! every CPU: four const 256-entry `u32` tables fold SubBytes, ShiftRows,
+//! and MixColumns into one lookup + xor per state byte. The tables are
+//! built by `const fn` at compile time from the S-box. Nothing decrypts a
+//! block: CTR mode runs the cipher forward in both directions. Outputs of
+//! both paths stay bit-identical to the textbook scalar implementation
+//! retained in [`crate::reference`] (proven by differential proptests in
 //! `tests/differential.rs`; unit tests below compare the hardware keystream
 //! with the T-table one directly).
 
@@ -76,19 +74,6 @@ const fn gmul(a: u8, b: u8) -> u8 {
     p
 }
 
-const fn build_inv_sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
-
-/// Inverse S-box, derived from [`SBOX`] at compile time.
-const INV_SBOX: [u8; 256] = build_inv_sbox();
-
 /// `TE0[x]` is the MixColumns image of `SubBytes(x)` placed in byte 0 of a
 /// column: the (2,1,1,3) column of the MixColumns matrix scaled by `S[x]`.
 /// `TE1..TE3` are byte rotations for the other three positions, which also
@@ -99,19 +84,6 @@ const fn build_te0() -> [u32; 256] {
     while i < 256 {
         let s = SBOX[i];
         t[i] = u32::from_be_bytes([gmul(s, 2), s, s, gmul(s, 3)]);
-        i += 1;
-    }
-    t
-}
-
-/// `TD0[x]` is the InvMixColumns image of `InvSubBytes(x)` in byte 0: the
-/// (14,9,13,11) column scaled by `S⁻¹[x]`.
-const fn build_td0() -> [u32; 256] {
-    let mut t = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let s = INV_SBOX[i];
-        t[i] = u32::from_be_bytes([gmul(s, 14), gmul(s, 9), gmul(s, 13), gmul(s, 11)]);
         i += 1;
     }
     t
@@ -131,26 +103,10 @@ const TE0: [u32; 256] = build_te0();
 const TE1: [u32; 256] = rotr_table(&TE0, 8);
 const TE2: [u32; 256] = rotr_table(&TE0, 16);
 const TE3: [u32; 256] = rotr_table(&TE0, 24);
-const TD0: [u32; 256] = build_td0();
-const TD1: [u32; 256] = rotr_table(&TD0, 8);
-const TD2: [u32; 256] = rotr_table(&TD0, 16);
-const TD3: [u32; 256] = rotr_table(&TD0, 24);
 
-/// InvMixColumns of one round-key word, via the decryption tables:
-/// `TD_i[S[b]]` is exactly the InvMixColumns column for input byte `b`.
-fn inv_mix_word(w: u32) -> u32 {
-    let [a, b, c, d] = w.to_be_bytes();
-    TD0[SBOX[a as usize] as usize]
-        ^ TD1[SBOX[b as usize] as usize]
-        ^ TD2[SBOX[c as usize] as usize]
-        ^ TD3[SBOX[d as usize] as usize]
-}
-
-/// An expanded AES-128 key schedule: encryption round keys plus the
-/// InvMixColumns-transformed decryption schedule for the equivalent inverse
-/// cipher, both computed once at construction. On a CPU with AES
-/// instructions it also holds the round keys in the byte order those
-/// instructions take, and CTR keystream runs on them.
+/// An expanded AES-128 key schedule, computed once at construction. On a
+/// CPU with AES instructions it also holds the round keys in the byte order
+/// those instructions take, and CTR keystream runs on them.
 ///
 /// `Debug` prints no key material.
 ///
@@ -159,18 +115,22 @@ fn inv_mix_word(w: u32) -> u32 {
 /// ```
 /// use vg_crypto::aes::Aes128;
 ///
-/// let aes = Aes128::new(&[0u8; 16]);
-/// let ct = aes.encrypt_block([0u8; 16]);
-/// assert_eq!(aes.decrypt_block(ct), [0u8; 16]);
+/// // FIPS 197 Appendix C.1.
+/// let aes = Aes128::new(&core::array::from_fn(|i| i as u8));
+/// let ct = aes.encrypt_block(core::array::from_fn(|i| (i * 0x11) as u8));
+/// assert_eq!(
+///     ct,
+///     [
+///         0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+///         0xc5, 0x5a,
+///     ]
+/// );
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
     /// Encryption round keys, as big-endian column words: `ek[4r + c]` is
     /// column `c` of round `r`.
     ek: [u32; 44],
-    /// Decryption round keys for the equivalent inverse cipher: reversed
-    /// rounds, InvMixColumns applied to rounds 1..=9.
-    dk: [u32; 44],
     /// FIPS byte-order round keys for the hardware keystream; `Some` exactly
     /// when the CPU reports the AES instructions.
     hw: Option<aesni::HwKeys>,
@@ -183,7 +143,7 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands a 16-byte key into both round-key schedules, and into the
+    /// Expands a 16-byte key into the round-key schedule, and into the
     /// hardware schedule if the CPU has AES instructions.
     pub fn new(key: &[u8; 16]) -> Self {
         let mut ek = [0u32; 44];
@@ -199,16 +159,8 @@ impl Aes128 {
             }
             ek[i] = ek[i - 4] ^ t;
         }
-        let mut dk = [0u32; 44];
-        dk[..4].copy_from_slice(&ek[40..44]);
-        dk[40..44].copy_from_slice(&ek[..4]);
-        for r in 1..10 {
-            for c in 0..4 {
-                dk[4 * r + c] = inv_mix_word(ek[4 * (10 - r) + c]);
-            }
-        }
         let hw = aesni::HwKeys::new(&ek);
-        Aes128 { ek, dk, hw }
+        Aes128 { ek, hw }
     }
 
     /// Encrypts one 16-byte block.
@@ -230,29 +182,6 @@ impl Aes128 {
         store_be(&mut out, 4, final_enc(s1, s2, s3, s0) ^ k[41]);
         store_be(&mut out, 8, final_enc(s2, s3, s0, s1) ^ k[42]);
         store_be(&mut out, 12, final_enc(s3, s0, s1, s2) ^ k[43]);
-        out
-    }
-
-    /// Decrypts one 16-byte block (equivalent inverse cipher over the
-    /// precomputed `dk` schedule — no per-call table building).
-    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let k = &self.dk;
-        let mut s0 = load_be(&block, 0) ^ k[0];
-        let mut s1 = load_be(&block, 4) ^ k[1];
-        let mut s2 = load_be(&block, 8) ^ k[2];
-        let mut s3 = load_be(&block, 12) ^ k[3];
-        for r in 1..10 {
-            let t0 = td(s0, s3, s2, s1) ^ k[4 * r];
-            let t1 = td(s1, s0, s3, s2) ^ k[4 * r + 1];
-            let t2 = td(s2, s1, s0, s3) ^ k[4 * r + 2];
-            let t3 = td(s3, s2, s1, s0) ^ k[4 * r + 3];
-            (s0, s1, s2, s3) = (t0, t1, t2, t3);
-        }
-        let mut out = [0u8; 16];
-        store_be(&mut out, 0, final_dec(s0, s3, s2, s1) ^ k[40]);
-        store_be(&mut out, 4, final_dec(s1, s0, s3, s2) ^ k[41]);
-        store_be(&mut out, 8, final_dec(s2, s1, s0, s3) ^ k[42]);
-        store_be(&mut out, 12, final_dec(s3, s2, s1, s0) ^ k[43]);
         out
     }
 
@@ -430,16 +359,6 @@ fn te(a: u32, b: u32, c: u32, d: u32) -> u32 {
         ^ TE3[(d & 0xff) as usize]
 }
 
-/// One decryption-round column (InvShiftRows rotates the other way, hence
-/// the reversed word order at the call sites).
-#[inline(always)]
-fn td(a: u32, b: u32, c: u32, d: u32) -> u32 {
-    TD0[(a >> 24) as usize]
-        ^ TD1[((b >> 16) & 0xff) as usize]
-        ^ TD2[((c >> 8) & 0xff) as usize]
-        ^ TD3[(d & 0xff) as usize]
-}
-
 /// Final encryption round: SubBytes + ShiftRows only (no MixColumns).
 #[inline(always)]
 fn final_enc(a: u32, b: u32, c: u32, d: u32) -> u32 {
@@ -448,17 +367,6 @@ fn final_enc(a: u32, b: u32, c: u32, d: u32) -> u32 {
         SBOX[((b >> 16) & 0xff) as usize],
         SBOX[((c >> 8) & 0xff) as usize],
         SBOX[(d & 0xff) as usize],
-    ])
-}
-
-/// Final decryption round: InvSubBytes + InvShiftRows only.
-#[inline(always)]
-fn final_dec(a: u32, b: u32, c: u32, d: u32) -> u32 {
-    u32::from_be_bytes([
-        INV_SBOX[(a >> 24) as usize],
-        INV_SBOX[((b >> 16) & 0xff) as usize],
-        INV_SBOX[((c >> 8) & 0xff) as usize],
-        INV_SBOX[(d & 0xff) as usize],
     ])
 }
 
@@ -763,7 +671,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(pt), expect);
-        assert_eq!(aes.decrypt_block(expect), pt);
     }
 
     // FIPS 197 Appendix C.1 vector.
@@ -777,7 +684,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(pt), expect);
-        assert_eq!(aes.decrypt_block(expect), pt);
     }
 
     #[test]
@@ -887,7 +793,7 @@ mod tests {
             format!("{:?}", SealedBox::sealer(&aes, &HmacKey::new(&[9; 32]), 1)),
         ];
         for s in &shown {
-            for w in aes.ek.iter().chain(&aes.dk) {
+            for w in &aes.ek {
                 assert!(!s.contains(&format!("{w:x}")), "{s} shows {w:#x}");
                 assert!(!s.contains(&w.to_string()), "{s} shows {w}");
             }

@@ -2,12 +2,11 @@
 //! specification for the optimized data plane.
 //!
 //! These are the pre-overhaul byte-at-a-time algorithms: per-byte S-box
-//! rounds with bit-serial GF(2^8) multiplication, the inverse S-box rebuilt
-//! on every `decrypt_block` call, CTR re-expanding the key schedule per
-//! invocation, SHA-256 with the straight-from-the-spec 64-word schedule, and
-//! HMAC hashing both pad blocks per MAC; and square-and-multiply modular
-//! exponentiation with a full `mul` + `rem` per step, plus the Miller–Rabin
-//! test built on it. They are deliberately slow and obviously correct;
+//! rounds with bit-serial GF(2^8) multiplication, CTR re-expanding the key
+//! schedule per invocation, SHA-256 with the straight-from-the-spec 64-word
+//! schedule, and HMAC hashing both pad blocks per MAC; and
+//! square-and-multiply modular exponentiation with a full `mul` + `rem` per
+//! step, plus the Miller–Rabin test built on it. They are deliberately slow and obviously correct;
 //! `tests/differential.rs` proves the optimized [`crate::aes`] /
 //! [`crate::sha256`] / [`crate::hmac`] / [`crate::bignum`] paths
 //! bit-identical to them on arbitrary inputs, and `vg-bench` times the
@@ -38,16 +37,6 @@ const SBOX: [u8; 256] = [
     0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
-
-/// Inverse S-box, rebuilt on every decryption call — the pre-overhaul
-/// behavior this module preserves as a baseline.
-fn inv_sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for (i, &s) in SBOX.iter().enumerate() {
-        inv[s as usize] = i as u8;
-    }
-    inv
-}
 
 fn xtime(b: u8) -> u8 {
     (b << 1) ^ if b & 0x80 != 0 { 0x1b } else { 0 }
@@ -109,26 +98,11 @@ fn sub_bytes(s: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(s: &mut [u8; 16], inv: &[u8; 256]) {
-    for b in s.iter_mut() {
-        *b = inv[*b as usize];
-    }
-}
-
 fn shift_rows(s: &mut [u8; 16]) {
     for r in 1..4 {
         let row = [s[r], s[4 + r], s[8 + r], s[12 + r]];
         for c in 0..4 {
             s[4 * c + r] = row[(c + r) % 4];
-        }
-    }
-}
-
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[4 + r], s[8 + r], s[12 + r]];
-        for c in 0..4 {
-            s[4 * c + r] = row[(c + 4 - r) % 4];
         }
     }
 }
@@ -140,16 +114,6 @@ fn mix_columns(s: &mut [u8; 16]) {
         s[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
         s[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
         s[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        s[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        s[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        s[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -167,24 +131,6 @@ pub fn encrypt_block(key: &[u8; 16], block: [u8; 16]) -> [u8; 16] {
     sub_bytes(&mut s);
     shift_rows(&mut s);
     add_round_key(&mut s, &round_keys[10]);
-    s
-}
-
-/// Scalar AES-128 block decryption (rebuilds the inverse S-box per call).
-pub fn decrypt_block(key: &[u8; 16], block: [u8; 16]) -> [u8; 16] {
-    let round_keys = expand_key(key);
-    let inv = inv_sbox();
-    let mut s = block;
-    add_round_key(&mut s, &round_keys[10]);
-    for rk in round_keys[1..10].iter().rev() {
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s, &inv);
-        add_round_key(&mut s, rk);
-        inv_mix_columns(&mut s);
-    }
-    inv_shift_rows(&mut s);
-    inv_sub_bytes(&mut s, &inv);
-    add_round_key(&mut s, &round_keys[0]);
     s
 }
 

@@ -99,16 +99,6 @@ impl ChaChaRng {
         }
     }
 
-    /// Creates a generator from a full 32-byte key.
-    pub fn from_key(key: [u8; 32]) -> Self {
-        ChaChaRng {
-            key,
-            counter: 0,
-            buf: [0; 64],
-            pos: 64,
-        }
-    }
-
     /// A generator about to produce block `counter` of `seed`'s keystream.
     #[cfg(test)]
     fn at_block(seed: u64, counter: u64) -> Self {

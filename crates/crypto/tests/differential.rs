@@ -3,9 +3,6 @@
 //! and the Montgomery RSA arithmetic (`BigUint::modpow`,
 //! `BigUint::is_probable_prime`) must be bit-identical to the retained
 //! textbook implementations in `vg_crypto::reference` on arbitrary inputs.
-//!
-//! CI runs this file as an explicit step, mirroring the interpreter's
-//! engine-equivalence gate.
 
 use proptest::prelude::*;
 use vg_crypto::aes::{ctr_xor, Aes128, Aes128Ctr, SealedBox};
@@ -21,12 +18,6 @@ proptest! {
     fn encrypt_block_matches_reference(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
         let aes = Aes128::new(&key);
         prop_assert_eq!(aes.encrypt_block(block), reference::encrypt_block(&key, block));
-    }
-
-    #[test]
-    fn decrypt_block_matches_reference(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-        let aes = Aes128::new(&key);
-        prop_assert_eq!(aes.decrypt_block(block), reference::decrypt_block(&key, block));
     }
 
     // ---- CTR --------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Property-based tests for the cryptographic substrate.
 
 use proptest::prelude::*;
-use vg_crypto::aes::{ctr_xor, Aes128, SealedBox};
+use vg_crypto::aes::{ctr_xor, SealedBox};
 use vg_crypto::bignum::BigUint;
 use vg_crypto::hmac::HmacSha256;
 use vg_crypto::sha256::Sha256;
@@ -97,12 +97,6 @@ proptest! {
     }
 
     // ---- symmetric crypto -------------------------------------------------
-
-    #[test]
-    fn aes_block_roundtrips(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-        let aes = Aes128::new(&key);
-        prop_assert_eq!(aes.decrypt_block(aes.encrypt_block(block)), block);
-    }
 
     #[test]
     fn ctr_is_involutive(key in any::<[u8; 16]>(), nonce in any::<u64>(),

@@ -316,11 +316,6 @@ impl Tracer {
         self.cap = cap.max(1);
     }
 
-    /// Turns event recording off. Retained records stay readable.
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether event recording is on.
     #[inline]
     pub fn is_enabled(&self) -> bool {

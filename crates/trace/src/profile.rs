@@ -177,11 +177,6 @@ impl CycleProfiler {
         self.start_cycles = now;
     }
 
-    /// Turns attribution off. Accumulated totals stay readable.
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether attribution is on.
     #[inline]
     pub fn is_enabled(&self) -> bool {

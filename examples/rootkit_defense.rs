@@ -5,44 +5,29 @@
 //! ```text
 //! cargo run --example rootkit_defense
 //! ```
+//!
+//! Each run goes through `vg_bench::run_attack`, the runner behind
+//! `paper-tables security`: under Virtual Ghost the only road to runnable
+//! kernel code is the instrumenting compiler + signed translation, while
+//! the native kernel loads the raw module.
 
-use virtual_ghost::apps::ssh::{install_ssh_agent, AGENT_SECRET};
+use vg_bench::run_attack;
 use virtual_ghost::attacks;
 use virtual_ghost::kernel::{Mode, System};
 
-fn leaked(sys: &mut System) -> bool {
-    let needle = std::str::from_utf8(AGENT_SECRET).expect("ascii");
-    sys.log.iter().any(|l| l.contains(needle))
-        || sys
-            .read_file("/stolen")
-            .map(|f| f.windows(AGENT_SECRET.len()).any(|w| w == AGENT_SECRET))
-            .unwrap_or(false)
-}
-
 fn run(label: &str, mode: Mode, module: virtual_ghost::ir::Module) {
-    let ghosting = matches!(mode, Mode::VirtualGhost);
-    let mut sys = System::boot(mode);
-    install_ssh_agent(&mut sys, ghosting, 3);
-    if ghosting {
-        // Under Virtual Ghost the only road to runnable kernel code is the
-        // instrumenting compiler + signed translation.
-        sys.install_module(module).expect("compiled rootkit loads");
-    } else {
-        sys.install_raw_module(module)
-            .expect("native kernel loads raw modules");
-    }
-    let pid = sys.spawn("ssh-agent");
-    let code = sys.run_until_exit(pid);
-    let stolen = leaked(&mut sys);
+    let attack = run_attack(mode, module);
     println!(
-        "  {label:<42} {}  (agent exit code {code})",
-        if stolen {
+        "  {label:<42} {}  (agent exit code {})",
+        if attack.stolen {
             "SECRET STOLEN ✗"
         } else {
             "defeated ✓"
-        }
+        },
+        attack.code
     );
-    for line in sys
+    for line in attack
+        .sys
         .log
         .iter()
         .filter(|l| l.contains("blocked") || l.contains("module"))

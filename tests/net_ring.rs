@@ -14,11 +14,12 @@
 //!    wire. Batching must not open a side door around the IOMMU policy.
 //! 3. **Scale** — at 1024 concurrent connections the event-loop + ring
 //!    configuration clears the >=3x requests-per-megacycle acceptance bar
-//!    over the synchronous + per-call reference (printed by
-//!    `paper-tables c10k` and pinned exactly by its golden test).
+//!    over the synchronous + per-call reference. The test bands the thttpd
+//!    row of `vg_bench::c10k` at `Scale::FULL`, the runner and scale that
+//!    `paper-tables c10k` prints and its golden test pins exactly.
 
 use proptest::prelude::*;
-use vg_apps::thttpd::{self, ServerKind};
+use vg_bench::Scale;
 use vg_core::{DescRing, FrameKind, RingDesc, RingDir};
 use vg_kernel::syscall::EAGAIN;
 use vg_kernel::{Mode, NetMode, System};
@@ -263,19 +264,15 @@ fn native_ring_attack_exfiltrates_the_secret() {
     assert_eq!(native.wire[0], SECRET);
 }
 
-/// Claim 3: the `paper-tables c10k` acceptance bar, asserted live at full
-/// scale — >=3x requests-per-megacycle for event loop + ring over the
-/// synchronous + per-call reference at 1024 concurrent connections.
+/// Claim 3: the `paper-tables c10k` acceptance bar, asserted live on the
+/// thttpd row of `vg_bench::c10k` at `Scale::FULL` (1024 concurrent
+/// connections), the row that `paper-tables c10k` prints — >=3x
+/// requests-per-megacycle for event loop + ring over the synchronous +
+/// per-call reference.
 #[test]
 fn event_loop_ring_hits_3x_at_1024_connections() {
-    let mut ring_sys = System::boot(Mode::VirtualGhost);
-    ring_sys.net_mode = NetMode::Ring;
-    let ev = thttpd::c10k(&mut ring_sys, 512, 1024, 8, ServerKind::EventLoop);
-
-    let mut ref_sys = System::boot(Mode::VirtualGhost);
-    ref_sys.net_mode = NetMode::Reference;
-    let sy = thttpd::c10k(&mut ref_sys, 512, 1024, 8, ServerKind::Sync);
-
+    let [(name, ev, sy), _] = vg_bench::c10k(&Scale::FULL);
+    assert_eq!(name, "thttpd_c10k");
     assert_eq!(ev.requests, 1024 * 8);
     assert_eq!(sy.requests, 1024 * 8);
     let speedup = ev.req_per_megacycle / sy.req_per_megacycle;

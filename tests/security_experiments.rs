@@ -13,89 +13,64 @@
 //!
 //! In every Virtual Ghost case the victim continues executing unaffected
 //! (exit code 0 = its secret was still intact when it exited).
+//!
+//! The `ssh-agent` rows run through `vg_bench::run_attack`, the runner that
+//! `paper-tables security` prints, and take its one verdict, `stolen`: the
+//! whole `AGENT_SECRET` in the kernel log or `/stolen`. The tests here add
+//! what the table does not show: audit lines, flight-recorder sequences and
+//! CFI counters.
 
 use vg_apps::ssh::{install_ssh_agent, AGENT_SECRET};
+use vg_bench::run_attack;
 use vg_kernel::{Mode, System};
-
-fn secret_leaked(sys: &mut System) -> bool {
-    let needle = AGENT_SECRET;
-    let in_log = sys
-        .log
-        .iter()
-        .any(|l| l.contains(std::str::from_utf8(needle).expect("ascii secret")));
-    let in_file = sys
-        .read_file("/stolen")
-        .map(|f| f.windows(needle.len()).any(|w| w == needle))
-        .unwrap_or(false);
-    in_log || in_file
-}
-
-fn run_attack(mode: Mode, module: vg_ir::Module) -> (i32, bool) {
-    let ghosting = matches!(mode, Mode::VirtualGhost);
-    let mut sys = System::boot(mode);
-    install_ssh_agent(&mut sys, ghosting, 3);
-    // Load the rootkit through the only pipeline the platform offers.
-    if ghosting {
-        sys.install_module(module)
-            .expect("VG compiler accepts the module source");
-    } else {
-        sys.install_raw_module(module)
-            .expect("native kernels load raw modules");
-    }
-    let pid = sys.spawn("ssh-agent");
-    let code = sys.run_until_exit(pid);
-    let leaked = secret_leaked(&mut sys);
-    (code, leaked)
-}
 
 #[test]
 fn attack1_direct_read_succeeds_natively() {
-    let (code, leaked) = run_attack(Mode::Native, vg_attacks::direct_read_module());
+    let run = run_attack(Mode::Native, vg_attacks::direct_read_module());
     assert!(
-        leaked,
+        run.stolen,
         "paper: attack 1 steals the secret on the baseline system"
     );
-    assert_eq!(code, 0, "the theft is silent — the victim never notices");
+    assert_eq!(
+        run.code, 0,
+        "the theft is silent — the victim never notices"
+    );
 }
 
 #[test]
 fn attack1_direct_read_defeated_under_vg() {
-    let (code, leaked) = run_attack(Mode::VirtualGhost, vg_attacks::direct_read_module());
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::direct_read_module());
     assert!(
-        !leaked,
+        !run.stolen,
         "paper: the masked load reads kernel garbage instead"
     );
-    assert_eq!(code, 0, "ssh-agent continues execution unaffected");
+    assert_eq!(run.code, 0, "ssh-agent continues execution unaffected");
 }
 
 #[test]
 fn attack2_signal_injection_succeeds_natively() {
-    let (code, leaked) = run_attack(Mode::Native, vg_attacks::signal_inject_module());
+    let run = run_attack(Mode::Native, vg_attacks::signal_inject_module());
     assert!(
-        leaked,
+        run.stolen,
         "paper: injected handler exfiltrates the secret natively"
     );
-    assert_eq!(code, 0);
+    assert_eq!(run.code, 0);
 }
 
 #[test]
 fn attack2_signal_injection_defeated_under_vg() {
-    let (code, leaked) = run_attack(Mode::VirtualGhost, vg_attacks::signal_inject_module());
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::signal_inject_module());
     assert!(
-        !leaked,
+        !run.stolen,
         "paper: sva.ipush.function refuses the unregistered target"
     );
-    assert_eq!(code, 0, "ssh-agent continues execution unaffected");
+    assert_eq!(run.code, 0, "ssh-agent continues execution unaffected");
 }
 
 #[test]
 fn attack2_leaves_audit_trail_under_vg() {
-    let mut sys = System::boot(Mode::VirtualGhost);
-    install_ssh_agent(&mut sys, true, 2);
-    sys.install_module(vg_attacks::signal_inject_module())
-        .expect("loads");
-    let pid = sys.spawn("ssh-agent");
-    sys.run_until_exit(pid);
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::signal_inject_module());
+    let sys = &run.sys;
     assert!(
         sys.log
             .iter()
@@ -111,12 +86,8 @@ fn attack2_flight_recorder_captures_denied_dispatch_sequence() {
     // of denied operations: every blocked dispatch is an IcPermitDenied for
     // the victim process at the injected handler's address, in the same
     // order as the audit log.
-    let mut sys = System::boot(Mode::VirtualGhost);
-    install_ssh_agent(&mut sys, true, 2);
-    sys.install_module(vg_attacks::signal_inject_module())
-        .expect("loads");
-    let pid = sys.spawn("ssh-agent");
-    sys.run_until_exit(pid);
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::signal_inject_module());
+    let (sys, pid) = (&run.sys, run.pid);
 
     // Ground truth from the kernel log: "vg: blocked signal dispatch to
     // 0x... for pid N: ...".
@@ -150,53 +121,49 @@ fn attack2_flight_recorder_captures_denied_dispatch_sequence() {
 
 #[test]
 fn ic_hijack_succeeds_natively() {
-    let (_code, leaked) = run_attack(Mode::Native, vg_attacks::ic_hijack_module());
+    let run = run_attack(Mode::Native, vg_attacks::ic_hijack_module());
     assert!(
-        leaked,
+        run.stolen,
         "rewriting the saved PC redirects the victim into exploit code"
     );
 }
 
 #[test]
 fn ic_hijack_defeated_under_vg() {
-    let (code, leaked) = run_attack(Mode::VirtualGhost, vg_attacks::ic_hijack_module());
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::ic_hijack_module());
     assert!(
-        !leaked,
+        !run.stolen,
         "the Interrupt Context lives in SVA memory: kern.write_ic_rip fails"
     );
-    assert_eq!(code, 0);
+    assert_eq!(run.code, 0);
 }
 
 #[test]
 fn fptr_hijack_succeeds_natively() {
-    let (_code, leaked) = run_attack(Mode::Native, vg_attacks::fptr_hijack_module());
+    let run = run_attack(Mode::Native, vg_attacks::fptr_hijack_module());
     assert!(
-        leaked,
+        run.stolen,
         "corrupted function pointer reaches injected kernel-context code"
     );
 }
 
 #[test]
 fn fptr_hijack_defeated_by_cfi_under_vg() {
-    let (code, leaked) = run_attack(Mode::VirtualGhost, vg_attacks::fptr_hijack_module());
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::fptr_hijack_module());
     assert!(
-        !leaked,
+        !run.stolen,
         "CFI check rejects the unlabeled, out-of-kernel target"
     );
     assert_eq!(
-        code, 0,
+        run.code, 0,
         "the victim survives; only the kernel thread was terminated"
     );
 }
 
 #[test]
 fn fptr_hijack_terminates_kernel_thread_under_vg() {
-    let mut sys = System::boot(Mode::VirtualGhost);
-    install_ssh_agent(&mut sys, true, 2);
-    sys.install_module(vg_attacks::fptr_hijack_module())
-        .expect("loads");
-    let pid = sys.spawn("ssh-agent");
-    sys.run_until_exit(pid);
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::fptr_hijack_module());
+    let sys = &run.sys;
     assert!(
         sys.machine.counters.cfi_violations > 0,
         "CFI violation recorded"
@@ -210,12 +177,8 @@ fn fptr_hijack_terminates_kernel_thread_under_vg() {
 
 #[test]
 fn fptr_hijack_flight_recorder_captures_cfi_violations() {
-    let mut sys = System::boot(Mode::VirtualGhost);
-    install_ssh_agent(&mut sys, true, 2);
-    sys.install_module(vg_attacks::fptr_hijack_module())
-        .expect("loads");
-    let pid = sys.spawn("ssh-agent");
-    sys.run_until_exit(pid);
+    let run = run_attack(Mode::VirtualGhost, vg_attacks::fptr_hijack_module());
+    let (sys, pid) = (&run.sys, run.pid);
 
     let denials: Vec<_> = sys.machine.trace.flight.denials().collect();
     assert_eq!(
